@@ -44,6 +44,9 @@ def _cmd_metrics(args) -> int:
     """Score a prediction CSV: the truth column holds integer labels, every
     other column is a per-class score in class-id order."""
     lines = Path(args.pred).read_text(encoding="utf-8").strip().splitlines()
+    if len(lines) < 2:
+        print(f"prediction CSV {args.pred} has no data rows", file=sys.stderr)
+        return 2
     header = lines[0].split(",")
     if args.truth_col not in header:
         print(f"truth column {args.truth_col!r} not in header {header}", file=sys.stderr)
@@ -68,6 +71,10 @@ def _cmd_metrics(args) -> int:
 def _cmd_synth(args) -> int:
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     if "builtin" in doc:
+        if doc["builtin"] not in BUILTIN_FAMILIES:
+            print(f"unknown builtin family {doc['builtin']!r}; expected one of "
+                  f"{sorted(BUILTIN_FAMILIES)}", file=sys.stderr)
+            return 2
         spec = BUILTIN_FAMILIES[doc["builtin"]]()
         if "seed" in doc:
             spec = replace(spec, seed=int(doc["seed"]))

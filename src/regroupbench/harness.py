@@ -56,6 +56,8 @@ class MethodKind:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise HarnessError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
+        if self.k_override is not None and self.k_override < 1:
+            raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> Resu
     else:  # RG+CE
         loss = LossSpec("ce")
         if num_classes == 2:
-            K = method.k_override or compute_k(counts[1], counts[0])
+            K = compute_k(counts[1], counts[0]) if method.k_override is None else method.k_override
             fit_ds, plan = regroup_binary(train_ds, K, seed + 2)
             k_groups = K
         else:

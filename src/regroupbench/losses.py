@@ -1,8 +1,8 @@
 """Multiclass training losses with analytic gradients: CE, inverse-frequency
 weighted CE, focal, and LDAM (margin) loss.
 
-All functions accept a 1-D logit vector; the batch variants used by the
-trainer take an (n, C) matrix and a label vector.
+loss_and_grad computes a batch's losses and logit gradients from one softmax;
+the other loss functions are checked wrappers over it.
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ class LossSpec:
             raise LossError("margin_scale must be >= 0 and logit_scale > 0")
         if self.class_counts is not None:
             object.__setattr__(self, "class_counts", tuple(int(c) for c in self.class_counts))
+        # wce weights or ldam margins: loss_and_grad indexes them on every batch
+        per_class = {"wce": self.class_weights, "ldam": self.margins}.get(self.kind)
+        object.__setattr__(self, "_per_class", per_class() if per_class else None)
 
     def class_weights(self) -> np.ndarray:
         """Inverse-frequency weights w_c = n / (C * n_c), mean-one over samples."""
@@ -68,62 +71,54 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
+    """Per-sample losses (n,) and d loss / d logits (n, C) for (n, C) logits Z
+    and labels y, from one shared softmax. Unchecked: y must lie in 0..C-1
+    and Z must be finite float64."""
+    rows = np.arange(len(y))
+    if spec.kind == "ldam":
+        Z = Z.copy()
+        Z[rows, y] -= spec._per_class[y]
+        Z *= spec.logit_scale
+    zs = Z - Z.max(axis=1, keepdims=True)
+    e = np.exp(zs)
+    s = e.sum(axis=1, keepdims=True)
+    logp = zs[rows, y] - np.log(s[:, 0])
+    P = e / s
+    P[rows, y] -= 1.0  # P - onehot, the CE gradient
+    if spec.kind == "ce":
+        return -logp, P
+    if spec.kind == "wce":
+        w = spec._per_class[y]
+        return -w * logp, w[:, None] * P
+    if spec.kind == "ldam":
+        return -logp, spec.logit_scale * P
+    values = -((1.0 - np.exp(logp)) ** spec.gamma) * logp  # focal
+    if spec.gamma == 0:  # degenerates to CE; avoids 0 * inf at p_y = 1
+        return values, P
+    # dL/dp_y * dp_y/dz, with dp_y/dz_j = p_y (1{j=y} - p_j)
+    py = e[rows, y] / s[:, 0]
+    one_minus = 1.0 - py
+    dL_dpy = spec.gamma * one_minus ** (spec.gamma - 1.0) * np.log(py)
+    dL_dpy -= one_minus ** spec.gamma / py
+    onehot_minus_p = 0.0 - P  # a subtraction, not a negation: zeros stay +0
+    onehot_minus_p[rows, y] = one_minus
+    return values, (dL_dpy * py)[:, None] * onehot_minus_p
+
+
+def _checked(logits, labels):
+    Z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if np.any(y < 0) or np.any(y >= Z.shape[1]):
+        raise LossError(f"label out of range for {Z.shape[1]} classes")
+    if not np.all(np.isfinite(Z)):
+        raise LossError("non-finite logits")
+    return Z, y
 
 
 def batch_loss_values(logits: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Per-sample loss values for an (n, C) logit matrix."""
-    Z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n, C = Z.shape
-    if np.any(y < 0) or np.any(y >= C):
-        raise LossError(f"label out of range for {C} classes")
-    if not np.all(np.isfinite(Z)):
-        raise LossError("non-finite logits")
-    rows = np.arange(n)
-    if spec.kind == "ldam":
-        Zadj = Z.copy()
-        Zadj[rows, y] -= spec.margins()[y]
-        return -_log_softmax(spec.logit_scale * Zadj)[rows, y]
-    logp = _log_softmax(Z)[rows, y]
-    if spec.kind == "ce":
-        return -logp
-    if spec.kind == "wce":
-        return -spec.class_weights()[y] * logp
-    # focal
-    p = np.exp(logp)
-    return -((1.0 - p) ** spec.gamma) * logp
-
-
-def batch_loss_gradients(logits: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Per-sample gradients d loss / d logits, shape (n, C)."""
-    Z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n, C = Z.shape
-    if np.any(y < 0) or np.any(y >= C):
-        raise LossError(f"label out of range for {C} classes")
-    rows = np.arange(n)
-    onehot = np.zeros((n, C))
-    onehot[rows, y] = 1.0
-    if spec.kind == "ldam":
-        Zadj = Z.copy()
-        Zadj[rows, y] -= spec.margins()[y]
-        return spec.logit_scale * (softmax(spec.logit_scale * Zadj) - onehot)
-    P = softmax(Z)
-    if spec.kind == "ce":
-        return P - onehot
-    if spec.kind == "wce":
-        return spec.class_weights()[y][:, None] * (P - onehot)
-    # focal: dL/dp_y * dp_y/dz, with dp_y/dz_j = p_y (1{j=y} - p_j)
-    if spec.gamma == 0:  # degenerates to CE; avoids 0 * inf at p_y = 1
-        return P - onehot
-    py = P[rows, y]
-    one_minus = 1.0 - py
-    logpy = np.log(py)
-    dL_dpy = spec.gamma * one_minus ** (spec.gamma - 1.0) * logpy - one_minus ** spec.gamma / py
-    return (dL_dpy * py)[:, None] * (onehot - P)
+    return loss_and_grad(*_checked(logits, labels), spec)[0]
 
 
 def loss_value(logits, label: int, spec: LossSpec) -> float:
@@ -133,4 +128,4 @@ def loss_value(logits, label: int, spec: LossSpec) -> float:
 
 def loss_gradient(logits, label: int, spec: LossSpec) -> np.ndarray:
     """Analytic gradient of loss_value w.r.t. the logits."""
-    return batch_loss_gradients(np.asarray(logits)[None, :], [label], spec)[0]
+    return loss_and_grad(*_checked(np.asarray(logits)[None, :], [label]), spec)[1][0]

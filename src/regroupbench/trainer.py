@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LossError, LossSpec, batch_loss_gradients, batch_loss_values, softmax
+from .losses import LossError, LossSpec, batch_loss_values, loss_and_grad, softmax
 
 
 class TrainingError(ValueError):
@@ -22,7 +22,7 @@ class TrainingError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss or parameters become non-finite."""
+    """Raised when the logits, the loss or the weights become non-finite."""
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,10 @@ class TrainedModel:
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for w, b in zip(self.weights, self.biases):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        for a in (*self.weights, *self.biases):
+            if not np.all(np.isfinite(a)):
                 raise TrainingDiverged("non-finite parameters")
-            w.setflags(write=False)
-            b.setflags(write=False)
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -114,19 +113,32 @@ def _forward(X, weights, biases):
     return acts[-1], acts
 
 
-def batch_gradients(X, y, weights, biases, loss: LossSpec):
-    """Mean batch loss and gradients w.r.t. every weight/bias."""
+def _layer_views(flat: np.ndarray, dims):
+    """Per-layer views of a flat buffer: all weight matrices (row-major), then all biases."""
+    shapes = list(zip(dims[:-1], dims[1:]))
+    parts = np.split(flat, np.cumsum([i * o for i, o in shapes] + list(dims[1:-1])))
+    return [p.reshape(s) for p, s in zip(parts, shapes)], parts[len(shapes):]
+
+
+def _backprop(X, y, weights, biases, loss: LossSpec, grads_w, grads_b) -> float:
+    """Mean batch loss; writes its gradients into grads_w / grads_b (labels unchecked)."""
     logits, acts = _forward(X, weights, biases)
-    n = X.shape[0]
-    loss_mean = float(batch_loss_values(logits, y, loss).mean())
-    delta = batch_loss_gradients(logits, y, loss) / n
-    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    if not np.isfinite(logits).all():
+        raise LossError("non-finite logits")
+    values, delta = loss_and_grad(logits, y, loss)
+    delta /= X.shape[0]
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
         if i > 0:
             delta = (delta @ weights[i].T) * (acts[i] > 0)
-    return loss_mean, grads_w, grads_b
+    return float(values.mean())
+
+
+def batch_gradients(X, y, weights, biases, loss: LossSpec):
+    """Mean batch loss and gradients w.r.t. every weight/bias."""
+    gw, gb = [np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases]
+    return _backprop(X, y, weights, biases, loss, gw, gb), gw, gb
 
 
 def train(train_ds: Dataset, spec: MlpSpec, loss: LossSpec, cfg: TrainConfig):
@@ -134,57 +146,50 @@ def train(train_ds: Dataset, spec: MlpSpec, loss: LossSpec, cfg: TrainConfig):
     cosine schedule; last partial batch kept and averaged over its size.
 
     Returns (TrainedModel, TrainHistory). Raises TrainingDiverged with the
-    offending epoch/batch if the loss or parameters go non-finite.
+    offending epoch/batch if the logits, loss or weights go non-finite.
     """
     if train_ds.dim != spec.input_dim:
         raise TrainingError(f"dataset dim {train_ds.dim} != spec input_dim {spec.input_dim}")
     if train_ds.num_classes > spec.output_dim:
-        raise TrainingError(
-            f"{train_ds.num_classes} classes exceed {spec.output_dim} output heads"
-        )
+        raise TrainingError(f"{train_ds.num_classes} classes exceed {spec.output_dim} output heads")
+    if loss.kind in ("wce", "ldam") and len(loss.class_counts) != spec.output_dim:
+        raise TrainingError(f"{loss.kind} needs one class count per output head")
     X, y = train_ds.features, train_ds.labels
-    weights, biases = init_params(spec)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    # Dataset guarantees finite features and labels < num_classes <= output_dim.
+    theta = np.concatenate([p.ravel() for layer in init_params(spec) for p in layer])
+    grad, vel = np.zeros_like(theta), np.zeros_like(theta)
+    weights, biases = _layer_views(theta, spec.layer_dims)
+    gw, gb = _layer_views(grad, spec.layer_dims)
+    n_weights = sum(w.size for w in weights)
     rng = np.random.default_rng(cfg.shuffle_seed)
     hist_loss, hist_acc, hist_lr = [], [], []
 
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr_max, cfg.lr_min)
-        order = rng.permutation(train_ds.n)
-        for start in range(0, train_ds.n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss_mean, gw, gb = batch_gradients(
-                        X[batch], y[batch], weights, biases, loss
-                    )
-            except LossError as exc:
-                raise TrainingDiverged(
-                    f"non-finite forward pass at epoch {epoch}, "
-                    f"batch {start // cfg.batch_size}: {exc}"
-                ) from exc
-            if not math.isfinite(loss_mean):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
-            for i in range(len(weights)):
+    def diverged(what: str, detail: str = "") -> TrainingDiverged:
+        return TrainingDiverged(f"{what} at epoch {epoch}, batch {start // cfg.batch_size}{detail}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cosine_lr(epoch, cfg.epochs, cfg.lr_max, cfg.lr_min)
+            order = rng.permutation(train_ds.n)
+            for start in range(0, train_ds.n, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                try:
+                    loss_mean = _backprop(X[batch], y[batch], weights, biases, loss, gw, gb)
+                except LossError as exc:
+                    raise diverged("non-finite forward pass", f": {exc}") from exc
+                if not math.isfinite(loss_mean):
+                    raise diverged("non-finite loss")
                 if cfg.weight_decay:
-                    gw[i] = gw[i] + cfg.weight_decay * weights[i]
-                vel_w[i] = cfg.momentum * vel_w[i] + gw[i]
-                vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
-                weights[i] = weights[i] - lr * vel_w[i]
-                biases[i] = biases[i] - lr * vel_b[i]
-            for w in weights:
-                if not np.all(np.isfinite(w)):
-                    raise TrainingDiverged(
-                        f"non-finite parameters at epoch {epoch}, "
-                        f"batch {start // cfg.batch_size}"
-                    )
-        logits, _ = _forward(X, weights, biases)
-        hist_loss.append(float(batch_loss_values(logits, y, loss).mean()))
-        hist_acc.append(float(np.mean(np.argmax(logits, axis=1) == y)))
-        hist_lr.append(lr)
+                    grad[:n_weights] += cfg.weight_decay * theta[:n_weights]
+                vel *= cfg.momentum
+                vel += grad
+                theta -= lr * vel
+                if not np.isfinite(theta[:n_weights]).all():
+                    raise diverged("non-finite parameters")
+            logits, _ = _forward(X, weights, biases)
+            hist_loss.append(float(batch_loss_values(logits, y, loss).mean()))
+            hist_acc.append(float(np.mean(np.argmax(logits, axis=1) == y)))
+            hist_lr.append(lr)
 
     model = TrainedModel(spec, tuple(weights), tuple(biases))
     history = TrainHistory(tuple(hist_loss), tuple(hist_acc), tuple(hist_lr))

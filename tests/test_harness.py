@@ -154,6 +154,16 @@ class TestConfigIO:
         with pytest.raises(HarnessError):
             MethodKind("GAN")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_override_below_one_rejected(self, k):
+        with pytest.raises(HarnessError, match="k_override must be >= 1"):
+            MethodKind("RG+CE", k_override=k)
+
+    def test_k_override_is_used_as_given(self):
+        cfg = tiny_cfg(["RG+CE"])
+        assert run_experiment(cfg, MethodKind("RG+CE", k_override=3), 0).k_groups == 3
+        assert run_experiment(cfg, MethodKind("RG+CE"), 0).k_groups != 3
+
     def test_bad_source_rejected(self):
         with pytest.raises(HarnessError):
             load_source({"parquet": "x"}, 0)
@@ -199,6 +209,27 @@ class TestCli:
         assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["accuracy"] == pytest.approx(2 / 3)
+
+    def test_synth_unknown_builtin_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"builtin": "nope"}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown builtin family 'nope'" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ["s0,s1,truth\n", ""])
+    def test_metrics_without_data_rows_is_named_error(self, tmp_path, capsys, text):
+        from regroupbench.cli import main
+
+        pred = tmp_path / "pred.csv"
+        pred.write_text(text)
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"prediction CSV {pred} has no data rows"
 
     def test_run_seed_override(self, tmp_path):
         from regroupbench.cli import main

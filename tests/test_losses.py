@@ -4,8 +4,8 @@ import pytest
 from regroupbench.losses import (
     LossError,
     LossSpec,
-    batch_loss_gradients,
     batch_loss_values,
+    loss_and_grad,
     loss_gradient,
     loss_value,
     softmax,
@@ -20,8 +20,43 @@ def random_specs():
         LossSpec("wce", class_counts=COUNTS),
         LossSpec("focal", gamma=2.0),
         LossSpec("focal", gamma=0.5),
+        LossSpec("focal", gamma=0.0),  # the CE-gradient branch
         LossSpec("ldam", class_counts=COUNTS, margin_scale=0.5, logit_scale=3.0),
     ]
+
+
+def reference_loss_and_grad(Z, y, spec):
+    """Per-sample losses and gradients written out separately, each with its
+    own softmax: loss_and_grad must reproduce these bits exactly."""
+    n, C = Z.shape
+    rows = np.arange(n)
+    onehot = np.zeros((n, C))
+    onehot[rows, y] = 1.0
+
+    def log_softmax(z):
+        z = z - np.max(z, axis=-1, keepdims=True)
+        return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+    if spec.kind == "ldam":
+        Zadj = Z.copy()
+        Zadj[rows, y] -= spec.margins()[y]
+        Zs = spec.logit_scale * Zadj
+        return -log_softmax(Zs)[rows, y], spec.logit_scale * (softmax(Zs) - onehot)
+    logp = log_softmax(Z)[rows, y]
+    P = softmax(Z)
+    if spec.kind == "ce":
+        return -logp, P - onehot
+    if spec.kind == "wce":
+        w = spec.class_weights()[y]
+        return -w * logp, w[:, None] * (P - onehot)
+    values = -((1.0 - np.exp(logp)) ** spec.gamma) * logp
+    if spec.gamma == 0:
+        return values, P - onehot
+    py = P[rows, y]
+    one_minus = 1.0 - py
+    logpy = np.log(py)
+    dL_dpy = spec.gamma * one_minus ** (spec.gamma - 1.0) * logpy - one_minus ** spec.gamma / py
+    return values, (dL_dpy * py)[:, None] * (onehot - P)
 
 
 def finite_difference(logits, label, spec, h=1e-5):
@@ -151,11 +186,54 @@ class TestGradients:
             spec = LossSpec(spec.kind, class_counts=(1, 2, 3, 4) if spec.class_counts else None,
                             gamma=spec.gamma, margin_scale=spec.margin_scale,
                             logit_scale=spec.logit_scale)
-            vals = batch_loss_values(Z, y, spec)
-            grads = batch_loss_gradients(Z, y, spec)
+            vals, grads = loss_and_grad(Z, y, spec)
+            np.testing.assert_array_equal(batch_loss_values(Z, y, spec), vals)
             for i in range(10):
                 assert vals[i] == pytest.approx(loss_value(Z[i], y[i], spec), abs=1e-12)
                 np.testing.assert_allclose(grads[i], loss_gradient(Z[i], y[i], spec), atol=1e-12)
+
+    @pytest.mark.parametrize("spec", random_specs(), ids=lambda s: f"{s.kind}-{s.gamma}")
+    def test_loss_and_grad_finite_difference(self, spec):
+        rng = np.random.default_rng(8)
+        Z = rng.standard_normal((12, 3)) * 3
+        y = rng.integers(3, size=12)
+        _, analytic = loss_and_grad(Z, y, spec)
+        h = 1e-5
+        numeric = np.zeros_like(Z)
+        for j in range(3):
+            step = np.zeros_like(Z)
+            step[:, j] = h
+            up, _ = loss_and_grad(Z + step, y, spec)
+            down, _ = loss_and_grad(Z - step, y, spec)
+            numeric[:, j] = (up - down) / (2 * h)
+        for i in range(len(y)):
+            scale = max(np.linalg.norm(numeric[i]), 1e-4)
+            assert np.linalg.norm(analytic[i] - numeric[i]) / scale < 1e-5, (spec.kind, i)
+
+    @pytest.mark.parametrize("spec", random_specs(), ids=lambda s: f"{s.kind}-{s.gamma}")
+    def test_loss_and_grad_bits_match_reference(self, spec):
+        rng = np.random.default_rng(9)
+        # wide logits push some probabilities to exactly 0 and 1
+        Z = np.vstack([rng.standard_normal((40, 3)) * 3, rng.standard_normal((8, 3)) * 400])
+        y = rng.integers(3, size=len(Z))
+        with np.errstate(all="ignore"):  # focal at p_y = 0 gives nan in both
+            vals, grads = loss_and_grad(Z, y, spec)
+            ref_vals, ref_grads = reference_loss_and_grad(Z, y, spec)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
+
+    def test_loss_and_grad_leaves_logits_unchanged(self):
+        Z = np.random.default_rng(10).standard_normal((5, 3))
+        before = Z.copy()
+        for spec in random_specs():
+            loss_and_grad(Z, np.array([0, 1, 2, 0, 1]), spec)
+        np.testing.assert_array_equal(Z, before)
+
+    def test_wrappers_check_inputs(self):
+        with pytest.raises(LossError, match="label out of range"):
+            loss_gradient(np.zeros(3), 3, LossSpec("ce"))
+        with pytest.raises(LossError, match="non-finite"):
+            batch_loss_values(np.array([[np.inf, 0.0]]), [0], LossSpec("ce"))
 
 
 class TestWceRosEquivalence:

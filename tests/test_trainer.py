@@ -1,7 +1,11 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regroupbench.dataset import Dataset
 from regroupbench.losses import LossSpec
@@ -118,8 +122,31 @@ class TestTrain:
     def test_divergence_reported_with_location(self):
         ds = separable_dataset()
         cfg = TrainConfig(lr_max=1e5, weight_decay=10.0, epochs=50)
-        with pytest.raises(TrainingDiverged, match="epoch"):
+        with pytest.raises(TrainingDiverged, match=r"epoch \d+, batch \d+"):
             train(ds, MlpSpec(2, 2, (8,)), LossSpec("ce"), cfg)
+
+    def test_each_divergence_check_names_its_location(self):
+        # logits overflow: +-1e308 features through init_seed=1's weights
+        huge = Dataset(np.array([[1e308, 1e308], [-1e308, -1e308]]), [0, 1])
+        match = r"^non-finite forward pass at epoch 0, batch 0: non-finite logits$"
+        with pytest.raises(TrainingDiverged, match=match):
+            train(huge, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1))
+        # finite logits about 2e308 apart: the label's log-probability is -inf
+        spread = Dataset(np.array([[1e308, 0.0], [-1e308, 0.0]]), [0, 1])
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss at epoch 0, batch 0$"):
+            train(spread, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1))
+        # finite loss and gradient, but lr * velocity overflows the weights
+        ds = separable_dataset()
+        wide = Dataset(ds.features * 100, ds.labels)
+        with pytest.raises(TrainingDiverged, match=r"^non-finite parameters at epoch 0, batch 0$"):
+            train(wide, MlpSpec(2, 2), LossSpec("ce"), TrainConfig(lr_max=1e308, epochs=1))
+
+    def test_class_counts_must_match_output_heads(self):
+        ds = separable_dataset()
+        for kind in ("wce", "ldam"):
+            with pytest.raises(TrainingError, match="one class count per output head"):
+                train(ds, MlpSpec(2, 3), LossSpec(kind, class_counts=(100, 100)),
+                      TrainConfig(epochs=1))
 
     def test_dimension_mismatch(self):
         ds = separable_dataset()
@@ -136,6 +163,93 @@ class TestTrain:
         assert h1 == h2
         for a, b in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(a, b)
+
+
+# SHA-256 (first 16 hex digits) of the trained weight and bias bytes plus the
+# TrainHistory floats, recorded from the trainer that computed the loss and
+# its gradient with separate softmaxes and kept one array per layer. Any
+# change to the floating-point operations of a training step changes them.
+# Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels) on x86-64;
+# a BLAS that rounds small matmuls differently needs them recorded afresh.
+GOLDEN_COUNTS = (7, 30, 16)  # n = 53: batches of 16 leave a partial last batch of 5
+GOLDEN_DIGESTS = {
+    ("ce", (), 0.0): "80b8ac363cc8d47e",
+    ("ce", (), 0.001): "21afec0ad5e86c4e",
+    ("ce", (8,), 0.0): "e5f06e1d8105671f",
+    ("ce", (8,), 0.001): "9e54d42971ca0a5b",
+    ("ce", (6, 4), 0.0): "e2d8cdbcb414420f",
+    ("ce", (6, 4), 0.001): "cb54f446c6aa72b0",
+    ("wce", (), 0.0): "9e81ecf86764106f",
+    ("wce", (), 0.001): "f0cd6a477108c8c6",
+    ("wce", (8,), 0.0): "af1114975720a625",
+    ("wce", (8,), 0.001): "c5cc0a297e4d9d18",
+    ("wce", (6, 4), 0.0): "b05e28153017474b",
+    ("wce", (6, 4), 0.001): "4350e59a167fc90a",
+    ("focal", (), 0.0): "c08d113e0e0a7e47",
+    ("focal", (), 0.001): "8ddad64d47747456",
+    ("focal", (8,), 0.0): "e32d90de5584a1db",
+    ("focal", (8,), 0.001): "6911763dca6d8099",
+    ("focal", (6, 4), 0.0): "a4952567067074fe",
+    ("focal", (6, 4), 0.001): "8ebc8b12c7cdb3ab",
+    ("ldam", (), 0.0): "a6959c6bcda8f479",
+    ("ldam", (), 0.001): "276d7e16d5dfdbe2",
+    ("ldam", (8,), 0.0): "ba30e79c1293aca2",
+    ("ldam", (8,), 0.001): "e4d193fa96b7229a",
+    ("ldam", (6, 4), 0.0): "96908f396c2a0b0c",
+    ("ldam", (6, 4), 0.001): "e1b4d80a8a2a9998",
+}
+
+
+def golden_digest(kind, hidden, weight_decay):
+    rng = np.random.default_rng(123)
+    y = np.repeat(np.arange(3), GOLDEN_COUNTS)
+    X = rng.standard_normal((len(y), 3)) + 1.5 * np.eye(3)[y]
+    loss = LossSpec(kind, class_counts=GOLDEN_COUNTS if kind in ("wce", "ldam") else None)
+    cfg = TrainConfig(lr_max=0.05, lr_min=0.001, epochs=4, batch_size=16,
+                      weight_decay=weight_decay, shuffle_seed=3)
+    model, hist = train(Dataset(X, y), MlpSpec(3, 3, hidden, init_seed=2), loss, cfg)
+    h = hashlib.sha256()
+    for a in (*model.weights, *model.biases):
+        h.update(np.ascontiguousarray(a).tobytes())
+    for series in (hist.train_loss, hist.train_accuracy, hist.learning_rate):
+        h.update(",".join(float(v).hex() for v in series).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "kind,hidden,weight_decay",
+    list(itertools.product(("ce", "wce", "focal", "ldam"), ((), (8,), (6, 4)), (0.0, 1e-3))),
+    ids=str,
+)
+def test_train_golden_bits(kind, hidden, weight_decay):
+    assert golden_digest(kind, hidden, weight_decay) == GOLDEN_DIGESTS[kind, hidden, weight_decay]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    counts=st.tuples(st.integers(1, 12), st.integers(1, 30)),
+    dim=st.integers(1, 3),
+    data_seed=st.integers(0, 2**32 - 1),
+    init_seed=st.integers(0, 1000),
+    shuffle_seed=st.integers(0, 1000),
+    regroup_seed=st.integers(0, 1000),
+    hidden=st.sampled_from([(), (3,), (4, 2)]),
+    batch_size=st.integers(1, 16),
+)
+def test_regroup_k1_trains_bit_identically_to_ce(
+    counts, dim, data_seed, init_seed, shuffle_seed, regroup_seed, hidden, batch_size
+):
+    rng = np.random.default_rng(data_seed)
+    y = rng.permutation(np.repeat([0, 1], counts))
+    ds = Dataset(rng.standard_normal((len(y), dim)) * 2, y)
+    pseudo, _ = regroup_binary(ds, 1, seed=regroup_seed)
+    spec = MlpSpec(dim, 2, hidden, init_seed=init_seed)
+    cfg = TrainConfig(lr_max=0.1, epochs=2, batch_size=batch_size, shuffle_seed=shuffle_seed)
+    m1, h1 = train(ds, spec, LossSpec("ce"), cfg)
+    m2, h2 = train(pseudo, spec, LossSpec("ce"), cfg)
+    assert h1 == h2
+    for a, b in zip((*m1.weights, *m1.biases), (*m2.weights, *m2.biases)):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestPredict:
