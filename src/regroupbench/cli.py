@@ -18,7 +18,7 @@ from .harness import (
     run_grid,
     write_results,
 )
-from .metrics import confusion_table, per_class_ap, summary_metrics
+from .metrics import MetricError, confusion_table, per_class_ap, summary_metrics
 from .trainer import FULL_RECIPE
 
 
@@ -54,15 +54,25 @@ def _cmd_metrics(args) -> int:
     truth_idx = header.index(args.truth_col)
     score_idx = [j for j in range(len(header)) if j != truth_idx]
     y, scores = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        y.append(int(cells[truth_idx]))
-        scores.append([float(cells[j]) for j in score_idx])
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, expected {len(header)}")
+            y.append(int(cells[truth_idx]))
+            scores.append([float(cells[j]) for j in score_idx])
+    except ValueError as exc:
+        print(f"prediction CSV {args.pred}, line {lineno}: {exc}", file=sys.stderr)
+        return 2
     y = np.array(y)
     scores = np.array(scores)
     pred = np.argmax(scores, axis=1)
-    report = summary_metrics(confusion_table(y, pred, num_classes=scores.shape[1]))
-    aps, macro = per_class_ap(y, scores)
+    try:
+        report = summary_metrics(confusion_table(y, pred, num_classes=scores.shape[1]))
+        aps, macro = per_class_ap(y, scores)
+    except MetricError as exc:
+        print(f"prediction CSV {args.pred}: {exc}", file=sys.stderr)
+        return 2
     report = replace(report, ap_per_class=aps, macro_ap=macro)
     print(report.to_json())
     return 0

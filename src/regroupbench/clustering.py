@@ -23,6 +23,7 @@ class KMeansModel:
     inertia: float              # sum of squared distances to assigned centroids
     iterations_run: int
     inertia_trace: tuple[float, ...] = ()  # inertia after each Lloyd assignment step
+    converged: bool = True  # False when the fit stopped at max_iter still moving >= tol
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
@@ -70,10 +71,10 @@ def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> KMeansModel:
     """Lloyd's algorithm from k-means++ seeds.
 
-    Stops when the max squared centroid displacement drops below tol or
-    max_iter is reached. Empty clusters are reseeded at the point farthest
-    from its assigned centroid, which keeps all k ids in use and preserves
-    the non-increasing inertia trace.
+    Stops when the max squared centroid displacement drops below tol
+    (converged) or max_iter is reached (not converged). Empty clusters are
+    reseeded at the point farthest from its assigned centroid, which keeps
+    all k ids in use and preserves the non-increasing inertia trace.
     """
     X = np.asarray(X, dtype=np.float64)
     if k < 1:
@@ -86,7 +87,7 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
     centroids = _plusplus_init(X, k, rng)
     trace = []
     assignments = None
-    iterations = 0
+    iterations, converged = 0, False
     for iterations in range(1, max_iter + 1):
         assignments = _assign(X, centroids)
         # empty-cluster repair: reseed at the worst-fit point
@@ -103,6 +104,7 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
         movement = np.max(np.sum((new_centroids - centroids) ** 2, axis=1))
         centroids = new_centroids
         if movement < tol:
+            converged = True
             break
 
     # canonical ordering: renumber clusters lexicographically by centroid
@@ -110,7 +112,7 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
     centroids = centroids[order]
     assignments = _assign(X, centroids)
     inertia = float(np.sum((X - centroids[assignments]) ** 2))
-    return KMeansModel(centroids, assignments, inertia, iterations, tuple(trace))
+    return KMeansModel(centroids, assignments, inertia, iterations, tuple(trace), converged)
 
 
 def kmeans_assign(model: KMeansModel, X) -> np.ndarray:

@@ -5,6 +5,11 @@ Pipeline per cell: load/generate -> stratified split -> standardize with
 train statistics -> method-specific transform (resample or regroup) ->
 train -> predict on test -> metrics. Test data never influences any fitted
 statistic before final evaluation.
+
+A method's cells are prepared for every seed first; those that agree on
+train size, layer dims and loss are trained as one seed stack (one `train`
+call), with per-seed results bit-identical to training them one by one.
+Each source is loaded once per grid and shared by its cells.
 """
 from __future__ import annotations
 
@@ -28,11 +33,18 @@ from .dataset import (
 )
 from .losses import LossSpec
 from .metrics import confusion_table, per_class_ap, summary_metrics
-from .regrouping import collapse_proba_matrix, compute_k, regroup_binary, regroup_multiclass
+from .regrouping import (
+    RegroupPlan,
+    collapse_proba_matrix,
+    compute_k,
+    regroup_binary,
+    regroup_multiclass,
+)
 from .resampling import ResampleSpec, resample
 from .trainer import MlpSpec, TrainConfig, predict_proba, train
 
 METHOD_NAMES = ("CE", "WCE", "Focal", "LDAM", "ROS+CE", "RUS+CE", "SMOTE+CE", "RG+CE")
+_RESAMPLERS = {"ROS+CE": "ros", "RUS+CE": "rus", "SMOTE+CE": "smote"}
 
 RESULTS_HEADER = (
     "method,seed,accuracy,balanced_accuracy,macro_ap,ap_per_class,K,train_size,"
@@ -185,44 +197,45 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> ResultRow:
-    """One grid cell; deterministic in (cfg, method, seed) except wall time."""
+@dataclass(frozen=True)
+class _Cell:
+    """A grid cell prepared for training: its fit and test data, model
+    spec, loss and train config, the regroup plan (RG+CE), and the seconds
+    spent preparing it."""
+
+    seed: int
+    fit_ds: Dataset
+    test_ds: Dataset
+    spec: MlpSpec
+    loss: LossSpec
+    train_cfg: TrainConfig
+    plan: RegroupPlan | None
+    k_groups: int | None
+    seconds: float
+
+
+def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) -> _Cell:
+    """Split, standardize and resample or regroup one cell's source data."""
     start = time.perf_counter()
-    ds = load_source(cfg.dataset, seed)
     train_ds, test_ds = stratified_split(ds, cfg.test_fraction, seed)
     if cfg.standardize:
         train_ds, (test_ds,), _, _ = standardize(train_ds, [test_ds])
-    num_classes = ds.num_classes
-    tcfg = replace(cfg.train, shuffle_seed=seed + 1)
 
-    k_groups = None
     counts = train_ds.class_counts
-    if method.name == "CE":
-        loss = LossSpec("ce")
-        fit_ds = train_ds
-    elif method.name == "WCE":
+    loss, fit_ds, plan, k_groups = LossSpec("ce"), train_ds, None, None
+    if method.name == "WCE":
         loss = LossSpec("wce", class_counts=counts)
-        fit_ds = train_ds
     elif method.name == "Focal":
         loss = LossSpec("focal", gamma=method.gamma)
-        fit_ds = train_ds
     elif method.name == "LDAM":
-        loss = LossSpec(
-            "ldam",
-            class_counts=counts,
-            margin_scale=method.margin_scale,
-            logit_scale=method.logit_scale,
-        )
-        fit_ds = train_ds
-    elif method.name in ("ROS+CE", "RUS+CE", "SMOTE+CE"):
-        kind = {"ROS+CE": "ros", "RUS+CE": "rus", "SMOTE+CE": "smote"}[method.name]
-        loss = LossSpec("ce")
-        fit_ds = resample(
-            train_ds, ResampleSpec(kind, seed=seed + 2, k_neighbors=method.k_neighbors)
-        )
-    else:  # RG+CE
-        loss = LossSpec("ce")
-        if num_classes == 2:
+        loss = LossSpec("ldam", class_counts=counts, margin_scale=method.margin_scale,
+                        logit_scale=method.logit_scale)
+    elif method.name in _RESAMPLERS:
+        resampling = ResampleSpec(_RESAMPLERS[method.name], seed=seed + 2,
+                                  k_neighbors=method.k_neighbors)
+        fit_ds = resample(train_ds, resampling)
+    elif method.name == "RG+CE":
+        if ds.num_classes == 2:
             K = compute_k(counts[1], counts[0]) if method.k_override is None else method.k_override
             fit_ds, plan = regroup_binary(train_ds, K, seed + 2)
             k_groups = K
@@ -230,31 +243,100 @@ def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> Resu
             fit_ds, plan = regroup_multiclass(train_ds, seed + 2)
             k_groups = plan.pseudo_num_classes
 
-    output_dim = fit_ds.num_classes
-    spec = MlpSpec(train_ds.dim, output_dim, cfg.hidden_dims, init_seed=seed)
-    model, _ = train(fit_ds, spec, loss, tcfg)
+    spec = MlpSpec(train_ds.dim, fit_ds.num_classes, cfg.hidden_dims, init_seed=seed)
+    train_cfg = replace(cfg.train, shuffle_seed=seed + 1)
+    return _Cell(seed, fit_ds, test_ds, spec, loss, train_cfg, plan, k_groups,
+                 time.perf_counter() - start)
 
+
+def _evaluate(method: MethodKind, cell: _Cell, model, chash: str, train_s: float) -> ResultRow:
+    """Score a trained cell on its test split; train_s is its share of training time."""
+    start = time.perf_counter()
+    test_ds = cell.test_ds
     proba = predict_proba(model, test_ds.features)
-    if method.name == "RG+CE":
-        pred, scores = collapse_proba_matrix(proba, plan)
+    if cell.plan is not None:
+        pred, scores = collapse_proba_matrix(proba, cell.plan)
     else:
         pred, scores = np.argmax(proba, axis=1), proba
 
-    ct = confusion_table(test_ds.labels, pred, num_classes=num_classes)
+    ct = confusion_table(test_ds.labels, pred, num_classes=test_ds.num_classes)
     report = summary_metrics(ct)
     aps, macro = per_class_ap(test_ds.labels, scores)
     return ResultRow(
         method=method.name,
-        seed=seed,
+        seed=cell.seed,
         accuracy=report.accuracy,
         balanced_accuracy=report.balanced_accuracy,
         macro_ap=macro,
         ap_per_class=aps,
-        k_groups=k_groups,
-        train_size=fit_ds.n,
-        config_hash=config_hash(cfg),
-        wall_time_s=time.perf_counter() - start,
+        k_groups=cell.k_groups,
+        train_size=cell.fit_ds.n,
+        config_hash=chash,
+        wall_time_s=cell.seconds + train_s + time.perf_counter() - start,
     )
+
+
+def _load_sources(source: dict, seeds) -> dict:
+    """Each seed's source dataset, or the exception loading it raised. A
+    CSV does not depend on the seed, so it is parsed once for all seeds."""
+
+    def load(seed):
+        try:
+            return load_source(source, seed)
+        except Exception as exc:  # every cell of this seed reports it
+            return exc
+
+    if "csv" in source:
+        shared = load(seeds[0])
+        return {seed: shared for seed in seeds}
+    return {seed: load(seed) for seed in seeds}
+
+
+def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict) -> list:
+    """One method over the given seeds, in order: a ResultRow or the
+    exception each cell failed with. Prepared cells that agree on train size,
+    layer dims and loss train together as one stack."""
+    chash = config_hash(cfg)
+    out: list = [None] * len(seeds)
+    cells = {}
+    for i, seed in enumerate(seeds):
+        if isinstance(sources[seed], Exception):
+            out[i] = sources[seed]
+            continue
+        try:
+            cells[i] = _prepare(cfg, method, seed, sources[seed])
+        except Exception as exc:  # record and continue
+            out[i] = exc
+    stacks: dict = {}
+    for i, cell in cells.items():
+        stacks.setdefault((cell.fit_ds.n, cell.spec.layer_dims, cell.loss), []).append(i)
+    for members in stacks.values():
+        group = [cells[i] for i in members]
+        start = time.perf_counter()
+        try:
+            fitted = train([c.fit_ds for c in group], [c.spec for c in group], group[0].loss,
+                           [c.train_cfg for c in group])
+        except Exception as exc:
+            fitted = [exc] * len(group)
+        train_s = (time.perf_counter() - start) / len(group)
+        for i, cell, result in zip(members, group, fitted):
+            if isinstance(result, Exception):
+                out[i] = result
+                continue
+            try:
+                out[i] = _evaluate(method, cell, result[0], chash, train_s)
+            except Exception as exc:
+                out[i] = exc
+    return out
+
+
+def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> ResultRow:
+    """One grid cell; deterministic in (cfg, method, seed) except wall time.
+    Raises what the cell fails with."""
+    (result,) = _run_column(cfg, method, (seed,), _load_sources(cfg.dataset, (seed,)))
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -293,21 +375,19 @@ def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...]) -> list[Ag
 
 
 def run_grid(cfg: ExperimentConfig):
-    """Run the full method x seed grid in config order. Failed cells are
-    recorded with their error string and the grid continues."""
+    """Run the full method x seed grid; rows in config order. Failed cells
+    are recorded with their error string and the grid continues."""
     rows = []
     chash = config_hash(cfg)
+    sources = _load_sources(cfg.dataset, cfg.seeds)
     for method in cfg.methods:
-        for seed in cfg.seeds:
-            try:
-                rows.append(run_experiment(cfg, method, seed))
-            except Exception as exc:  # record and continue
-                rows.append(
-                    ResultRow(
-                        method.name, seed, None, None, None, (), None, None, chash, 0.0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+        for seed, result in zip(cfg.seeds, _run_column(cfg, method, cfg.seeds, sources)):
+            if isinstance(result, Exception):
+                result = ResultRow(
+                    method.name, seed, None, None, None, (), None, None, chash, 0.0,
+                    error=f"{type(result).__name__}: {result}",
                 )
+            rows.append(result)
     return rows, aggregate(rows, cfg.methods)
 
 

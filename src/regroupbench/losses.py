@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("ce", "wce", "focal", "ldam")
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 class LossError(ValueError):
@@ -98,12 +99,22 @@ def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
         return values, P
     # dL/dp_y * dp_y/dz, with dp_y/dz_j = p_y (1{j=y} - p_j)
     py = e[rows, y] / s[:, 0]
+    # Where p_y underflows (0 or subnormal, so 1/p_y may overflow) the factor
+    # dL/dp_y * p_y tends to -1: those rows take the CE gradient, and 0.5
+    # keeps log(p_y) and 1/p_y finite until they are overwritten.
+    dead = py < _SMALLEST_NORMAL
+    any_dead = dead.any()
+    if any_dead:
+        py[dead] = 0.5
     one_minus = 1.0 - py
     dL_dpy = spec.gamma * one_minus ** (spec.gamma - 1.0) * np.log(py)
     dL_dpy -= one_minus ** spec.gamma / py
     onehot_minus_p = 0.0 - P  # a subtraction, not a negation: zeros stay +0
     onehot_minus_p[rows, y] = one_minus
-    return values, (dL_dpy * py)[:, None] * onehot_minus_p
+    grad = (dL_dpy * py)[:, None] * onehot_minus_p
+    if any_dead:
+        grad[dead] = P[dead]
+    return values, grad
 
 
 def _checked(logits, labels):

@@ -191,11 +191,13 @@ def auprc_trapezoid(y_true, scores) -> float:
 def per_class_ap(y_true, proba) -> tuple[tuple[float | None, ...], float]:
     """One-vs-rest AP per class from an (n, C) score matrix, plus the
     unweighted macro mean. A class absent from y_true gets AP None and is
-    excluded from the macro with a warning."""
+    excluded from the macro with a warning; MetricError if every class is absent."""
     y = np.asarray(y_true, dtype=np.int64)
     P = np.asarray(proba, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != y.shape[0]:
         raise MetricError(f"probability matrix shape {P.shape} mismatches {y.shape[0]} labels")
+    if not np.any((y >= 0) & (y < P.shape[1])):
+        raise MetricError(f"none of the {P.shape[1]} score columns' classes occurs in y_true")
     aps: list[float | None] = []
     for c in range(P.shape[1]):
         indicator = (y == c).astype(np.int64)

@@ -2,13 +2,15 @@
 trained by mini-batch SGD with momentum and a cosine-annealed learning rate.
 
 Training is single-threaded and fully deterministic: identical inputs and
-seeds produce bit-identical models.
+seeds produce bit-identical models. `train` fits one model or a stack of S
+same-shape models in one loop (batched matmul over (S, fan_in, fan_out)
+weights); each stacked model's bits equal those of its own one-model call.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,97 +105,208 @@ def init_params(spec: MlpSpec):
 
 
 def _forward(X, weights, biases):
-    """Returns (logits, list of post-activation values per layer incl. input)."""
+    """(logits, [input, each layer's output]) for one model ((n, D) inputs,
+    (fan_in, fan_out) weights, (fan_out,) biases) or a stack of S models
+    ((S, n, D), (S, fan_in, fan_out), (S, 1, fan_out))."""
     acts = [X]
-    a = X
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        a = z if i == len(weights) - 1 else np.maximum(z, 0.0)
-        acts.append(a)
+        z = np.matmul(acts[-1], w)
+        z += b
+        if i < len(weights) - 1:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts[-1], acts
 
 
 def _layer_views(flat: np.ndarray, dims):
-    """Per-layer views of a flat buffer: all weight matrices (row-major), then all biases."""
+    """Per-layer views of an (S, P) buffer, each row one model's parameters:
+    all weight matrices (row-major) as (S, fan_in, fan_out), then all biases
+    as (S, 1, fan_out)."""
     shapes = list(zip(dims[:-1], dims[1:]))
-    parts = np.split(flat, np.cumsum([i * o for i, o in shapes] + list(dims[1:-1])))
-    return [p.reshape(s) for p, s in zip(parts, shapes)], parts[len(shapes):]
+    parts = np.split(flat, np.cumsum([i * o for i, o in shapes] + list(dims[1:-1])), axis=1)
+    S = flat.shape[0]
+    weights = [p.reshape(S, i, o) for p, (i, o) in zip(parts, shapes)]
+    return weights, [p.reshape(S, 1, p.shape[1]) for p in parts[len(shapes):]]
 
 
-def _backprop(X, y, weights, biases, loss: LossSpec, grads_w, grads_b) -> float:
-    """Mean batch loss; writes its gradients into grads_w / grads_b (labels unchecked)."""
+def _backprop(X, y, weights, biases, loss: LossSpec, grads_w, grads_b):
+    """Forward and backward pass of a stack on (S, B, D) inputs and their
+    (S * B,) labels (unchecked). Writes each model's mean-batch-loss
+    gradients into grads_w / grads_b; returns the (S, B, C) logits and the
+    (S * B,) per-sample losses."""
     logits, acts = _forward(X, weights, biases)
-    if not np.isfinite(logits).all():
-        raise LossError("non-finite logits")
-    values, delta = loss_and_grad(logits, y, loss)
-    delta /= X.shape[0]
+    S, B, C = logits.shape
+    values, delta = loss_and_grad(logits.reshape(S * B, C), y, loss)
+    delta /= B
+    delta = delta.reshape(S, B, C)
     for i in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads_w[i])
-        delta.sum(axis=0, out=grads_b[i])
+        np.matmul(acts[i].transpose(0, 2, 1), delta, out=grads_w[i])
+        delta.sum(axis=1, keepdims=True, out=grads_b[i])
         if i > 0:
-            delta = (delta @ weights[i].T) * (acts[i] > 0)
-    return float(values.mean())
+            delta = np.matmul(delta, weights[i].transpose(0, 2, 1))
+            delta *= acts[i] > 0
+    return logits, values
 
 
 def batch_gradients(X, y, weights, biases, loss: LossSpec):
-    """Mean batch loss and gradients w.r.t. every weight/bias."""
-    gw, gb = [np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases]
-    return _backprop(X, y, weights, biases, loss, gw, gb), gw, gb
+    """Mean batch loss and gradients w.r.t. every weight/bias of one model."""
+    gw = [np.empty((1, *w.shape)) for w in weights]
+    gb = [np.empty((1, 1, b.size)) for b in biases]
+    logits, values = _backprop(np.asarray(X)[None], np.asarray(y), [w[None] for w in weights],
+                               [b[None, None] for b in biases], loss, gw, gb)
+    if not np.isfinite(logits).all():
+        raise LossError("non-finite logits")
+    return float(values.mean()), [g[0] for g in gw], [g[0, 0] for g in gb]
 
 
-def train(train_ds: Dataset, spec: MlpSpec, loss: LossSpec, cfg: TrainConfig):
+def _non_finite_rows(a: np.ndarray) -> np.ndarray:
+    """(S,) mask of the slices of a stacked array holding a non-finite entry."""
+    return ~np.isfinite(a).reshape(len(a), -1).all(axis=1)
+
+
+class _Stack:
+    """The live slices of a stacked fit: parameters and velocities in (S, P)
+    buffers with per-layer views, plus each slice's dataset and shuffle RNG.
+    slots[row] is the index of the input slice that stack row holds."""
+
+    def __init__(self, datasets, specs, cfgs):
+        self.slots = list(range(len(specs)))
+        self.dims = specs[0].layer_dims
+        self.datasets = list(datasets)
+        self.theta = np.stack([
+            np.concatenate([p.ravel() for layer in init_params(spec) for p in layer])
+            for spec in specs
+        ])
+        self.vel = np.zeros_like(self.theta)
+        self.rngs = [np.random.default_rng(cfg.shuffle_seed) for cfg in cfgs]
+        self._bind()
+
+    def _bind(self):
+        self.grad = np.empty_like(self.theta)
+        self.weights, self.biases = _layer_views(self.theta, self.dims)
+        self.grad_w, self.grad_b = _layer_views(self.grad, self.dims)
+
+    def shuffle(self):
+        """Gather each slice's rows in its own order for the next epoch:
+        (S, n, D) inputs and (S, n) labels."""
+        orders = [self.rngs[slot].permutation(ds.n) for slot, ds in zip(self.slots, self.datasets)]
+        self.X = np.stack([ds.features[o] for ds, o in zip(self.datasets, orders)])
+        self.y = np.stack([ds.labels[o] for ds, o in zip(self.datasets, orders)])
+
+    def model(self, row: int):
+        """Per-layer weight and bias views of one stack row."""
+        return [w[row] for w in self.weights], [b[row, 0] for b in self.biases]
+
+    def drop(self, errors: dict, results: list):
+        """Store errors {row: TrainingDiverged} as their slices' results and
+        remove those rows from the stack."""
+        keep = np.ones(len(self.slots), dtype=bool)
+        keep[list(errors)] = False
+        for row, exc in errors.items():
+            results[self.slots[row]] = exc
+        self.slots = [slot for slot, k in zip(self.slots, keep) if k]
+        self.datasets = [ds for ds, k in zip(self.datasets, keep) if k]
+        self.theta, self.vel = self.theta[keep], self.vel[keep]
+        self.X, self.y = self.X[keep], self.y[keep]
+        if self.slots:
+            self._bind()
+
+
+def _check_stack(datasets, specs, loss: LossSpec, cfgs):
+    if not len(datasets) == len(specs) == len(cfgs) >= 1:
+        raise TrainingError("need one dataset, spec and config per stacked model")
+    for ds, spec in zip(datasets, specs):
+        if ds.dim != spec.input_dim:
+            raise TrainingError(f"dataset dim {ds.dim} != spec input_dim {spec.input_dim}")
+        if ds.num_classes > spec.output_dim:
+            raise TrainingError(f"{ds.num_classes} classes exceed {spec.output_dim} output heads")
+        if loss.kind in ("wce", "ldam") and len(loss.class_counts) != spec.output_dim:
+            raise TrainingError(f"{loss.kind} needs one class count per output head")
+    if (len({ds.n for ds in datasets}) > 1 or len({s.layer_dims for s in specs}) > 1
+            or len({replace(c, shuffle_seed=0) for c in cfgs}) > 1):
+        raise TrainingError(
+            "stacked models must agree on n, layer dims and every config field but shuffle_seed"
+        )
+
+
+def train(train_ds, spec, loss: LossSpec, cfg):
     """Mini-batch SGD with momentum; lr fixed within an epoch from the
     cosine schedule; last partial batch kept and averaged over its size.
 
     Returns (TrainedModel, TrainHistory). Raises TrainingDiverged with the
     offending epoch/batch if the logits, loss or weights go non-finite.
+
+    Stacked form: with equal-length sequences of datasets, specs and configs
+    that agree on n, layer dims and every config field but shuffle_seed, all
+    S models train in one loop as an (S, fan_in, fan_out) stack, and the
+    result is a list holding, per slice, (TrainedModel, TrainHistory) or the
+    TrainingDiverged that stopped it. A diverged slice leaves the stack and
+    the others go on; every slice's bits equal those of its own one-model call.
     """
-    if train_ds.dim != spec.input_dim:
-        raise TrainingError(f"dataset dim {train_ds.dim} != spec input_dim {spec.input_dim}")
-    if train_ds.num_classes > spec.output_dim:
-        raise TrainingError(f"{train_ds.num_classes} classes exceed {spec.output_dim} output heads")
-    if loss.kind in ("wce", "ldam") and len(loss.class_counts) != spec.output_dim:
-        raise TrainingError(f"{loss.kind} needs one class count per output head")
-    X, y = train_ds.features, train_ds.labels
+    if isinstance(train_ds, Dataset):
+        (result,) = train([train_ds], [spec], loss, [cfg])
+        if isinstance(result, TrainingDiverged):
+            raise result
+        return result
+    datasets, specs, cfgs = list(train_ds), list(spec), list(cfg)
+    _check_stack(datasets, specs, loss, cfgs)
     # Dataset guarantees finite features and labels < num_classes <= output_dim.
-    theta = np.concatenate([p.ravel() for layer in init_params(spec) for p in layer])
-    grad, vel = np.zeros_like(theta), np.zeros_like(theta)
-    weights, biases = _layer_views(theta, spec.layer_dims)
-    gw, gb = _layer_views(grad, spec.layer_dims)
-    n_weights = sum(w.size for w in weights)
-    rng = np.random.default_rng(cfg.shuffle_seed)
-    hist_loss, hist_acc, hist_lr = [], [], []
+    cfg = cfgs[0]
+    n, size = datasets[0].n, cfg.batch_size
+    n_weights = sum(i * o for i, o in zip(specs[0].layer_dims[:-1], specs[0].layer_dims[1:]))
+    st = _Stack(datasets, specs, cfgs)
+    results = [None] * len(specs)
+    curves = [([], [], []) for _ in specs]
 
-    def diverged(what: str, detail: str = "") -> TrainingDiverged:
-        return TrainingDiverged(f"{what} at epoch {epoch}, batch {start // cfg.batch_size}{detail}")
-
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             lr = cosine_lr(epoch, cfg.epochs, cfg.lr_max, cfg.lr_min)
-            order = rng.permutation(train_ds.n)
-            for start in range(0, train_ds.n, cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                try:
-                    loss_mean = _backprop(X[batch], y[batch], weights, biases, loss, gw, gb)
-                except LossError as exc:
-                    raise diverged("non-finite forward pass", f": {exc}") from exc
-                if not math.isfinite(loss_mean):
-                    raise diverged("non-finite loss")
+            st.shuffle()
+            for start in range(0, n, size):
+                X, y = st.X[:, start:start + size], st.y[:, start:start + size].ravel()
+                logits, values = _backprop(X, y, st.weights, st.biases, loss, st.grad_w, st.grad_b)
                 if cfg.weight_decay:
-                    grad[:n_weights] += cfg.weight_decay * theta[:n_weights]
-                vel *= cfg.momentum
-                vel += grad
-                theta -= lr * vel
-                if not np.isfinite(theta[:n_weights]).all():
-                    raise diverged("non-finite parameters")
-            logits, _ = _forward(X, weights, biases)
-            hist_loss.append(float(batch_loss_values(logits, y, loss).mean()))
-            hist_acc.append(float(np.mean(np.argmax(logits, axis=1) == y)))
-            hist_lr.append(lr)
+                    st.grad[:, :n_weights] += cfg.weight_decay * st.theta[:, :n_weights]
+                st.vel *= cfg.momentum
+                st.vel += st.grad
+                st.theta -= lr * st.vel
+                checks = (
+                    ("non-finite forward pass", ": non-finite logits", _non_finite_rows(logits)),
+                    ("non-finite loss", "", ~np.isfinite(values.reshape(len(X), -1).sum(axis=1))),
+                    ("non-finite parameters", "", _non_finite_rows(st.theta[:, :n_weights])),
+                )
+                if any(bad.any() for _, _, bad in checks):
+                    errors = {}
+                    for what, detail, bad in checks:
+                        for row in np.flatnonzero(bad):
+                            errors.setdefault(row, TrainingDiverged(
+                                f"{what} at epoch {epoch}, batch {start // size}{detail}"))
+                    st.drop(errors, results)
+                    if not st.slots:
+                        return results
+            # The epoch-end full pass runs slice by slice, so its memory does not grow with S.
+            errors = {}
+            for row, (slot, ds) in enumerate(zip(st.slots, st.datasets)):
+                logits = _forward(ds.features, *st.model(row))[0]
+                if not np.isfinite(logits).all():
+                    errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
+                    continue
+                loss_mean = batch_loss_values(logits, ds.labels, loss).mean()
+                accuracy = np.mean(np.argmax(logits, axis=1) == ds.labels)
+                for curve, value in zip(curves[slot], (loss_mean, accuracy, lr)):
+                    curve.append(float(value))
+            if errors:
+                st.drop(errors, results)
+                if not st.slots:
+                    return results
 
-    model = TrainedModel(spec, tuple(weights), tuple(biases))
-    history = TrainHistory(tuple(hist_loss), tuple(hist_acc), tuple(hist_lr))
-    return model, history
+    for row, slot in enumerate(st.slots):
+        weights, biases = st.model(row)
+        model = TrainedModel(
+            specs[slot], tuple(w.copy() for w in weights), tuple(b.copy() for b in biases)
+        )
+        results[slot] = (model, TrainHistory(*(tuple(c) for c in curves[slot])))
+    return results
 
 
 def predict_logits(model: TrainedModel, X) -> np.ndarray:

@@ -45,6 +45,18 @@ class TestFit:
         with pytest.raises(ClusteringError):
             kmeans_fit(FOUR_POINTS, 0, seed=0)
 
+    def test_converged_flag(self):
+        X, _ = three_blobs(1, std=1.5)
+        full = kmeans_fit(X, 3, seed=0)
+        assert full.converged and 1 < full.iterations_run < 100
+        capped = kmeans_fit(X, 3, seed=0, max_iter=1)
+        assert not capped.converged and capped.iterations_run == 1
+        # same seeding, so the one step taken is the full fit's first step
+        assert capped.inertia_trace == full.inertia_trace[:1]
+        exact = kmeans_fit(X, 3, seed=0, max_iter=full.iterations_run)
+        assert exact.converged and exact.inertia_trace == full.inertia_trace
+        np.testing.assert_array_equal(exact.centroids, full.centroids)
+
     def test_determinism(self):
         X, _ = three_blobs(5)
         a = kmeans_fit(X, 3, seed=42)

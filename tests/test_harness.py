@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from regroupbench.dataset import Dataset, DatasetError, save_csv_dataset
 from regroupbench.harness import (
     ExperimentConfig,
     HarnessError,
@@ -130,6 +132,78 @@ class TestRunGrid:
         assert "CE" in text and "minority AP" in text
 
 
+def clamp_csv(path):
+    """A binary CSV whose majority has 4 distinct rows, one of them single:
+    RG+CE with K = 4 clamps to 3 groups on seeds whose test split takes it."""
+    rng = np.random.default_rng(0)
+    corners = np.array([[3.0, 3.0], [3.0, -3.0], [-3.0, 3.0], [-3.0, -3.0]])
+    X = np.vstack([rng.standard_normal((4, 2)), corners[[0, 0, 0, 1, 1, 1, 2, 2, 2, 3]]])
+    save_csv_dataset(Dataset(X, np.repeat([0, 1], (4, 10))), path)
+    return {"csv": str(path)}
+
+
+class TestSeedStacking:
+    def test_grid_rows_equal_one_cell_runs(self, tmp_path):
+        methods = ["CE", "WCE", "Focal", "LDAM", "ROS+CE", "SMOTE+CE", "RG+CE",
+                   MethodKind("RG+CE", k_override=4)]
+        for dataset, kwargs in (
+            ({"builtin": "overlap"}, {}),
+            (clamp_csv(tmp_path / "clamp.csv"), {"test_fraction": 0.25}),
+        ):
+            cfg = tiny_cfg(methods[:6] if "builtin" in dataset else methods[6:],
+                           seeds=(0, 1, 2, 3, 4, 5), dataset=dataset, **kwargs)
+            rows, _ = run_grid(cfg)
+            cells = [(m, s) for m in cfg.methods for s in cfg.seeds]
+            assert [(r.method, r.seed) for r in rows] == [(m.name, s) for m, s in cells]
+            for row, (method, seed) in zip(rows, cells):
+                alone = run_experiment(cfg, method, seed)
+                assert replace(row, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
+                assert row.wall_time_s > 0.0
+
+    def test_cells_stack_by_train_size_layer_dims_and_loss(self, tmp_path, monkeypatch):
+        import regroupbench.harness as harness
+
+        stacks = []
+        real_train = harness.train
+
+        def spy(datasets, specs, loss, cfgs):
+            stacks.append(sorted(spec.output_dim for spec in specs))
+            return real_train(datasets, specs, loss, cfgs)
+
+        monkeypatch.setattr(harness, "train", spy)
+        cfg = tiny_cfg([MethodKind("RG+CE", k_override=4)], seeds=tuple(range(6)),
+                       dataset=clamp_csv(tmp_path / "clamp.csv"), test_fraction=0.25)
+        rows, _ = run_grid(cfg)
+        assert all(r.error == "" for r in rows)
+        # clamped seeds train 4 heads, the others 5: two stacks covering all six
+        assert sorted(stacks) == [[4, 4, 4], [5, 5, 5]]
+
+    def test_csv_parsed_once_per_grid(self, tmp_path, monkeypatch):
+        import regroupbench.harness as harness
+
+        calls = []
+        real_load = harness.load_csv_dataset
+
+        def spy(*args):
+            calls.append(args)
+            return real_load(*args)
+
+        monkeypatch.setattr(harness, "load_csv_dataset", spy)
+        cfg = tiny_cfg(["CE", "RUS+CE"], seeds=(0, 1, 2), dataset=clamp_csv(tmp_path / "c.csv"),
+                       test_fraction=0.25)
+        rows, _ = run_grid(cfg)
+        assert len(rows) == 6 and all(r.error == "" for r in rows)
+        assert len(calls) == 1
+
+    def test_unreadable_csv_fails_every_cell(self, tmp_path):
+        cfg = tiny_cfg(["CE", "RG+CE"], seeds=(0, 1), dataset={"csv": str(tmp_path / "no.csv")})
+        rows, aggs = run_grid(cfg)
+        assert len(rows) == 4 and aggs == []
+        assert len({r.error for r in rows}) == 1 and rows[0].error.startswith("DatasetError")
+        with pytest.raises(DatasetError):
+            run_experiment(cfg, MethodKind("CE"), 0)
+
+
 class TestConfigIO:
     def test_load_config_round_trip(self, tmp_path):
         doc = {
@@ -230,6 +304,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == f"prediction CSV {pred} has no data rows"
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("s0,s1,truth\n0.9,0.1,0\n0.2,0.8,2\n", "labels outside 0..1"),
+            ("s0,s1,truth\n0.9,0.1,0\n0.2,0.8,-1\n", "labels outside 0..1"),
+            ("s0,s1,truth\n0.9,0.1,0\n0.2,high,1\n", "line 3: could not convert string to float"),
+            ("s0,s1,truth\n0.9,0.1,zero\n", "line 2: invalid literal for int()"),
+            ("s0,s1,truth\n0.9,0.1,0\n0.2,1\n", "line 3: 2 cells, expected 3"),
+        ],
+    )
+    def test_metrics_bad_prediction_csv_is_named_error(self, tmp_path, capsys, text, problem):
+        from regroupbench.cli import main
+
+        pred = tmp_path / "pred.csv"
+        pred.write_text(text)
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(f"prediction CSV {pred}") and problem in captured.err
 
     def test_run_seed_override(self, tmp_path):
         from regroupbench.cli import main

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,11 +218,32 @@ class TestGradients:
         # wide logits push some probabilities to exactly 0 and 1
         Z = np.vstack([rng.standard_normal((40, 3)) * 3, rng.standard_normal((8, 3)) * 400])
         y = rng.integers(3, size=len(Z))
-        with np.errstate(all="ignore"):  # focal at p_y = 0 gives nan in both
+        with np.errstate(all="ignore"):  # the reference gives focal nan rows at p_y = 0
             vals, grads = loss_and_grad(Z, y, spec)
             ref_vals, ref_grads = reference_loss_and_grad(Z, y, spec)
+        # rows where focal's p_y underflows (below the smallest normal float)
+        # take the CE gradient instead
+        # (test_focal_gradient_where_p_y_underflows_is_ce); all others keep their bits
+        dead = np.zeros(len(y), dtype=bool)
+        if spec.kind == "focal" and spec.gamma > 0:
+            dead = softmax(Z)[np.arange(len(y)), y] < np.finfo(np.float64).tiny
+            assert dead.any()
         assert vals.tobytes() == ref_vals.tobytes()
-        assert grads.tobytes() == ref_grads.tobytes()
+        assert grads[~dead].tobytes() == ref_grads[~dead].tobytes()
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    def test_focal_gradient_where_p_y_underflows_is_ce(self, gamma):
+        rng = np.random.default_rng(9)
+        Z = rng.standard_normal((64, 3)) * 400
+        y = rng.integers(3, size=len(Z))
+        dead = softmax(Z)[np.arange(len(y)), y] < np.finfo(np.float64).tiny
+        assert dead.sum() >= 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero or invalid-value warnings
+            vals, grads = loss_and_grad(Z, y, LossSpec("focal", gamma=gamma))
+        _, ce_grads = loss_and_grad(Z, y, LossSpec("ce"))
+        assert np.isfinite(vals).all() and np.isfinite(grads).all()
+        assert grads[dead].tobytes() == ce_grads[dead].tobytes()
 
     def test_loss_and_grad_leaves_logits_unchanged(self):
         Z = np.random.default_rng(10).standard_normal((5, 3))

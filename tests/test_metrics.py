@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ class TestPerClassAp:
             aps, macro = per_class_ap(y, P)
         assert aps[2] is None
         assert macro == pytest.approx(np.mean([aps[0], aps[1]]))
+
+    def test_no_class_present_is_an_error(self):
+        P = np.random.default_rng(0).random((4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any per-class warning
+            with pytest.raises(MetricError, match="occurs in y_true"):
+                per_class_ap(np.array([2, 3, 2, 5]), P)
 
     def test_random_scores_concentrate_at_prevalence(self):
         rng = np.random.default_rng(42)

@@ -299,3 +299,108 @@ def test_spec_validation():
         TrainConfig(lr_max=0.001, lr_min=0.01)
     with pytest.raises(TrainingError):
         TrainConfig(epochs=0)
+
+
+def model_bytes(model):
+    return [a.tobytes() for a in (*model.weights, *model.biases)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    S=st.integers(1, 5),
+    kind=st.sampled_from(["ce", "wce", "focal", "ldam"]),
+    hidden=st.sampled_from([(), (8,), (6, 4)]),
+    weight_decay=st.sampled_from([0.0, 1e-3]),
+    batch_size=st.integers(1, 16),
+    full_batches=st.integers(1, 3),
+    extra_rows=st.integers(0, 15),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_training_matches_separate_calls_bit_for_bit(
+    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed
+):
+    rng = np.random.default_rng(seed)
+    n = batch_size * full_batches + extra_rows % batch_size  # often a partial last batch
+    n = max(n, 3)
+    counts = np.bincount(np.r_[np.arange(3), rng.integers(3, size=n - 3)], minlength=3)
+    loss = LossSpec(kind, class_counts=tuple(counts) if kind in ("wce", "ldam") else None)
+    datasets, specs, cfgs = [], [], []
+    for s in range(S):
+        y = rng.permutation(np.repeat(np.arange(3), counts))
+        X = rng.standard_normal((n, dim)) + 1.5 * np.eye(3, dim)[y]
+        datasets.append(Dataset(X, y))
+        specs.append(MlpSpec(dim, 3, hidden, init_seed=int(rng.integers(1000))))
+        cfgs.append(TrainConfig(lr_max=0.05, lr_min=0.001, epochs=2, batch_size=batch_size,
+                                weight_decay=weight_decay, shuffle_seed=int(rng.integers(1000))))
+    stacked = train(datasets, specs, loss, cfgs)
+    assert len(stacked) == S
+    for (model, history), ds, spec, cfg in zip(stacked, datasets, specs, cfgs):
+        alone, alone_history = train(ds, spec, loss, cfg)
+        assert model.spec == spec
+        assert history == alone_history
+        assert model_bytes(model) == model_bytes(alone)
+
+
+def check_against_separate_calls(datasets, specs, cfgs):
+    """Train a stack and each slice alone; survivors must match bit for bit
+    and diverged slices carry the error their own call raises. Returns the
+    error messages of the diverged slices."""
+    results = train(datasets, specs, LossSpec("ce"), cfgs)
+    messages = []
+    for result, ds, spec, cfg in zip(results, datasets, specs, cfgs):
+        try:
+            alone = train(ds, spec, LossSpec("ce"), cfg)
+        except TrainingDiverged as exc:
+            assert isinstance(result, TrainingDiverged)
+            messages.append(str(result))
+            assert str(result) == str(exc)
+            continue
+        assert result[1] == alone[1]
+        assert model_bytes(result[0]) == model_bytes(alone[0])
+    return messages
+
+
+def test_diverged_slice_leaves_the_stack_and_others_keep_their_bits():
+    rng = np.random.default_rng(5)
+    y = np.repeat([0, 1], (20, 33))
+    datasets = [Dataset(rng.standard_normal((53, 2)) * scale, y) for scale in (1, 1e140, 1, 1)]
+    specs = [MlpSpec(2, 2, (4,), init_seed=s) for s in range(4)]
+    cfgs = [TrainConfig(lr_max=0.1, epochs=3, batch_size=16, shuffle_seed=s) for s in range(4)]
+    # slice 1's logits overflow at its second step; the others train on
+    messages = check_against_separate_calls(datasets, specs, cfgs)
+    assert messages == ["non-finite forward pass at epoch 0, batch 1: non-finite logits"]
+
+    # one batch per epoch: the huge slice's step is finite, its epoch-end pass is not
+    datasets = [Dataset(np.array([[v, v], [-v, -v]]), [0, 1]) for v in (1.0, 1e200, 2.0)]
+    specs = [MlpSpec(2, 2, (), init_seed=1)] * 3
+    cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(3)]
+    messages = check_against_separate_calls(datasets, specs, cfgs)
+    assert messages == ["non-finite full-pass logits at epoch 0"]
+
+
+def test_epoch_end_overflow_is_reported_as_divergence():
+    # the batch step's logits are finite, the updated weights too, but the
+    # epoch-end full pass overflows
+    huge = Dataset(np.array([[1e200, 1e200], [-1e200, -1e200]]), [0, 1])
+    with pytest.raises(TrainingDiverged, match=r"^non-finite full-pass logits at epoch 0$"):
+        train(huge, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1))
+
+
+def test_stack_must_agree_on_shapes_and_schedule():
+    ds = separable_dataset()
+    small = separable_dataset(n_per=50)
+    cfg = TrainConfig(epochs=1)
+    loss = LossSpec("ce")
+    with pytest.raises(TrainingError, match="must agree"):
+        train([ds, small], [MlpSpec(2, 2), MlpSpec(2, 2)], loss, [cfg, cfg])
+    with pytest.raises(TrainingError, match="must agree"):
+        train([ds, ds], [MlpSpec(2, 2), MlpSpec(2, 2, (4,))], loss, [cfg, cfg])
+    with pytest.raises(TrainingError, match="must agree"):
+        train([ds, ds], [MlpSpec(2, 2), MlpSpec(2, 2)], loss, [cfg, TrainConfig(epochs=2)])
+    with pytest.raises(TrainingError, match="one dataset, spec and config"):
+        train([ds, ds], [MlpSpec(2, 2)], loss, [cfg, cfg])
+    # configs may differ in shuffle_seed, specs in init_seed
+    out = train([ds, ds], [MlpSpec(2, 2, init_seed=1), MlpSpec(2, 2, init_seed=2)], loss,
+                [cfg, TrainConfig(epochs=1, shuffle_seed=9)])
+    assert len(out) == 2 and not any(isinstance(r, Exception) for r in out)
