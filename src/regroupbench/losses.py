@@ -107,6 +107,12 @@ def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
     if any_dead:
         py[dead] = 0.5
     one_minus = 1.0 - py
+    # For gamma < 1, (1 - p_y) ** (gamma - 1) is inf where p_y rounds to 1 and
+    # the row would be inf * log(1) = NaN; its limit is the zero row.
+    flat = (one_minus == 0.0) & (spec.gamma < 1.0)
+    any_flat = flat.any()
+    if any_flat:
+        one_minus[flat] = 0.5
     dL_dpy = spec.gamma * one_minus ** (spec.gamma - 1.0) * np.log(py)
     dL_dpy -= one_minus ** spec.gamma / py
     onehot_minus_p = 0.0 - P  # a subtraction, not a negation: zeros stay +0
@@ -114,6 +120,8 @@ def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
     grad = (dL_dpy * py)[:, None] * onehot_minus_p
     if any_dead:
         grad[dead] = P[dead]
+    if any_flat:
+        grad[flat] = 0.0
     return values, grad
 
 

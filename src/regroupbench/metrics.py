@@ -88,18 +88,6 @@ class MetricReport:
             }
         )
 
-    def to_csv_row(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        cells = [fmt(self.accuracy), fmt(self.balanced_accuracy)]
-        for seq in (self.precision, self.recall, self.f1):
-            cells.extend(fmt(v) for v in seq)
-        if self.ap_per_class is not None:
-            cells.extend(fmt(v) for v in self.ap_per_class)
-            cells.append(fmt(self.macro_ap))
-        return ",".join(cells)
-
 
 def confusion_table(y_true, y_pred, num_classes: int | None = None) -> ConfusionTable:
     t = np.asarray(y_true, dtype=np.int64)

@@ -1,11 +1,19 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regroupbench.clustering import (
     ClusteringError,
+    KMeansModel,
+    _assign,
+    _plusplus_init,
+    _sq_dists,
     kmeans_assign,
     kmeans_fit,
-    save_centroids_csv,
 )
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -56,6 +64,22 @@ class TestFit:
         exact = kmeans_fit(X, 3, seed=0, max_iter=full.iterations_run)
         assert exact.converged and exact.inertia_trace == full.inertia_trace
         np.testing.assert_array_equal(exact.centroids, full.centroids)
+
+    def test_final_shift(self):
+        X, _ = three_blobs(1, std=1.5)
+        full = kmeans_fit(X, 3, seed=0)
+        assert 0.0 <= full.final_shift < 1e-6
+        capped = kmeans_fit(X, 3, seed=0, max_iter=1)
+        assert capped.final_shift >= 1e-6
+        # the first step's shift, from the same k-means++ seeding
+        seeds = _plusplus_init(X, 3, np.random.default_rng(0))
+        first = np.argmin(_sq_dists(X, seeds), axis=1)
+        moved = np.vstack([X[first == c].mean(axis=0) for c in range(3)])
+        assert capped.final_shift == np.max(np.sum((moved - seeds) ** 2, axis=1))
+        loose = kmeans_fit(X, 3, seed=0, max_iter=1, tol=capped.final_shift * 2)
+        assert loose.converged and loose.final_shift == capped.final_shift
+        # a model built without it keeps working
+        assert KMeansModel(full.centroids, full.assignments, 0.0, 1).final_shift == 0.0
 
     def test_determinism(self):
         X, _ = three_blobs(5)
@@ -128,11 +152,128 @@ class TestAssign:
             kmeans_assign(model, np.ones((2, 3)))
 
 
-def test_centroid_csv_dump(tmp_path):
-    model = kmeans_fit(FOUR_POINTS, 2, seed=0)
-    p = tmp_path / "centroids.csv"
-    save_centroids_csv(model, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "f0,f1"
-    back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    np.testing.assert_array_equal(back, model.centroids)
+def sample_points(rng, n, d, mode, exponent):
+    """Points that stress the assignment screen: exact ties on an integer
+    lattice, duplicated rows, extreme scales, and overflow or NaN."""
+    if mode == "lattice":
+        X = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    elif mode == "halves":  # centroids of lattice points land on half-integers
+        X = rng.integers(-6, 7, size=(n, d)) / 2.0
+    else:
+        X = rng.standard_normal((n, d))
+    X *= 10.0**exponent
+    if mode == "nonfinite":
+        X.flat[rng.integers(X.size)] = rng.choice([np.inf, -np.inf, np.nan])
+    return X
+
+
+def reference_assign(X, centroids):
+    return np.argmin(_sq_dists(X, centroids), axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    k=st.integers(1, 6),
+    d=st.integers(1, 5),
+    mode=st.sampled_from(["gauss", "lattice", "halves", "nonfinite"]),
+    exponent=st.sampled_from([0, 0, 0, -300, -160, -150, 150, 155, 160, 300]),
+    duplicate=st.booleans(),
+    from_data=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_assign_equals_exact_argmin(
+    n, k, d, mode, exponent, duplicate, from_data, data_seed
+):
+    rng = np.random.default_rng(data_seed)
+    X = sample_points(rng, n, d, mode, exponent)
+    if from_data:  # centroids on data points: distance-0 and lattice ties
+        C = X[rng.integers(n, size=k)].copy()
+    else:
+        C = sample_points(rng, k, d, "gauss" if mode == "nonfinite" else mode, exponent)
+    if duplicate and k > 1:
+        C[-1] = C[0]
+    with np.errstate(all="ignore"):
+        got = _assign(X, C)
+        want = reference_assign(X, C)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_screened_assign_blocks_the_fallback():
+    """All-tied rows fall back to the exact kernel across several blocks."""
+    X = np.zeros((200, 3))
+    C = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
+    np.testing.assert_array_equal(_assign(X, C), np.zeros(200, dtype=np.intp))
+    X[150:] = [0.0, 2.0, 0.0]
+    np.testing.assert_array_equal(_assign(X, C), reference_assign(X, C))
+
+
+def reference_kmeans_fit(X, k, seed, max_iter=100, tol=1e-6):
+    """The Lloyd loop with the full (n, k, D) kernel and per-cluster masks,
+    kept as the bit reference for kmeans_fit."""
+    rng = np.random.default_rng(seed)
+    centroids = _plusplus_init(X, k, rng)
+    trace = []
+    iterations, converged, movement = 0, False, np.inf
+    for iterations in range(1, max_iter + 1):
+        assignments = reference_assign(X, centroids)
+        for cid in range(k):
+            if not np.any(assignments == cid):
+                dists = np.sum((X - centroids[assignments]) ** 2, axis=1)
+                worst = int(np.argmax(dists))
+                centroids[cid] = X[worst]
+                assignments[worst] = cid
+        trace.append(float(np.sum((X - centroids[assignments]) ** 2)))
+        new_centroids = np.vstack([X[assignments == cid].mean(axis=0) for cid in range(k)])
+        movement = np.max(np.sum((new_centroids - centroids) ** 2, axis=1))
+        centroids = new_centroids
+        if movement < tol:
+            converged = True
+            break
+    order = np.lexsort(centroids.T[::-1])
+    centroids = centroids[order]
+    assignments = reference_assign(X, centroids)
+    inertia = float(np.sum((X - centroids[assignments]) ** 2))
+    return centroids, assignments, inertia, iterations, tuple(trace), converged, float(movement)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 90),
+    k=st.integers(1, 7),
+    d=st.integers(1, 4),
+    mode=st.sampled_from(["gauss", "lattice", "halves"]),
+    exponent=st.sampled_from([0, 0, -150, -200, 150]),  # -200: all distances underflow to 0
+    max_iter=st.sampled_from([1, 2, 5, 100]),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 1000),
+)
+def test_fit_bits_equal_reference_loop(n, k, d, mode, exponent, max_iter, data_seed, seed):
+    X = sample_points(np.random.default_rng(data_seed), n, d, mode, exponent)
+    k = min(k, np.unique(X, axis=0).shape[0])
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # mean of a cluster left empty
+        model = kmeans_fit(X, k, seed=seed, max_iter=max_iter)
+        centroids, assignments, inertia, iterations, trace, converged, shift = (
+            reference_kmeans_fit(X, k, seed=seed, max_iter=max_iter)
+        )
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.assignments.tobytes() == assignments.astype(np.int64).tobytes()
+    assert np.array(model.inertia).tobytes() == np.array(inertia).tobytes()
+    assert np.array(model.inertia_trace).tobytes() == np.array(trace).tobytes()
+    assert (model.iterations_run, model.converged) == (iterations, converged)
+    assert np.array(model.final_shift).tobytes() == np.array(shift).tobytes()
+    assert model.converged == (model.final_shift < 1e-6)
+
+
+def test_fit_memory_is_bounded():
+    # the old kernel's (n, k, D) tensor here was 5,000 * 50 * 20 * 8 B = 40 MB
+    X = np.random.default_rng(0).standard_normal((5000, 20))
+    tracemalloc.start()
+    try:
+        kmeans_fit(X, 50, seed=0, max_iter=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

@@ -223,13 +223,18 @@ class TestGradients:
             ref_vals, ref_grads = reference_loss_and_grad(Z, y, spec)
         # rows where focal's p_y underflows (below the smallest normal float)
         # take the CE gradient instead
-        # (test_focal_gradient_where_p_y_underflows_is_ce); all others keep their bits
-        dead = np.zeros(len(y), dtype=bool)
+        # (test_focal_gradient_where_p_y_underflows_is_ce), and for gamma < 1
+        # rows where p_y rounds to 1 take the zero row
+        # (test_focal_gradient_where_p_y_is_one_is_zero); all others keep their bits
+        at_limit = np.zeros(len(y), dtype=bool)
         if spec.kind == "focal" and spec.gamma > 0:
-            dead = softmax(Z)[np.arange(len(y)), y] < np.finfo(np.float64).tiny
-            assert dead.any()
+            py = softmax(Z)[np.arange(len(y)), y]
+            at_limit = py < np.finfo(np.float64).tiny
+            assert at_limit.any()
+            if spec.gamma < 1:
+                at_limit |= py == 1.0
         assert vals.tobytes() == ref_vals.tobytes()
-        assert grads[~dead].tobytes() == ref_grads[~dead].tobytes()
+        assert grads[~at_limit].tobytes() == ref_grads[~at_limit].tobytes()
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
     def test_focal_gradient_where_p_y_underflows_is_ce(self, gamma):
@@ -244,6 +249,26 @@ class TestGradients:
         _, ce_grads = loss_and_grad(Z, y, LossSpec("ce"))
         assert np.isfinite(vals).all() and np.isfinite(grads).all()
         assert grads[dead].tobytes() == ce_grads[dead].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+    def test_focal_gradient_where_p_y_is_one_is_zero(self, gamma):
+        rng = np.random.default_rng(9)
+        Z = rng.standard_normal((64, 3)) * 400
+        y = rng.integers(3, size=len(Z))
+        flat = 1.0 - softmax(Z)[np.arange(len(y)), y] == 0.0
+        assert flat.sum() >= 5
+        spec = LossSpec("focal", gamma=gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero or invalid-value warnings
+            vals, grads = loss_and_grad(Z, y, spec)
+        assert np.isfinite(vals).all() and np.isfinite(grads).all()
+        assert not grads[flat].any()
+        # every other row keeps the reference formula's bits
+        with np.errstate(all="ignore"):
+            _, ref_grads = reference_loss_and_grad(Z, y, spec)
+        dead = softmax(Z)[np.arange(len(y)), y] < np.finfo(np.float64).tiny
+        keep = ~flat & ~dead
+        assert grads[keep].tobytes() == ref_grads[keep].tobytes()
 
     def test_loss_and_grad_leaves_logits_unchanged(self):
         Z = np.random.default_rng(10).standard_normal((5, 3))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regroupbench.metrics import (
     ConfusionTable,
@@ -221,5 +223,32 @@ def test_report_serialization():
     r = summary_metrics(confusion_table([0, 0, 1, 1], [0, 1, 1, 1]))
     doc = json.loads(r.to_json())
     assert doc["accuracy"] == r.accuracy
-    row = r.to_csv_row()
-    assert str(r.accuracy) in row.split(",")[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    num_classes=st.integers(2, 4),
+    levels=st.integers(1, 6),  # few distinct scores: large tie blocks
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_per_class_ap_tie_invariance_and_oracle(n, num_classes, levels, data_seed):
+    rng = np.random.default_rng(data_seed)
+    y = rng.integers(num_classes, size=n)
+    y[0] = 0  # at least one class present
+    P = rng.integers(levels, size=(n, num_classes)) / levels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # absent classes
+        aps, _ = per_class_ap(y, P)
+        for c in range(num_classes):
+            present = bool(np.any(y == c))
+            assert (aps[c] is not None) == present
+            if present:
+                assert aps[c] == pytest.approx(brute_force_ap(y == c, P[:, c]), abs=1e-12)
+            # move rows only within blocks of tied class-c scores
+            ranked = np.argsort(-P[:, c], kind="stable")
+            shuffled = np.lexsort((rng.random(n), -P[:, c]))
+            perm = np.empty(n, dtype=np.int64)
+            perm[ranked] = shuffled
+            assert np.array_equal(P[perm, c], P[:, c])
+            assert per_class_ap(y[perm], P[perm])[0][c] == aps[c]

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regroupbench.dataset import Dataset, generate_imbalanced_mixture
 from regroupbench.harness import rg_favorable_mixture
@@ -83,3 +87,60 @@ class TestCommon:
             ResampleSpec("bootstrap")
         with pytest.raises(ResampleError):
             ResampleSpec("smote", k_neighbors=0)
+
+
+def reference_smote(train, spec):
+    """SMOTE with the full (m, m, D) neighbour search, kept as the bit reference."""
+    rng = np.random.default_rng(spec.seed)
+    target = max(train.class_counts)
+    feats = []
+    for c, count in enumerate(train.class_counts):
+        rows = train.features[train.labels == c]
+        parts = [rows]
+        deficit = target - count
+        if deficit > 0:
+            k = min(spec.k_neighbors, count - 1)
+            d2 = np.sum((rows[:, None, :] - rows[None, :, :]) ** 2, axis=2)
+            np.fill_diagonal(d2, np.inf)
+            neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            base = rng.integers(count, size=deficit)
+            pick = neighbors[base, rng.integers(k, size=deficit)]
+            u = rng.random(deficit)
+            parts.append(rows[base] + u[:, None] * (rows[pick] - rows[base]))
+        feats.append(np.vstack(parts))
+    return np.vstack(feats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(2, 200), min_size=2, max_size=3),
+    dim=st.integers(1, 4),
+    lattice=st.booleans(),  # integer points: many tied neighbour distances
+    k_neighbors=st.integers(1, 6),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 1000),
+)
+def test_blocked_smote_bits_equal_full_matrix(counts, dim, lattice, k_neighbors, data_seed, seed):
+    rng = np.random.default_rng(data_seed)
+    n = sum(counts)
+    X = rng.integers(-2, 3, size=(n, dim)) * 1.0 if lattice else rng.standard_normal((n, dim))
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    ds = Dataset(X, labels)
+    spec = ResampleSpec("smote", seed=seed, k_neighbors=k_neighbors)
+    out = resample(ds, spec)
+    assert out.features.tobytes() == reference_smote(ds, spec).tobytes()
+
+
+def test_smote_memory_is_bounded():
+    # the old search's (m, m, D) tensor here was 2,000 * 2,000 * 4 * 8 B = 128 MB
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.standard_normal((2000, 4)), rng.standard_normal((2100, 4)) + 3])
+    ds = Dataset(X, np.repeat([0, 1], [2000, 2100]))
+    tracemalloc.start()
+    try:
+        out = resample(ds, ResampleSpec("smote", seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.class_counts == (2100, 2100)
+    assert peak < 16 * 2**20
