@@ -2,7 +2,7 @@
 into pseudo-classes, plus standard baselines (WCE, focal, LDAM, ROS, RUS,
 SMOTE) and AP-centric evaluation."""
 
-from .clustering import KMeansModel, kmeans_assign, kmeans_fit
+from .clustering import KMeansModel, kmeans_fit
 from .dataset import (
     Dataset,
     GaussianComponent,
@@ -34,8 +34,7 @@ from .metrics import (
 )
 from .regrouping import (
     RegroupPlan,
-    binarize_prediction,
-    collapse_prediction_multiclass,
+    collapse_proba_matrix,
     compute_k,
     regroup_binary,
     regroup_multiclass,

@@ -10,24 +10,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import generate_imbalanced_mixture, save_csv_dataset
-from .harness import (
-    BUILTIN_FAMILIES,
-    _mixture_from_dict,
-    load_config,
-    run_grid,
-    write_results,
+from .dataset import (
+    DatasetError,
+    generate_imbalanced_mixture,
+    mixture_from_dict,
+    read_csv_columns,
+    save_csv_dataset,
 )
+from .harness import HarnessError, builtin_mixture, load_config, run_grid, write_results
 from .metrics import MetricError, confusion_table, per_class_ap, summary_metrics
 from .trainer import FULL_RECIPE
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+        if args.seeds:
+            cfg = replace(cfg, seeds=args.seeds)
+    except HarnessError as exc:
+        print(f"config {args.config}: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         cfg = replace(cfg, output_dir=args.out)
-    if args.seeds:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
     if args.paper_recipe:
         cfg = replace(cfg, train=FULL_RECIPE)
     rows, aggregates = run_grid(cfg)
@@ -43,29 +47,12 @@ def _cmd_run(args) -> int:
 def _cmd_metrics(args) -> int:
     """Score a prediction CSV: the truth column holds integer labels, every
     other column is a per-class score in class-id order."""
-    lines = Path(args.pred).read_text(encoding="utf-8").strip().splitlines()
-    if len(lines) < 2:
-        print(f"prediction CSV {args.pred} has no data rows", file=sys.stderr)
-        return 2
-    header = lines[0].split(",")
-    if args.truth_col not in header:
-        print(f"truth column {args.truth_col!r} not in header {header}", file=sys.stderr)
-        return 2
-    truth_idx = header.index(args.truth_col)
-    score_idx = [j for j in range(len(header)) if j != truth_idx]
-    y, scores = [], []
     try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{len(cells)} cells, expected {len(header)}")
-            y.append(int(cells[truth_idx]))
-            scores.append([float(cells[j]) for j in score_idx])
-    except ValueError as exc:
-        print(f"prediction CSV {args.pred}, line {lineno}: {exc}", file=sys.stderr)
+        scores, y = read_csv_columns(args.pred, args.truth_col, int)
+    except DatasetError as exc:
+        print(f"prediction CSV {exc}", file=sys.stderr)
         return 2
     y = np.array(y)
-    scores = np.array(scores)
     pred = np.argmax(scores, axis=1)
     try:
         report = summary_metrics(confusion_table(y, pred, num_classes=scores.shape[1]))
@@ -79,17 +66,17 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    if "builtin" in doc:
-        if doc["builtin"] not in BUILTIN_FAMILIES:
-            print(f"unknown builtin family {doc['builtin']!r}; expected one of "
-                  f"{sorted(BUILTIN_FAMILIES)}", file=sys.stderr)
-            return 2
-        spec = BUILTIN_FAMILIES[doc["builtin"]]()
-        if "seed" in doc:
-            spec = replace(spec, seed=int(doc["seed"]))
-    else:
-        spec = _mixture_from_dict(doc)
+    try:
+        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if "builtin" in doc:
+            spec = builtin_mixture(doc["builtin"])
+            if "seed" in doc:
+                spec = replace(spec, seed=int(doc["seed"]))
+        else:
+            spec = mixture_from_dict(doc)
+    except (OSError, TypeError, ValueError) as exc:  # HarnessError, DatasetError: ValueErrors
+        print(f"spec {args.spec}: {exc}", file=sys.stderr)
+        return 2
     ds = generate_imbalanced_mixture(spec)
     save_csv_dataset(ds, args.out)
     print(f"wrote {args.out}: n={ds.n}, D={ds.dim}, class_counts={list(ds.class_counts)}")

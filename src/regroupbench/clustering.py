@@ -16,7 +16,7 @@ _TINY = np.finfo(np.float64).tiny
 
 
 class ClusteringError(ValueError):
-    """Raised for invalid k or mismatched dimensions."""
+    """Raised for a k below 1 or above the number of distinct rows."""
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class KMeansModel:
         a.setflags(write=False)
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "assignments", a)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -161,13 +157,3 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
     return KMeansModel(
         centroids, assignments, inertia, iterations, tuple(trace), converged, float(movement)
     )
-
-
-def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
-    """Nearest-centroid ids for new points (ties -> lowest centroid index)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.centroids.shape[1]:
-        raise ClusteringError(
-            f"point dimension {X.shape} incompatible with centroids {model.centroids.shape}"
-        )
-    return _assign(X, model.centroids)

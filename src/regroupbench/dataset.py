@@ -113,6 +113,26 @@ class MixtureSpec:
         object.__setattr__(self, "majority_components", comps)
 
 
+def mixture_from_dict(d: dict) -> MixtureSpec:
+    """Parse a JSON mixture spec: {"minority": component,
+    "majority_components": [component, ...], "seed": int (optional)}, each
+    component {"mean": [...], "stddev": s, "count": n}. DatasetError names
+    a missing key or a malformed value."""
+    def comp(c):
+        return GaussianComponent(tuple(c["mean"]), float(c["stddev"]), int(c["count"]))
+
+    try:
+        return MixtureSpec(
+            comp(d["minority"]),
+            tuple(comp(c) for c in d["majority_components"]),
+            seed=int(d.get("seed", 0)),
+        )
+    except KeyError as exc:
+        raise DatasetError(f"mixture spec is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"malformed mixture spec: {exc}") from None
+
+
 def generate_imbalanced_mixture(spec: MixtureSpec) -> Dataset:
     """Sample the mixture. Minority rows come first with label 0, then the
     majority components in order with label 1. PCG64-seeded, so identical
@@ -178,49 +198,61 @@ def save_csv_dataset(ds: Dataset, path):
             fh.write(f",{name}\n")
 
 
-def load_csv_dataset(path, label_column: str | int = "label") -> Dataset:
-    """Load a headered CSV into a Dataset.
-
-    The label column may be named or given by index. Integer label values
-    forming a contiguous 0-based range are kept verbatim (so integer-labeled
-    datasets round-trip exactly); any other labels get class ids by first
-    appearance, recorded in class_names.
+def read_csv_columns(path, label_column: str | int, label_type=str):
+    """Read a headered CSV into ((n, D) float64 features, n labels). The
+    label column, named or given by index, is converted with label_type and
+    every other column with float(). Blank lines are skipped; DatasetError
+    names the physical line and the column of a bad cell.
     """
     path = Path(path)
     if not path.is_file():
-        raise DatasetError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise DatasetError(f"{path}: empty dataset (need header plus >= 1 row)")
-    header = lines[0].split(",")
+        raise DatasetError(f"{path}: no such file")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
+    if not any(ln.strip() for ln in lines[first + 1:]):
+        raise DatasetError(f"{path} has no data rows")
+    header = lines[first].split(",")
     if isinstance(label_column, int):
         label_idx = label_column
-        if not 0 <= label_idx < len(header):
-            raise DatasetError(f"label column index {label_idx} out of range")
     else:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise DatasetError(f"label column {label_column!r} not in header {header}") from None
+        label_idx = header.index(label_column) if label_column in header else -1
+    if not 0 <= label_idx < len(header):
+        raise DatasetError(f"{path}: column {label_column!r} not in header {header}")
+    if len(header) < 2:  # also keeps a blank line from passing as a one-cell row
+        raise DatasetError(f"{path}: no column besides {header[label_idx]!r}")
     feat_idx = [j for j in range(len(header)) if j != label_idx]
 
-    rows, raw_labels = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DatasetError(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
-        vals = []
-        for j in feat_idx:
-            try:
-                vals.append(float(cells[j]))
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: row {i}, column {header[j]!r}: non-numeric value {cells[j]!r}"
-                ) from None
-        rows.append(vals)
-        raw_labels.append(cells[label_idx])
+    rows, labels = [], []
+    try:
+        for lineno, line in enumerate(lines[first + 1:], first + 2):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                if not line.strip():
+                    continue
+                raise ValueError(f"{len(cells)} cells, expected {len(header)}")
+            labels.append(label_type(cells[label_idx]))
+            rows.append([float(cells[j]) for j in feat_idx])
+    except ValueError as exc:
+        where = ""
+        if len(cells) == len(header):  # name the cell that failed to convert
+            for j in [label_idx, *feat_idx]:
+                try:
+                    (label_type if j == label_idx else float)(cells[j])
+                except ValueError:
+                    where = f" in column {header[j]!r}"
+                    break
+        raise DatasetError(f"{path}, line {lineno}: {exc}{where}") from None
+    return np.array(rows, dtype=np.float64), labels
 
+
+def load_csv_dataset(path, label_column: str | int = "label") -> Dataset:
+    """Load a headered CSV into a Dataset (see `read_csv_columns`).
+
+    Integer label values forming a contiguous 0-based range are kept
+    verbatim (so integer-labeled datasets round-trip exactly); any other
+    labels get class ids by first appearance, recorded in class_names.
+    """
+    features, raw_labels = read_csv_columns(path, label_column)
     distinct = list(dict.fromkeys(raw_labels))
     try:
         as_int = [int(s) for s in distinct]
@@ -234,4 +266,4 @@ def load_csv_dataset(path, label_column: str | int = "label") -> Dataset:
         mapping = {s: c for c, s in enumerate(distinct)}
         labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
         names = tuple(distinct)
-    return Dataset(np.array(rows, dtype=np.float64), labels, class_names=names)
+    return Dataset(features, labels, class_names=names)

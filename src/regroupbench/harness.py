@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .dataset import (
     MixtureSpec,
     generate_imbalanced_mixture,
     load_csv_dataset,
+    mixture_from_dict,
     standardize,
     stratified_split,
 )
@@ -76,7 +77,7 @@ class MethodKind:
 class ExperimentConfig:
     dataset: dict                       # {"builtin": ...} | {"csv": ...} | {"mixture": ...}
     methods: tuple[MethodKind, ...]
-    seeds: tuple[int, ...]
+    seeds: tuple[int, ...]              # or a comma-separated string, as --seeds gives it
     test_fraction: float = 0.2
     standardize: bool = True
     hidden_dims: tuple[int, ...] = (32,)
@@ -86,8 +87,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods or not self.seeds:
             raise HarnessError("need at least one method and one seed")
+        seeds = self.seeds.split(",") if isinstance(self.seeds, str) else self.seeds
+        try:
+            seeds = tuple(int(s) for s in seeds)
+        except (TypeError, ValueError):
+            raise HarnessError(f"seeds must be integers, got {self.seeds!r}") from None
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
 
 
@@ -127,59 +133,60 @@ class ResultRow:
         )
 
 
-def rg_favorable_mixture(seed: int = 0) -> MixtureSpec:
-    """Minority blob at the center of a ring of 5 majority blobs: the
-    majority is a latent mixture, the setting regrouping is built for."""
+def _majority_ring() -> tuple[GaussianComponent, ...]:
+    """Five majority blobs of 180 points, evenly spaced on a circle of radius 3."""
     ring = []
     for j in range(5):
         angle = 2.0 * math.pi * j / 5
         ring.append(
             GaussianComponent((3.0 * math.cos(angle), 3.0 * math.sin(angle)), 0.5, 180)
         )
-    return MixtureSpec(GaussianComponent((0.0, 0.0), 0.5, 100), tuple(ring), seed=seed)
+    return tuple(ring)
+
+
+def rg_favorable_mixture(seed: int = 0) -> MixtureSpec:
+    """Minority blob at the center of a ring of 5 majority blobs: the
+    majority is a latent mixture, the setting regrouping is built for."""
+    return MixtureSpec(GaussianComponent((0.0, 0.0), 0.5, 100), _majority_ring(), seed=seed)
 
 
 def overlap_mixture(seed: int = 0) -> MixtureSpec:
     """Heavy-overlap variant: the minority blob sits inside one majority
     mode, so recall-oriented methods trade precision away."""
-    ring = []
-    for j in range(5):
-        angle = 2.0 * math.pi * j / 5
-        ring.append(
-            GaussianComponent((3.0 * math.cos(angle), 3.0 * math.sin(angle)), 0.5, 180)
-        )
     minority = GaussianComponent((3.0, 0.0), 0.5, 100)  # on top of component 0
-    return MixtureSpec(minority, tuple(ring), seed=seed)
+    return MixtureSpec(minority, _majority_ring(), seed=seed)
 
 
 BUILTIN_FAMILIES = {"rg-favorable": rg_favorable_mixture, "overlap": overlap_mixture}
 
 
-def _mixture_from_dict(d: dict) -> MixtureSpec:
-    def comp(c):
-        return GaussianComponent(tuple(c["mean"]), float(c["stddev"]), int(c["count"]))
+def builtin_mixture(name: str) -> MixtureSpec:
+    """The named built-in family's mixture; HarnessError for an unknown name."""
+    if name not in BUILTIN_FAMILIES:
+        raise HarnessError(
+            f"unknown builtin family {name!r}; expected one of {sorted(BUILTIN_FAMILIES)}"
+        )
+    return BUILTIN_FAMILIES[name]()
 
-    return MixtureSpec(
-        comp(d["minority"]),
-        tuple(comp(c) for c in d["majority_components"]),
-        seed=int(d.get("seed", 0)),
-    )
+
+def _source_mixture(source: dict) -> MixtureSpec | None:
+    """The mixture a synthetic source samples, or None for a CSV source.
+    Raises HarnessError or DatasetError for a source that names none."""
+    if "csv" in source:
+        return None
+    if "builtin" in source:
+        return builtin_mixture(source["builtin"])
+    if "mixture" in source:
+        return mixture_from_dict(source["mixture"])
+    raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
 
 
 def load_source(source: dict, seed: int) -> Dataset:
     """Materialize the configured dataset. For synthetic sources the run
     seed offsets the mixture seed so different seeds draw fresh data."""
-    if "csv" in source:
+    spec = _source_mixture(source)
+    if spec is None:
         return load_csv_dataset(source["csv"], source.get("label_column", "label"))
-    if "builtin" in source:
-        name = source["builtin"]
-        if name not in BUILTIN_FAMILIES:
-            raise HarnessError(f"unknown builtin family {name!r}")
-        spec = BUILTIN_FAMILIES[name]()
-    elif "mixture" in source:
-        spec = _mixture_from_dict(source["mixture"])
-    else:
-        raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
     return generate_imbalanced_mixture(replace(spec, seed=spec.seed + seed))
 
 
@@ -421,17 +428,33 @@ def write_results(rows, aggregates, out_dir) -> tuple[Path, Path]:
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from JSON with keys matching
-    ExperimentConfig fields."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    methods = tuple(MethodKind(**m) for m in doc["methods"])
-    train_kwargs = doc.get("train", {})
-    return ExperimentConfig(
-        dataset=doc["dataset"],
-        methods=methods,
-        seeds=tuple(doc["seeds"]),
-        test_fraction=float(doc.get("test_fraction", 0.2)),
-        standardize=bool(doc.get("standardize", True)),
-        hidden_dims=tuple(doc.get("hidden_dims", [32])),
-        train=TrainConfig(**train_kwargs),
-        output_dir=doc.get("output_dir", "out"),
-    )
+    ExperimentConfig fields. HarnessError names the first problem found: an
+    unreadable file, a missing or unknown key, a bad value, or a dataset
+    source that names no dataset."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise HarnessError(f"cannot read config: {exc}") from None
+    if not isinstance(doc, dict):
+        raise HarnessError("config must be a JSON object")
+    known = [f.name for f in fields(ExperimentConfig)]
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise HarnessError(f"unknown keys {unknown}; expected some of {known}")
+    try:
+        cfg = ExperimentConfig(
+            dataset=doc["dataset"],
+            methods=tuple(MethodKind(**m) for m in doc["methods"]),
+            seeds=doc["seeds"],
+            test_fraction=float(doc.get("test_fraction", 0.2)),
+            standardize=bool(doc.get("standardize", True)),
+            hidden_dims=tuple(doc.get("hidden_dims", [32])),
+            train=TrainConfig(**doc.get("train", {})),
+            output_dir=doc.get("output_dir", "out"),
+        )
+        _source_mixture(cfg.dataset)
+    except KeyError as exc:
+        raise HarnessError(f"missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # HarnessError, DatasetError, TrainingError
+        raise HarnessError(str(exc)) from None
+    return cfg

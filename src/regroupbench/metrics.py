@@ -43,23 +43,6 @@ class ConfusionTable:
     def total(self) -> int:
         return int(self.matrix.sum())
 
-    # binary accessors, positive = class 0
-    @property
-    def tp(self) -> int:
-        return int(self.matrix[0, 0])
-
-    @property
-    def fn(self) -> int:
-        return int(self.matrix[0, 1:].sum())
-
-    @property
-    def fp(self) -> int:
-        return int(self.matrix[1:, 0].sum())
-
-    @property
-    def tn(self) -> int:
-        return int(self.matrix[1:, 1:].sum())
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -155,25 +138,6 @@ def average_precision(y_true, scores) -> float:
     pp = block_end + 1
     delta_tp = np.diff(np.r_[0, tp])
     return float(np.sum((delta_tp / n_pos) * (tp / pp)))
-
-
-def auprc_trapezoid(y_true, scores) -> float:
-    """Trapezoidal area under the PR curve at the same block thresholds.
-    Comparison-only variant; never used for acceptance numbers."""
-    y = np.asarray(y_true, dtype=np.int64)
-    s = np.asarray(scores, dtype=np.float64)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise MetricError("no positive samples")
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    block_end = np.flatnonzero(np.r_[s_sorted[:-1] != s_sorted[1:], True])
-    tp = np.cumsum(y_sorted)[block_end]
-    precision = tp / (block_end + 1)
-    recall = tp / n_pos
-    rec = np.r_[0.0, recall]
-    prec = np.r_[precision[0] if len(precision) else 1.0, precision]
-    return float(np.sum(np.diff(rec) * (prec[1:] + prec[:-1]) / 2.0))
 
 
 def per_class_ap(y_true, proba) -> tuple[tuple[float | None, ...], float]:

@@ -6,9 +6,7 @@ majority clusters take ids 1..K in canonical (lexicographic-centroid) order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -62,18 +60,6 @@ class RegroupPlan:
     @property
     def pseudo_num_classes(self) -> int:
         return int(self._offsets[-1])
-
-    def pseudo_of(self, original_class: int, group: int) -> int:
-        if not 0 <= original_class < self.original_num_classes:
-            raise RegroupError(f"invalid class {original_class}")
-        if not 0 <= group < self.group_counts[original_class]:
-            raise RegroupError(f"class {original_class} has no group {group}")
-        return int(self._offsets[original_class]) + group
-
-    def original_of(self, pseudo_id: int) -> int:
-        if not 0 <= pseudo_id < self.pseudo_num_classes:
-            raise RegroupError(f"invalid pseudo id {pseudo_id}")
-        return int(self._original_of[pseudo_id])
 
     def pseudo_ids_of(self, original_class: int) -> range:
         lo = int(self._offsets[original_class])
@@ -129,36 +115,6 @@ def regroup_multiclass(train: Dataset, seed: int) -> tuple[Dataset, RegroupPlan]
     return _regroup(train, groups, seed)
 
 
-def _check_probs(pseudo_probs, plan: RegroupPlan) -> np.ndarray:
-    p = np.asarray(pseudo_probs, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != plan.pseudo_num_classes:
-        raise RegroupError(
-            f"expected {plan.pseudo_num_classes} probabilities, got shape {p.shape}"
-        )
-    if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-6:
-        raise RegroupError("malformed probability vector")
-    return p
-
-
-def binarize_prediction(pseudo_probs, plan: RegroupPlan) -> tuple[int, float]:
-    """Hard label is positive (0) iff the pseudo argmax is pseudo id 0
-    (ties go to the lowest index); the ranking score for AP is the
-    probability mass on pseudo class 0."""
-    p = _check_probs(pseudo_probs, plan)
-    label = 0 if int(np.argmax(p)) == 0 else 1
-    return label, float(p[0])
-
-
-def collapse_prediction_multiclass(pseudo_probs, plan: RegroupPlan) -> tuple[int, np.ndarray]:
-    """Predicted original class = owner of the pseudo argmax; per-class
-    scores = summed group probabilities (sums to 1)."""
-    p = _check_probs(pseudo_probs, plan)
-    scores = np.array(
-        [p[list(plan.pseudo_ids_of(c))].sum() for c in range(plan.original_num_classes)]
-    )
-    return plan.original_of(int(np.argmax(p))), scores
-
-
 def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):
     """Vectorized collapse of an (n, pseudo_C) probability matrix.
 
@@ -170,18 +126,3 @@ def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):
         [P[:, list(plan.pseudo_ids_of(c))].sum(axis=1) for c in range(plan.original_num_classes)]
     )
     return pred, scores
-
-
-def save_plan_json(plan: RegroupPlan, path):
-    """Audit dump: group structure plus centroids of every split class."""
-    doc = {
-        "original_num_classes": plan.original_num_classes,
-        "pseudo_num_classes": plan.pseudo_num_classes,
-        "group_counts": list(plan.group_counts),
-        "pseudo_to_original": [plan.original_of(p) for p in range(plan.pseudo_num_classes)],
-        "warnings": list(plan.warnings),
-        "centroids": {
-            str(c): model.centroids.tolist() for c, model in plan.cluster_models.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -8,10 +8,8 @@ weights); each stacked model's bits equal those of its own one-model call.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -309,37 +307,9 @@ def train(train_ds, spec, loss: LossSpec, cfg):
     return results
 
 
-def predict_logits(model: TrainedModel, X) -> np.ndarray:
+def predict_proba(model: TrainedModel, X) -> np.ndarray:
+    """(n, C) softmax probabilities; rows sum to 1."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
         raise TrainingError(f"input shape {X.shape} != input_dim {model.spec.input_dim}")
-    logits, _ = _forward(X, model.weights, model.biases)
-    return logits
-
-
-def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    """(n, C) softmax probabilities; rows sum to 1."""
-    return softmax(predict_logits(model, X))
-
-
-def save_model_json(model: TrainedModel, path):
-    """Text serialization; json round-trips float64 exactly (repr floats)."""
-    doc = {
-        "input_dim": model.spec.input_dim,
-        "output_dim": model.spec.output_dim,
-        "hidden_dims": list(model.spec.hidden_dims),
-        "init_seed": model.spec.init_seed,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
-
-
-def load_model_json(path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    spec = MlpSpec(
-        doc["input_dim"], doc["output_dim"], tuple(doc["hidden_dims"]), doc["init_seed"]
-    )
-    weights = tuple(np.array(w, dtype=np.float64) for w in doc["weights"])
-    biases = tuple(np.array(b, dtype=np.float64) for b in doc["biases"])
-    return TrainedModel(spec, weights, biases)
+    return softmax(_forward(X, model.weights, model.biases)[0])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regroupbench.dataset import (
     Dataset,
@@ -8,6 +11,8 @@ from regroupbench.dataset import (
     MixtureSpec,
     generate_imbalanced_mixture,
     load_csv_dataset,
+    mixture_from_dict,
+    read_csv_columns,
     save_csv_dataset,
     standardize,
     stratified_split,
@@ -65,7 +70,7 @@ class TestCsv:
     def test_ragged_row_reports_location(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,f1,label\n0,0,A\n1,1\n")
-        with pytest.raises(DatasetError, match="row 3"):
+        with pytest.raises(DatasetError, match="line 3"):
             load_csv_dataset(p)
 
     def test_non_numeric_cell_reports_location(self, tmp_path):
@@ -81,7 +86,7 @@ class TestCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,label\n")
-        with pytest.raises(DatasetError, match="empty"):
+        with pytest.raises(DatasetError, match="has no data rows"):
             load_csv_dataset(p)
 
     def test_label_column_by_index(self, tmp_path):
@@ -101,6 +106,58 @@ class TestCsv:
         back = load_csv_dataset(p)
         np.testing.assert_allclose(back.features, ds.features, atol=1e-12, rtol=0)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+    def test_blank_lines_skipped_and_errors_name_the_physical_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n \nf0,label\n1.5,0\n\n2.5,1\n  \n")
+        ds = load_csv_dataset(p)
+        np.testing.assert_array_equal(ds.features[:, 0], [1.5, 2.5])
+        p.write_text("f0,f1,label\n0,0,A\n\n1,1,B\n2,x,A\n")
+        with pytest.raises(DatasetError, match=r"line 5: could not convert .* in column 'f1'"):
+            load_csv_dataset(p)
+
+    def test_label_conversion_errors_name_line_and_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,y\n0.5,1\n\n0.5,one\n")
+        with pytest.raises(DatasetError, match=r"line 4: invalid literal for int.* in column 'y'"):
+            read_csv_columns(p, "y", int)
+        features, labels = read_csv_columns(p, "y")  # raw label strings by default
+        assert labels == ["1", "one"]
+        np.testing.assert_array_equal(features, [[0.5], [0.5]])
+
+    def test_missing_label_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1\n0,1\n")
+        with pytest.raises(DatasetError, match="column 'label' not in header"):
+            load_csv_dataset(p)
+
+
+csv_features = st.integers(1, 4).flatmap(
+    lambda d: arrays(np.float64, st.tuples(st.integers(2, 12), st.just(d)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False))
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(X=csv_features, names=st.one_of(st.none(), st.lists(
+    st.text("abxyz_-", min_size=1, max_size=4), min_size=2, max_size=4, unique=True)),
+    seed=st.integers(0, 2**32 - 1))
+def test_csv_round_trip_is_bit_exact(tmp_path, X, names, seed):
+    # integer labels keep their ids; named labels keep each row's name
+    C = 2 if names is None else len(names)
+    if X.shape[0] < C:
+        X = np.vstack([X] * C)
+    labels = np.random.default_rng(seed).integers(0, C, size=X.shape[0])
+    labels[:C] = np.arange(C)  # every class present, first appearing in id order
+    ds = Dataset(X, labels, None if names is None else tuple(names))
+    p = tmp_path / "rt.csv"
+    save_csv_dataset(ds, p)
+    back = load_csv_dataset(p)
+    assert back.features.tobytes() == ds.features.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    if names is not None:
+        assert back.class_names == ds.class_names
 
 
 class TestMixture:
@@ -145,6 +202,16 @@ class TestMixture:
         with pytest.raises(DatasetError):
             GaussianComponent((0.0,), 1.0, 0)
 
+    def test_from_dict(self):
+        comp = {"mean": [0.0, 1.0], "stddev": 0.5, "count": 3}
+        spec = mixture_from_dict({"minority": comp, "majority_components": [comp, comp], "seed": 4})
+        assert spec.minority == GaussianComponent((0.0, 1.0), 0.5, 3)
+        assert len(spec.majority_components) == 2 and spec.seed == 4
+        with pytest.raises(DatasetError, match="missing key 'minority'"):
+            mixture_from_dict({"majority_components": [comp]})
+        with pytest.raises(DatasetError, match="missing key 'stddev'"):
+            mixture_from_dict({"minority": {"mean": [0.0], "count": 3}, "majority_components": []})
+
 
 class TestSplit:
     def test_forced_counts(self):
@@ -179,6 +246,22 @@ class TestSplit:
         ds = Dataset(np.arange(6.0).reshape(3, 2), [0, 1, 1])
         with pytest.raises(DatasetError, match="class 0"):
             stratified_split(ds, 0.5, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(2, 40), min_size=2, max_size=4),
+       fraction=st.one_of(st.sampled_from([0.1, 0.25, 0.5, 0.75]), st.floats(0.01, 0.99)),
+       seed=st.integers(0, 2**32 - 1))  # the sampled fractions hit exact .5 ties
+def test_split_partitions_rows_with_clamped_half_even_counts(counts, fraction, seed):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    ds = Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels)  # row i holds i
+    train, test = stratified_split(ds, fraction, seed)
+    rows = np.concatenate([train.features[:, 0], test.features[:, 0]])
+    np.testing.assert_array_equal(np.sort(rows), np.arange(labels.size))
+    for c, count in enumerate(counts):
+        expected = min(max(1, int(np.rint(fraction * count))), count - 1)  # rint: half to even
+        assert test.class_counts[c] == expected
+        assert train.class_counts[c] == count - expected
 
 
 class TestStandardize:

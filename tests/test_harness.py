@@ -223,6 +223,7 @@ class TestConfigIO:
         assert cfg.test_fraction == 0.25
         assert not cfg.standardize
         assert cfg.train.epochs == 3
+        assert config_hash(cfg) == "e0108fee98293255"  # pinned: validation leaves valid configs alone
 
     def test_unknown_method_rejected(self):
         with pytest.raises(HarnessError):
@@ -313,6 +314,9 @@ class TestCli:
             ("s0,s1,truth\n0.9,0.1,0\n0.2,high,1\n", "line 3: could not convert string to float"),
             ("s0,s1,truth\n0.9,0.1,zero\n", "line 2: invalid literal for int()"),
             ("s0,s1,truth\n0.9,0.1,0\n0.2,1\n", "line 3: 2 cells, expected 3"),
+            ("s0,s1,truth\n0.9,0.1,0\n\n0.2,0.8,1\n0.3,bad,1\n",
+             "line 5: could not convert string to float: 'bad' in column 's1'"),
+            ("truth\n0\n1\n", "no column besides 'truth'"),
         ],
     )
     def test_metrics_bad_prediction_csv_is_named_error(self, tmp_path, capsys, text, problem):
@@ -325,6 +329,85 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.err.startswith(f"prediction CSV {pred}") and problem in captured.err
+
+    @pytest.mark.parametrize(
+        "change,problem",
+        [
+            ({"methods": [{"name": "CE", "gama": 1.0}]}, "unexpected keyword argument 'gama'"),
+            ({"train": {"epochs": 0}}, "epochs and batch_size must be >= 1"),
+            ({"methods": None}, "missing key 'methods'"),
+            ({"dataset": {"builtin": "nope"}}, "unknown builtin family 'nope'"),
+            ({"dataset": {"mixture": {"majority_components": []}}}, "missing key 'minority'"),
+            ({"dataset": {"parquet": "x"}}, "must have csv, builtin, or mixture key"),
+            ({"hiden_dims": [8]}, "unknown keys ['hiden_dims']"),
+            ({"seeds": ["a"]}, "seeds must be integers"),
+        ],
+    )
+    def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
+        from regroupbench.cli import main
+
+        doc = {"dataset": {"builtin": "rg-favorable"}, "methods": [{"name": "CE"}], "seeds": [0],
+               "train": {"epochs": 1}, "output_dir": str(tmp_path / "o")}
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(f"config {cfg_path}: ") and problem in captured.err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_missing_config_file_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        path = tmp_path / "nope.json"
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config {path}: cannot read config") and "No such file" in err
+
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,x", ","])
+    def test_run_bad_seed_override_is_named_error(self, tmp_path, capsys, seeds):
+        from regroupbench.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": {"builtin": "rg-favorable"},
+                                        "methods": [{"name": "CE"}], "seeds": [0]}))
+        assert main(["run", "--config", str(cfg_path), "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "seeds must be integers" in err
+
+    def test_metrics_missing_file_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        pred = tmp_path / "nope.csv"
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"prediction CSV {pred}: no such file"
+
+    def test_metrics_skips_blank_lines(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        pred = tmp_path / "pred.csv"
+        pred.write_text("s0,s1,truth\n0.9,0.1,0\n0.2,0.8,1\n0.6,0.4,1\n")
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
+        plain = capsys.readouterr().out
+        pred.write_text("s0,s1,truth\n0.9,0.1,0\n\n0.2,0.8,1\n \n0.6,0.4,1\n\n")
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_synth_mixture_missing_key_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        spec = tmp_path / "spec.json"
+        comp = {"mean": [0.0], "stddev": 1.0, "count": 5}
+        spec.write_text(json.dumps({"majority_components": [comp]}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "missing key 'minority'" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_run_seed_override(self, tmp_path):
         from regroupbench.cli import main

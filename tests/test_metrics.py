@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from regroupbench.metrics import (
     ConfusionTable,
     MetricError,
-    auprc_trapezoid,
     average_precision,
     confusion_table,
     per_class_ap,
@@ -40,7 +39,8 @@ class TestConfusionTable:
     def test_binary_counts(self):
         # positive = class 0
         ct = confusion_table([0, 0, 1, 1], [0, 1, 1, 1])
-        assert (ct.tp, ct.fn, ct.fp, ct.tn) == (1, 1, 0, 2)
+        # tp = 1, fn = 1 on the top row; fp = 0, tn = 2 below it
+        np.testing.assert_array_equal(ct.matrix, [[1, 1], [0, 2]])
 
     def test_identical_vectors_diagonal(self):
         ct = confusion_table([0, 1, 2, 1], [0, 1, 2, 1])
@@ -153,19 +153,13 @@ class TestAveragePrecision:
         for f in transforms:
             assert average_precision(y, f(s)) == pytest.approx(base, abs=1e-12)
 
-    def test_trapezoid_variant_differs_but_close(self):
+    def test_step_ap_worked_example(self):
         y = np.array([1, 1, 0, 0, 1, 0, 0, 0])
         s = np.array([0.9, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
-        ap = average_precision(y, s)
-        tz = auprc_trapezoid(y, s)
         # Three positives; (recall, precision) after each rank:
         # (1/3, 1), (2/3, 1), (2/3, 2/3), (2/3, 1/2), (1, 3/5), then recall
-        # stays 1. The curve starts at (0, 1), the first precision.
-        # Trapezoid: 1/3 + 1/3 + 0 + 0 + (1/3)(1/2 + 3/5)/2 = 17/20.
-        # Step AP: (1/3)(1 + 1 + 3/5) = 13/15.
-        assert tz == pytest.approx(17 / 20, abs=1e-12)
-        assert ap == pytest.approx(13 / 15, abs=1e-12)
-        assert abs(ap - tz) < 0.2 and tz != ap
+        # stays 1. Step AP: (1/3)(1 + 1 + 3/5) = 13/15.
+        assert average_precision(y, s) == pytest.approx(13 / 15, abs=1e-12)
 
 
 class TestPerClassAp:

@@ -1,21 +1,27 @@
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regroupbench.dataset import Dataset, generate_imbalanced_mixture
 from regroupbench.harness import rg_favorable_mixture
+from regroupbench.losses import softmax
 from regroupbench.regrouping import (
     RegroupError,
     RegroupPlan,
-    binarize_prediction,
-    collapse_prediction_multiclass,
     collapse_proba_matrix,
     compute_k,
     regroup_binary,
     regroup_multiclass,
-    save_plan_json,
 )
+
+
+def owners(group_counts):
+    """Original class of each pseudo id, by walking the group blocks."""
+    out = []
+    for c, g in enumerate(group_counts):
+        out.extend([c] * g)
+    return np.array(out)
 
 
 class TestComputeK:
@@ -106,90 +112,114 @@ class TestRegroupMulticlass:
         assert any("clamped" in w for w in plan.warnings)
 
     def test_invertibility(self):
+        # a one-hot pseudo row collapses to the class owning that pseudo id
         plan = RegroupPlan((1, 3, 6))
-        for c in range(3):
-            for j in range(plan.group_counts[c]):
-                assert plan.original_of(plan.pseudo_of(c, j)) == c
-
-    def test_pseudo_of_bounds(self):
-        plan = RegroupPlan((1, 2))
-        with pytest.raises(RegroupError):
-            plan.pseudo_of(0, 1)
-        with pytest.raises(RegroupError):
-            plan.original_of(3)
+        pred, scores = collapse_proba_matrix(np.eye(10), plan)
+        np.testing.assert_array_equal(pred, owners(plan.group_counts))
+        np.testing.assert_array_equal(scores, np.eye(3)[pred])
 
 
 class TestBinarize:
+    """The binary case of the one collapse: pseudo id 0 is the minority."""
+
     plan = RegroupPlan((1, 2))
 
     def test_positive(self):
-        assert binarize_prediction([0.6, 0.3, 0.1], self.plan) == (0, 0.6)
+        pred, scores = collapse_proba_matrix([[0.6, 0.3, 0.1]], self.plan)
+        assert pred[0] == 0 and scores[0, 0] == 0.6
 
     def test_negative(self):
-        assert binarize_prediction([0.2, 0.5, 0.3], self.plan) == (1, pytest.approx(0.2))
+        pred, scores = collapse_proba_matrix([[0.2, 0.5, 0.3]], self.plan)
+        assert pred[0] == 1 and scores[0, 0] == 0.2
 
     def test_tie_goes_positive(self):
-        assert binarize_prediction([0.5, 0.5, 0.0], self.plan) == (0, 0.5)
-
-    def test_malformed(self):
-        with pytest.raises(RegroupError):
-            binarize_prediction([0.5, 0.4], self.plan)
-        with pytest.raises(RegroupError):
-            binarize_prediction([0.9, 0.2, -0.1], self.plan)
-        with pytest.raises(RegroupError):
-            binarize_prediction([0.9, 0.3, 0.3], self.plan)
+        pred, scores = collapse_proba_matrix([[0.5, 0.5, 0.0]], self.plan)
+        assert pred[0] == 0 and scores[0, 0] == 0.5
 
 
 class TestCollapse:
     def test_worked_example(self):
         plan = RegroupPlan((1, 2))  # A -> [0], B -> [1, 2]
-        label, scores = collapse_prediction_multiclass([0.4, 0.35, 0.25], plan)
-        assert label == 0
-        np.testing.assert_allclose(scores, [0.4, 0.6])
+        pred, scores = collapse_proba_matrix([[0.4, 0.35, 0.25]], plan)
+        assert pred[0] == 0
+        np.testing.assert_allclose(scores, [[0.4, 0.6]])
 
     def test_identity_when_one_group_each(self):
         plan = RegroupPlan((1, 1, 1))
-        label, scores = collapse_prediction_multiclass([0.2, 0.5, 0.3], plan)
-        assert label == 1
-        np.testing.assert_allclose(scores, [0.2, 0.5, 0.3])
+        pred, scores = collapse_proba_matrix([[0.2, 0.5, 0.3]], plan)
+        assert pred[0] == 1
+        np.testing.assert_array_equal(scores, [[0.2, 0.5, 0.3]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scores_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         plan = RegroupPlan(tuple(rng.integers(1, 5, size=4)))
-        p = rng.random(plan.pseudo_num_classes)
-        p /= p.sum()
-        _, scores = collapse_prediction_multiclass(p, plan)
-        assert scores.sum() == pytest.approx(1.0, abs=1e-9)
+        P = rng.random((8, plan.pseudo_num_classes))
+        P /= P.sum(axis=1, keepdims=True)
+        _, scores = collapse_proba_matrix(P, plan)
+        np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_binary_decision_consistency(self):
+        # positive (0) exactly when the pseudo argmax is pseudo id 0; the AP
+        # score is the mass on pseudo id 0
         plan = RegroupPlan((1, 3))
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = rng.random(4)
-            p /= p.sum()
-            hard, _ = binarize_prediction(p, plan)
-            collapsed, _ = collapse_prediction_multiclass(p, plan)
-            assert hard == collapsed
+        P = rng.random((50, 4))
+        P /= P.sum(axis=1, keepdims=True)
+        pred, scores = collapse_proba_matrix(P, plan)
+        np.testing.assert_array_equal(pred == 0, np.argmax(P, axis=1) == 0)
+        np.testing.assert_array_equal(scores[:, 0], P[:, 0])
 
     def test_matrix_collapse_matches_rowwise(self):
+        # every row collapses on its own: the matrix result equals the
+        # results of the one-row matrices
         plan = RegroupPlan((1, 2, 3))
         rng = np.random.default_rng(1)
         P = rng.random((20, 6))
         P /= P.sum(axis=1, keepdims=True)
         pred, scores = collapse_proba_matrix(P, plan)
         for i in range(20):
-            label_i, scores_i = collapse_prediction_multiclass(P[i], plan)
-            assert pred[i] == label_i
-            np.testing.assert_allclose(scores[i], scores_i)
+            pred_i, scores_i = collapse_proba_matrix(P[i:i + 1], plan)
+            assert pred[i] == pred_i[0]
+            np.testing.assert_array_equal(scores[i], scores_i[0])
 
 
-def test_plan_json_dump(tmp_path):
-    ds = generate_imbalanced_mixture(rg_favorable_mixture(0))
-    _, plan = regroup_binary(ds, 5, seed=0)
-    p = tmp_path / "plan.json"
-    save_plan_json(plan, p)
-    doc = json.loads(p.read_text())
-    assert doc["group_counts"] == [1, 5]
-    assert doc["pseudo_to_original"] == [0, 1, 1, 1, 1, 1]
-    assert len(doc["centroids"]["1"]) == 5
+group_counts = st.lists(st.integers(1, 5), min_size=2, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=group_counts, n=st.integers(1, 30), scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_collapsed_scores_sum_to_one(counts, n, scale, seed):
+    plan = RegroupPlan(tuple(counts))
+    logits = scale * np.random.default_rng(seed).standard_normal((n, plan.pseudo_num_classes))
+    _, scores = collapse_proba_matrix(softmax(logits), plan)
+    assert scores.shape == (n, len(counts))
+    np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=group_counts, n=st.integers(1, 30), levels=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_prediction_is_owner_of_first_pseudo_argmax(counts, n, levels, seed):
+    # few distinct logits, so most rows hold ties; a tie goes to the lowest
+    # pseudo id, so a tie with pseudo id 0 predicts class 0
+    plan = RegroupPlan(tuple(counts))
+    logits = np.random.default_rng(seed).integers(0, levels, size=(n, plan.pseudo_num_classes))
+    P = softmax(logits.astype(np.float64))
+    pred, _ = collapse_proba_matrix(P, plan)
+    owner = owners(counts)
+    for row, label in zip(P, pred):
+        first = min(j for j in range(len(row)) if row[j] == row.max())
+        assert label == owner[first]
+        if row[0] == row.max():
+            assert label == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=group_counts)
+def test_one_hot_pseudo_rows_collapse_to_owner(counts):
+    plan = RegroupPlan(tuple(counts))
+    pred, scores = collapse_proba_matrix(np.eye(plan.pseudo_num_classes), plan)
+    np.testing.assert_array_equal(pred, owners(counts))
+    np.testing.assert_array_equal(scores, np.eye(len(counts))[owners(counts)])

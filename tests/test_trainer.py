@@ -18,9 +18,7 @@ from regroupbench.trainer import (
     batch_gradients,
     cosine_lr,
     init_params,
-    load_model_json,
     predict_proba,
-    save_model_json,
     train,
 )
 
@@ -275,19 +273,6 @@ class TestPredict:
         P = predict_proba(model, ds.features)
         acc = np.mean(np.argmax(P, axis=1) == ds.labels)
         assert acc == pytest.approx(history.train_accuracy[-1])
-
-
-def test_model_round_trip(tmp_path):
-    ds = separable_dataset()
-    model, _ = train(ds, MlpSpec(2, 2, (8,)), LossSpec("ce"), TrainConfig(epochs=2))
-    p = tmp_path / "model.json"
-    save_model_json(model, p)
-    back = load_model_json(p)
-    assert back.spec == model.spec
-    for a, b in zip(back.weights, model.weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(back.biases, model.biases):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_spec_validation():
