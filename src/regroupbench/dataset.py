@@ -6,6 +6,7 @@ positive/minority class, class 1 the majority class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -203,13 +204,17 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
     label column, named or given by index, is converted with label_type and
     every other column with float(). Blank lines are skipped; DatasetError
     names the physical line and the column of a bad cell.
+
+    Fast path: np.loadtxt in C, labels as objects (U<n> would truncate them);
+    ragged rows, U+001C..U+001F (float() rejects them) or a ValueError scan rows.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{path}: no such file")
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = (text := path.read_text(encoding="utf-8")).split("\n")
     first = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
-    if not any(ln.strip() for ln in lines[first + 1:]):
+    body = lines[first + 1:]
+    if not any(ln.strip() for ln in body):
         raise DatasetError(f"{path} has no data rows")
     header = lines[first].split(",")
     if isinstance(label_column, int):
@@ -222,9 +227,18 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
         raise DatasetError(f"{path}: no column besides {header[label_idx]!r}")
     feat_idx = [j for j in range(len(header)) if j != label_idx]
 
+    fields = [(f"c{j}", object if j == label_idx else float) for j in range(len(header))]
+    try:
+        if set(map(str.count, filter(None, body), repeat(","))) == {len(header) - 1} and not any(
+                c in text for c in "\x1c\x1d\x1e\x1f"):
+            table = np.loadtxt(body, delimiter=",", comments=None, dtype=fields, ndmin=1)
+            features = np.column_stack([table[f"c{j}"] for j in feat_idx])
+            return features, list(map(label_type, table[f"c{label_idx}"].tolist()))
+    except ValueError:
+        pass  # the row scan names the bad cell, or takes cells only float() accepts
     rows, labels = [], []
     try:
-        for lineno, line in enumerate(lines[first + 1:], first + 2):
+        for lineno, line in enumerate(body, first + 2):
             cells = line.split(",")
             if len(cells) != len(header):
                 if not line.strip():

@@ -95,6 +95,12 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        if any(d < 1 for d in self.hidden_dims):
+            raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if not isinstance(self.standardize, bool):
+            raise HarnessError(f"standardize must be true or false, got {self.standardize!r}")
 
 
 @dataclass(frozen=True)
@@ -447,7 +453,7 @@ def load_config(path) -> ExperimentConfig:
             methods=tuple(MethodKind(**m) for m in doc["methods"]),
             seeds=doc["seeds"],
             test_fraction=float(doc.get("test_fraction", 0.2)),
-            standardize=bool(doc.get("standardize", True)),
+            standardize=doc.get("standardize", True),
             hidden_dims=tuple(doc.get("hidden_dims", [32])),
             train=TrainConfig(**doc.get("train", {})),
             output_dir=doc.get("output_dir", "out"),

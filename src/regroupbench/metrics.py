@@ -131,7 +131,7 @@ def average_precision(y_true, scores) -> float:
     if n_pos == 0:
         raise MetricError("no positive samples")
 
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)  # tp and pp are read at block ends, so order within a block is moot
     s_sorted, y_sorted = s[order], y[order]
     block_end = np.flatnonzero(np.r_[s_sorted[:-1] != s_sorted[1:], True])
     tp = np.cumsum(y_sorted)[block_end]
@@ -151,13 +151,13 @@ def per_class_ap(y_true, proba) -> tuple[tuple[float | None, ...], float]:
     if not np.any((y >= 0) & (y < P.shape[1])):
         raise MetricError(f"none of the {P.shape[1]} score columns' classes occurs in y_true")
     aps: list[float | None] = []
-    for c in range(P.shape[1]):
+    for c, scores in enumerate(np.ascontiguousarray(P.T)):
         indicator = (y == c).astype(np.int64)
         if indicator.sum() == 0:
             warnings.warn(f"class {c} absent from y_true; AP undefined, excluded from macro")
             aps.append(None)
         else:
-            aps.append(average_precision(indicator, P[:, c]))
+            aps.append(average_precision(indicator, scores))
     defined = [a for a in aps if a is not None]
     macro = float(np.mean(defined))
     return tuple(aps), macro

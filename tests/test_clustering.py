@@ -271,3 +271,26 @@ def test_fit_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    per_blob=st.integers(2, 40),
+    dim=st.integers(1, 4),
+    data_seed=st.integers(0, 2**32 - 1),
+    fit_seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_on_separated_blobs_ignores_row_order(k, per_blob, dim, data_seed, fit_seed):
+    # k-means++ draws by row index and means sum rows in order, so bits may
+    # move; the partition may not, and the centroids only by rounding
+    rng = np.random.default_rng(data_seed)
+    means = 20.0 * rng.permutation(k)[:, None] + np.zeros(dim)
+    X = np.repeat(means, per_blob, axis=0) + 1e-3 * rng.standard_normal((k * per_blob, dim))
+    perm = rng.permutation(len(X))
+    a = kmeans_fit(X, k, seed=fit_seed)
+    b = kmeans_fit(X[perm], k, seed=fit_seed)
+    np.testing.assert_array_equal(b.assignments, a.assignments[perm])
+    np.testing.assert_allclose(b.centroids, a.centroids, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(a.assignments, np.repeat(np.argsort(np.argsort(means[:, 0])),
+                                                           per_blob))

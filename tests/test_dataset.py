@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -292,3 +294,112 @@ class TestStandardize:
         _, (test_std,), mean, std = standardize(train, [test])
         np.testing.assert_allclose(test_std.features, (test.features - mean) / std)
         assert abs(test_std.features.mean()) > 1e-10  # its own mean is not forced to zero
+
+
+def reference_read(text, label_idx, label_type):
+    """Independent reader: str.split(",") and float() over the non-blank
+    lines after the header (universal newlines, as Path.read_text reads)."""
+    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    feats = [[float(c) for j, c in enumerate(r) if j != label_idx] for r in rows]
+    X = np.array(feats, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    return X, [label_type(r[label_idx]) for r in rows]
+
+
+def float_cell(v, style):
+    if style == "repr":
+        return repr(v)
+    if style == "fixed":
+        return "%.3f" % v
+    if style == "sci17":
+        return "%.16e" % v
+    return f"{int(v) // 10}_{int(v) % 10}" if 10 <= abs(v) < 1e15 else repr(v)  # float() only
+
+
+@st.composite
+def csv_files(draw):
+    # quirks send the reader to its row scan: cells only float() accepts,
+    # whitespace-only lines, and U+001C, which loadtxt would strip
+    quirks = draw(st.sets(st.sampled_from(["underscore", "whitespace", "separator"])))
+    D = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, D))
+    label_type = draw(st.sampled_from([str, int]))
+    n = draw(st.integers(1, 25))
+    values = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=D,
+                                    max_size=D), min_size=n, max_size=n))
+    style = st.sampled_from(["repr", "fixed", "sci17"] + ["underscore"] * ("underscore" in quirks))
+    styles = draw(st.lists(style, min_size=n * D, max_size=n * D))
+    if label_type is int:
+        labels = [str(v) for v in draw(st.lists(st.integers(-5, 10**20), min_size=n, max_size=n))]
+    else:  # spaces, quotes, '#' and names longer than any fixed width
+        alphabet = ' ab#"\'é' + "\x1c" * ("separator" in quirks)
+        labels = draw(st.lists(st.text(alphabet, max_size=70), min_size=n, max_size=n))
+    fillers = ["", "  ", "\t"] if "whitespace" in quirks else [""]
+    lines = []
+    for i in range(n):
+        cells = [float_cell(v, styles[i * D + k]) for k, v in enumerate(values[i])]
+        cells.insert(label_idx, labels[i])
+        lines.append(",".join(cells))
+        lines.extend(draw(st.lists(st.sampled_from(fillers), max_size=1)))
+    header = ",".join(f"f{k}" for k in range(D + 1))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header, *lines]) + eol, label_idx, label_type
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_files())
+def test_read_csv_columns_matches_split_and_float(tmp_path, case):
+    # the C parse and the row scan each agree with the reference bit for bit;
+    # the C parse serves exactly the files without a quirk
+    text, label_idx, label_type = case
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode("utf-8"))
+    want_X, want_y = reference_read(text, label_idx, label_type)
+    parsed, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        parsed.append(len(table))
+        return table
+
+    with mock.patch.object(np, "loadtxt", side_effect=spy):
+        got = read_csv_columns(p, label_idx, label_type)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("forced row scan")):
+        scanned = read_csv_columns(p, label_idx, label_type)
+    quirky = any(c in text for c in "_\x1c") or any(
+        ln.strip() == "" != ln for ln in text.replace("\r\n", "\n").split("\n"))
+    assert parsed == ([] if quirky else [len(want_y)])
+    for X, y in (got, scanned):
+        assert X.dtype == np.float64 and X.shape == want_X.shape
+        assert X.tobytes() == want_X.tobytes()
+        assert y == want_y and [type(v) for v in y] == [type(v) for v in want_y]
+
+
+def test_bad_cell_after_many_good_rows_names_line_and_column(tmp_path):
+    p = tmp_path / "d.csv"
+    good = "\n".join(f"{i / 7!r},{i % 3},{i}" for i in range(10_000))
+    p.write_text(f"f0,label,f1\n{good}\n\n0.5,1,2x\n")
+    with pytest.raises(DatasetError) as err:
+        read_csv_columns(p, "label", int)
+    assert str(err.value) == (
+        f"{p}, line 10003: could not convert string to float: '2x' in column 'f1'"
+    )
+
+
+def test_separator_characters_are_left_to_float(tmp_path):
+    # loadtxt strips U+001C..U+001F around numbers and float() rejects them
+    p = tmp_path / "d.csv"
+    p.write_text("f0,label\n1.5,a\n\x1c2.5,b\n")
+    with pytest.raises(DatasetError, match=r"line 3: could not convert .* in column 'f0'"):
+        read_csv_columns(p, "label")
+
+
+@pytest.mark.parametrize("row", ["1,1", "1,1,B,extra"])
+def test_ragged_rows_are_kept_from_the_c_parse(tmp_path, row):
+    p = tmp_path / "d.csv"
+    p.write_text(f"f0,f1,label\n0,0,A\n{row}\n")
+    cells = row.count(",") + 1
+    with mock.patch.object(np, "loadtxt") as loadtxt, pytest.raises(
+            DatasetError, match=rf"line 3: {cells} cells, expected 3$"):
+        read_csv_columns(p, "label")
+    loadtxt.assert_not_called()

@@ -341,6 +341,11 @@ class TestCli:
             ({"dataset": {"parquet": "x"}}, "must have csv, builtin, or mixture key"),
             ({"hiden_dims": [8]}, "unknown keys ['hiden_dims']"),
             ({"seeds": ["a"]}, "seeds must be integers"),
+            ({"hidden_dims": [8, 0]}, "hidden_dims entries must be >= 1, got [8, 0]"),
+            ({"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
+            ({"test_fraction": 0}, "test_fraction must be in (0, 1), got 0.0"),
+            ({"standardize": "false"}, "standardize must be true or false, got 'false'"),
+            ({"standardize": 1}, "standardize must be true or false, got 1"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

@@ -246,3 +246,40 @@ def test_per_class_ap_tie_invariance_and_oracle(n, num_classes, levels, data_see
             perm[ranked] = shuffled
             assert np.array_equal(P[perm, c], P[:, c])
             assert per_class_ap(y[perm], P[perm])[0][c] == aps[c]
+
+
+def stable_block_tie_ap(indicator, scores):
+    """Reference: stable descending sort, precision and recall read after
+    each whole block of tied scores."""
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], indicator[order]
+    block_end = np.flatnonzero(np.r_[s[:-1] != s[1:], True])
+    tp = np.cumsum(y)[block_end]
+    return float(np.sum((np.diff(np.r_[0, tp]) / y.sum()) * (tp / (block_end + 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    num_classes=st.integers(2, 5),
+    levels=st.integers(1, 1001),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_per_class_ap_matches_stable_reference_and_ignores_row_order(n, num_classes, levels,
+                                                                    data_seed):
+    rng = np.random.default_rng(data_seed)
+    y = rng.integers(num_classes, size=n)
+    P = rng.integers(levels, size=(n, num_classes)) / 1000.0  # a 1/1000 grid: many ties
+    P[rng.random((n, num_classes)) < 0.5] *= -1.0  # -0.0 ties with 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        aps, macro = per_class_ap(y, P)
+        perm = rng.permutation(n)
+        assert per_class_ap(y[perm], P[perm]) == (aps, macro)
+    absent = [c for c in range(num_classes) if not np.any(y == c)]
+    assert [c for c in range(num_classes) if aps[c] is None] == absent
+    assert len(caught) == 2 * len(absent)
+    assert all(f"class {c} absent" in str(w.message) for w, c in zip(caught, absent * 2))
+    for c in range(num_classes):
+        if c not in absent:
+            assert aps[c] == stable_block_tie_ap((y == c).astype(np.int64), P[:, c])
