@@ -1,6 +1,6 @@
 """Time `regroupbench metrics` and its two kernels on a base and a head tree.
 
-    python scripts/bench_metrics_cli.py BASE_SRC HEAD_SRC [--rounds 10] [--out BENCH_metrics_cli.json]
+    python scripts/bench_metrics_cli.py BASE_SRC HEAD_SRC [--out BENCH_metrics_cli.json]
 
 BASE_SRC and HEAD_SRC are `src/` directories, for example of a `git worktree`
 of the parent commit and of this checkout. The input is the first prediction
@@ -32,6 +32,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import SCORE_CLASSES, SCORE_ROWS, score_matrix, write_prediction_csv  # noqa: E402
 
+ROUNDS = 10  # fresh interpreters per side, alternating which side goes first
 REPEATS = 3  # timed calls per interpreter, after one warm-up call
 SEED = 1201  # workload seed of the prediction file (score-csv's first file)
 
@@ -87,7 +88,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src")
     parser.add_argument("head_src")
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--out", default="BENCH_metrics_cli.json")
     args = parser.parse_args()
     sides = {"base": str(Path(args.base_src).resolve()), "head": str(Path(args.head_src).resolve())}
@@ -96,7 +96,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         pred = Path(tmp) / "pred.csv"
         write_prediction_csv(*score_matrix(SEED, 0), pred)
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side in (["base", "head"] if r % 2 == 0 else ["head", "base"]):
                 cmd = [sys.executable, __file__, "--measure", sides[side], str(pred)]
                 doc = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
@@ -110,7 +110,7 @@ def main() -> int:
         "environment": environment(),
         "input": f"score-csv prediction file (seed {SEED}, file 0): {SCORE_ROWS} rows x "
                  f"{SCORE_CLASSES} score columns in thousandths + integer truth column",
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "calls_per_round": REPEATS,
         "metrics_json_equal": True,
         "summary": {side: {name: quartiles(v) for name, v in s.items()} for side, s in samples.items()},
