@@ -1,4 +1,4 @@
-"""Deterministic k-means (k-means++ seeding, Lloyd iterations).
+"""Exact k-nearest search; deterministic k-means (k-means++ seeds, Lloyd).
 
 Determinism contract: a fixed (X, k, seed) always produces the same model,
 and converged clusters are renumbered by lexicographic centroid order so
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLOCK = 64  # rows per block of the exact fallback kernel
+_CELLS = 1 << 18  # cells per k_nearest block: (rows, m) screen, (rows, m, D) exact kernel
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
 
@@ -38,47 +38,62 @@ class KMeansModel:
         object.__setattr__(self, "assignments", a)
 
 
-def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances: the exact kernel whose argmin
-    `_assign` returns. It builds an (n, k, D) tensor, so `_assign` calls it
-    on row blocks only."""
-    diff = X[:, None, :] - centroids[None, :, :]
+def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances, the exact kernel `k_nearest` ranks
+    by; it builds an (n, m, D) tensor, so `k_nearest` calls it on row blocks."""
+    diff = X[:, None, :] - C[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid ids, ties -> lowest id: exactly
-    ``np.argmin(_sq_dists(X, centroids), axis=1)`` in O(n·k) memory.
+def k_nearest(X: np.ndarray, C: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+    """(n, k) ids of each X row's k nearest C rows, nearest first, ties ->
+    lowest id: exactly ``np.argsort(_sq_dists(X, C), axis=1, kind="stable")[:, :k]``
+    with NaN ranked first (k=1 is np.argmin) and, if exclude_self (X is C), an
+    inf diagonal. A block of rows holds about _CELLS distances.
 
-    Screen: G = ||c||^2 - 2 x.c from one matmul; it is the squared distance
-    less ||x||^2, which is the same along a row and cannot move the argmin.
-    G (up to that constant) and `_sq_dists` each lie within
-    b = gamma_{D+4} (||x|| + max||c||)^2 of the true squared distance
-    (underflow adds at most a few tiny). When a row's two smallest G values
-    differ by more than tol = 2 * 4b, the exact kernel has the same unique
-    winner: 4b covers both values under both forms, and the factor 2 covers
-    the rounding of gap, tol and the norms. The other rows (near-ties, and
-    rows where G or tol overflowed or went NaN) are recomputed with
-    `_sq_dists`, _BLOCK rows at a time.
+    Screen: G = ||c||^2 - 2 x.c is the squared distance less the row constant
+    ||x||^2; k+1 argmin passes (all but the last setting the winner to inf) give
+    a row's k+1 smallest G, ties low. G + ||x||^2 and `_sq_dists` each lie within
+    b = gamma_{D+4} (||x|| + max||c||)^2 (plus a few tiny) of the true value.
+    If each consecutive gap of the k+1 exceeds tol = 2 * 4b, the exact kernel
+    ranks the same k rows first, in order, untied: 4b covers both ends of a gap
+    under both forms, every other row is at or above the (k+1)-th, and the 2
+    covers rounding in gap, tol and the norms. Other rows (near-ties, under k+1
+    finite values, overflow, NaN) are recomputed by `_sq_dists` + stable argsort.
     """
-    n = X.shape[0]
-    cc = np.einsum("kd,kd->k", centroids, centroids)
-    G = X @ (-2.0 * centroids.T)
-    G += cc
-    rows = np.arange(n)
-    best = np.argmin(G, axis=1)
-    first = G[rows, best]
-    G[rows, best] = np.inf
-    gap = np.min(G, axis=1) - first
-    d = X.shape[1] + 4
-    gamma = d * _UNIT_ROUNDOFF / (1.0 - d * _UNIT_ROUNDOFF)
-    scale = np.sqrt(np.einsum("nd,nd->n", X, X)) + np.sqrt(cc.max())
-    tol = 8.0 * gamma * scale * scale + 4.0 * _TINY
-    unsure = np.flatnonzero(~((gap > tol) & (gap < np.inf)))  # NaN gaps are unsure
-    for start in range(0, unsure.size, _BLOCK):
-        idx = unsure[start:start + _BLOCK]
-        best[idx] = np.argmin(_sq_dists(X[idx], centroids), axis=1)  # argmin breaks ties low
-    return best
+    cc = np.einsum("kd,kd->k", C, C)
+    neg2ct = -2.0 * C.T
+    u = (X.shape[1] + 4) * _UNIT_ROUNDOFF
+    nearest = np.empty((len(X), k), dtype=np.intp)
+    sure = np.empty(len(X), dtype=bool)
+    step = max(1, _CELLS // len(C))
+    for start in range(0, len(X), step):
+        x = X[start:start + step]
+        rows = np.arange(len(x))
+        G = x @ neg2ct
+        G += cc
+        if exclude_self:
+            G[rows, start + rows] = np.inf
+        values = np.empty((len(x), k + 1))
+        for j in range(k):
+            best = np.argmin(G, axis=1)
+            nearest[start:start + step, j] = best
+            values[:, j] = G[rows, best]
+            G[rows, best] = np.inf
+        values[:, k] = G[rows, np.argmin(G, axis=1)]  # faster than np.min along short rows
+        scale = np.sqrt(np.einsum("nd,nd->n", x, x)) + np.sqrt(cc.max())
+        tol = 8.0 * u / (1.0 - u) * scale * scale + 4.0 * _TINY
+        gaps = np.diff(values, axis=1)  # NaN gaps are unsure
+        sure[start:start + step] = np.all((gaps > tol[:, None]) & (gaps < np.inf), axis=1)
+    unsure = np.flatnonzero(~sure)
+    step = max(1, _CELLS // C.size)
+    for idx in np.split(unsure, np.arange(step, unsure.size, step)):
+        d2 = _sq_dists(X[idx], C)
+        d2[np.isnan(d2)] = -np.inf  # NaN ranks nearest, as in np.argmin
+        if exclude_self:
+            d2[np.arange(idx.size), idx] = np.inf
+        nearest[idx] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest
 
 
 def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,13 +132,11 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
     if k > n_distinct:
         raise ClusteringError(f"k={k} exceeds {n_distinct} distinct rows")
 
-    rng = np.random.default_rng(seed)
-    centroids = _plusplus_init(X, k, rng)
+    centroids = _plusplus_init(X, k, np.random.default_rng(seed))
     trace = []
-    assignments = None
     iterations, converged, movement = 0, False, np.inf
     for iterations in range(1, max_iter + 1):
-        assignments = _assign(X, centroids)
+        assignments = k_nearest(X, centroids, 1)[:, 0]
         counts = np.bincount(assignments, minlength=k)
         if not counts.all():
             # empty-cluster repair in id order: reseed at the worst-fit point
@@ -152,7 +165,7 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
     # canonical ordering: renumber clusters lexicographically by centroid
     order = np.lexsort(centroids.T[::-1])
     centroids = centroids[order]
-    assignments = _assign(X, centroids)
+    assignments = k_nearest(X, centroids, 1)[:, 0]
     inertia = float(np.sum((X - centroids[assignments]) ** 2))
     return KMeansModel(
         centroids, assignments, inertia, iterations, tuple(trace), converged, float(movement)

@@ -204,8 +204,9 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
     every other column with float(). Blank lines are skipped; DatasetError
     names the physical line and the column of a bad cell.
     Fast path: np.loadtxt in C, labels as objects (U<n> would truncate them);
-    ragged rows, U+001C..U+001F (float() rejects them) or a ValueError scan
-    rows. That loadtxt takes no cell float() rejects was checked on numpy 2.4.6 only.
+    U+001C..U+001F (float() rejects them) or a ValueError (ragged or
+    whitespace-only rows, bad cells) scan rows. That loadtxt takes no cell
+    float() rejects and no row of another width was checked on numpy 2.4.6.
     """
     path = Path(path)
     if not path.is_file():
@@ -229,8 +230,7 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
 
     fields = [(f"c{j}", object if j == label_idx else float) for j in range(len(header))]
     try:
-        if {ln.count(",") for ln in body if ln} == {len(header) - 1} and not any(
-                c in text for c in "\x1c\x1d\x1e\x1f"):
+        if not any(c in text for c in "\x1c\x1d\x1e\x1f"):
             table = np.loadtxt(body, delimiter=",", comments=None, dtype=fields, ndmin=1)
             features = np.column_stack([table[f"c{j}"] for j in feat_idx])
             return features, list(map(label_type, table[f"c{label_idx}"].tolist()))

@@ -71,6 +71,20 @@ class MethodKind:
             raise HarnessError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
         if self.k_override is not None and self.k_override < 1:
             raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
+        self.loss_spec()  # the specs' own checks reject a bad hyperparameter here
+        if self.name in _RESAMPLERS:
+            ResampleSpec(_RESAMPLERS[self.name], k_neighbors=self.k_neighbors)
+
+    def loss_spec(self, class_counts: tuple[int, ...] = (1,)) -> LossSpec:
+        """The loss this method trains with, for a train split's class counts."""
+        if self.name == "WCE":
+            return LossSpec("wce", class_counts=class_counts)
+        if self.name == "Focal":
+            return LossSpec("focal", gamma=self.gamma)
+        if self.name == "LDAM":
+            return LossSpec("ldam", class_counts=class_counts, margin_scale=self.margin_scale,
+                            logit_scale=self.logit_scale)
+        return LossSpec("ce")
 
 
 @dataclass(frozen=True)
@@ -235,17 +249,9 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) 
         train_ds, (test_ds,), _, _ = standardize(train_ds, [test_ds])
 
     counts = train_ds.class_counts
-    loss, fit_ds, plan, k_groups = LossSpec("ce"), train_ds, None, None
-    if method.name == "WCE":
-        loss = LossSpec("wce", class_counts=counts)
-    elif method.name == "Focal":
-        loss = LossSpec("focal", gamma=method.gamma)
-    elif method.name == "LDAM":
-        loss = LossSpec("ldam", class_counts=counts, margin_scale=method.margin_scale,
-                        logit_scale=method.logit_scale)
-    elif method.name in _RESAMPLERS:
-        resampling = ResampleSpec(_RESAMPLERS[method.name], seed=seed + 2,
-                                  k_neighbors=method.k_neighbors)
+    loss, fit_ds, plan, k_groups = method.loss_spec(counts), train_ds, None, None
+    if method.name in _RESAMPLERS:
+        resampling = ResampleSpec(_RESAMPLERS[method.name], seed + 2, method.k_neighbors)
         fit_ds = resample(train_ds, resampling)
     elif method.name == "RG+CE":
         if ds.num_classes == 2:

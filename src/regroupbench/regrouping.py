@@ -18,16 +18,12 @@ class RegroupError(ValueError):
     """Raised for invalid regrouping inputs."""
 
 
-def _round_half_even(x: float) -> int:
-    return int(round(x))
-
-
 def compute_k(n_majority: int, n_minority: int) -> int:
     """Number of majority clusters = imbalance ratio, round-half-to-even,
     floored at 1."""
     if n_majority < 1 or n_minority < 1:
         raise RegroupError("class counts must be >= 1")
-    return max(1, _round_half_even(n_majority / n_minority))
+    return max(1, round(n_majority / n_minority))
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ def regroup_multiclass(train: Dataset, seed: int) -> tuple[Dataset, RegroupPlan]
     if train.num_classes < 2:
         raise RegroupError("need >= 2 classes")
     min_count = min(train.class_counts)
-    groups = [max(1, _round_half_even(c / min_count)) for c in train.class_counts]
+    groups = [max(1, round(c / min_count)) for c in train.class_counts]
     return _regroup(train, groups, seed)
 
 

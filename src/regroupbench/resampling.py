@@ -5,10 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import k_nearest
 from .dataset import Dataset
-
-
-_BLOCK = 64  # rows per block of the SMOTE neighbour search
 
 
 class ResampleError(ValueError):
@@ -26,20 +24,6 @@ class ResampleSpec:
             raise ResampleError(f"unknown resampling kind {self.kind!r}")
         if self.kind == "smote" and self.k_neighbors < 1:
             raise ResampleError("k_neighbors must be >= 1")
-
-
-def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) ids of each row's k nearest other rows (stable: ties -> lowest
-    id), searched in blocks of _BLOCK rows, so memory is O(_BLOCK·m·D)."""
-    m = rows.shape[0]
-    neighbors = np.empty((m, k), dtype=np.intp)
-    for start in range(0, m, _BLOCK):
-        block = rows[start:start + _BLOCK]
-        d2 = np.sum((block[:, None, :] - rows[None, :, :]) ** 2, axis=2)
-        own = np.arange(block.shape[0])
-        d2[own, start + own] = np.inf
-        neighbors[start:start + block.shape[0]] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return neighbors
 
 
 def resample(train: Dataset, spec: ResampleSpec) -> Dataset:
@@ -74,7 +58,7 @@ def resample(train: Dataset, spec: ResampleSpec) -> Dataset:
             parts = [rows]
             if deficit > 0:
                 k = min(spec.k_neighbors, count - 1)
-                neighbors = _nearest_neighbors(rows, k)
+                neighbors = k_nearest(rows, rows, k, exclude_self=True)
                 base = rng.integers(count, size=deficit)
                 pick = neighbors[base, rng.integers(k, size=deficit)]
                 u = rng.random(deficit)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regroupbench import clustering
 from regroupbench.clustering import (
     ClusteringError,
     KMeansModel,
-    _assign,
     _plusplus_init,
     _sq_dists,
+    k_nearest,
     kmeans_fit,
 )
 
@@ -133,21 +134,21 @@ class TestFit:
 class TestAssign:
     def test_centroid_maps_to_itself(self):
         model = kmeans_fit(FOUR_POINTS, 2, seed=0)
-        assert _assign(model.centroids[1][None, :], model.centroids)[0] == 1
+        assert k_nearest(model.centroids[1][None, :], model.centroids, 1)[0, 0] == 1
 
     def test_tie_goes_to_lowest_id(self):
         model = kmeans_fit(FOUR_POINTS, 2, seed=0)
         midpoint = np.array([[5.0, 0.5]])
-        assert _assign(midpoint, model.centroids)[0] == 0
+        np.testing.assert_array_equal(k_nearest(midpoint, model.centroids, 2), [[0, 1]])
 
     def test_self_consistency(self):
         X, _ = three_blobs(3)
         model = kmeans_fit(X, 3, seed=2)
-        np.testing.assert_array_equal(_assign(X, model.centroids), model.assignments)
+        np.testing.assert_array_equal(k_nearest(X, model.centroids, 1)[:, 0], model.assignments)
 
 
 def sample_points(rng, n, d, mode, exponent):
-    """Points that stress the assignment screen: exact ties on an integer
+    """Points that stress the k-nearest screen: exact ties on an integer
     lattice, duplicated rows, extreme scales, and overflow or NaN."""
     if mode == "lattice":
         X = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
@@ -161,6 +162,14 @@ def sample_points(rng, n, d, mode, exponent):
     return X
 
 
+def reference_k_nearest(X, C, k, exclude_self=False):
+    d2 = _sq_dists(X, C)
+    d2[np.isnan(d2)] = -np.inf  # as np.argmin ranks NaN
+    if exclude_self:
+        np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def reference_assign(X, centroids):
     return np.argmin(_sq_dists(X, centroids), axis=1)
 
@@ -168,39 +177,52 @@ def reference_assign(X, centroids):
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 150),
+    m=st.integers(1, 6),
     k=st.integers(1, 6),
     d=st.integers(1, 5),
     mode=st.sampled_from(["gauss", "lattice", "halves", "nonfinite"]),
     exponent=st.sampled_from([0, 0, 0, -300, -160, -150, 150, 155, 160, 300]),
     duplicate=st.booleans(),
     from_data=st.booleans(),
+    exclude_self=st.booleans(),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_screened_assign_equals_exact_argmin(
-    n, k, d, mode, exponent, duplicate, from_data, data_seed
+def test_k_nearest_equals_stable_argsort(
+    n, m, k, d, mode, exponent, duplicate, from_data, exclude_self, data_seed
 ):
     rng = np.random.default_rng(data_seed)
     X = sample_points(rng, n, d, mode, exponent)
-    if from_data:  # centroids on data points: distance-0 and lattice ties
-        C = X[rng.integers(n, size=k)].copy()
+    if exclude_self:  # C is X: each row's neighbours among the other rows
+        if duplicate and n > 1:
+            X[-1] = X[0]
+        C = X
+        k = min(k, max(1, n - 1))
     else:
-        C = sample_points(rng, k, d, "gauss" if mode == "nonfinite" else mode, exponent)
-    if duplicate and k > 1:
-        C[-1] = C[0]
+        if from_data:  # C on data points: distance-0 and lattice ties
+            C = X[rng.integers(n, size=m)].copy()
+        else:
+            C = sample_points(rng, m, d, "gauss" if mode == "nonfinite" else mode, exponent)
+        if duplicate and m > 1:
+            C[-1] = C[0]
+        k = min(k, m)
     with np.errstate(all="ignore"):
-        got = _assign(X, C)
-        want = reference_assign(X, C)
+        got = k_nearest(X, C, k, exclude_self=exclude_self)
+        want = reference_k_nearest(X, C, k, exclude_self)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
 
-def test_screened_assign_blocks_the_fallback():
+def test_screened_assign_blocks_the_fallback(monkeypatch):
     """All-tied rows fall back to the exact kernel across several blocks."""
+    monkeypatch.setattr(clustering, "_CELLS", 24)  # screen: 6 rows, fallback: 2 rows per block
     X = np.zeros((200, 3))
     C = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
-    np.testing.assert_array_equal(_assign(X, C), np.zeros(200, dtype=np.intp))
+    np.testing.assert_array_equal(k_nearest(X, C, 1)[:, 0], np.zeros(200, dtype=np.intp))
     X[150:] = [0.0, 2.0, 0.0]
-    np.testing.assert_array_equal(_assign(X, C), reference_assign(X, C))
+    np.testing.assert_array_equal(k_nearest(X, C, 3), reference_k_nearest(X, C, 3))
+    X = np.random.default_rng(0).integers(-1, 2, size=(50, 2)) * 1.0
+    np.testing.assert_array_equal(k_nearest(X, X, 4, exclude_self=True),
+                                  reference_k_nearest(X, X, 4, exclude_self=True))
 
 
 def reference_kmeans_fit(X, k, seed, max_iter=100, tol=1e-6):

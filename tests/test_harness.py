@@ -346,6 +346,9 @@ class TestCli:
             ({"test_fraction": 0}, "test_fraction must be in (0, 1), got 0.0"),
             ({"standardize": "false"}, "standardize must be true or false, got 'false'"),
             ({"standardize": 1}, "standardize must be true or false, got 1"),
+            ({"methods": [{"name": "SMOTE+CE", "k_neighbors": 0}]}, "k_neighbors must be >= 1"),
+            ({"methods": [{"name": "Focal", "gamma": -1}]}, "gamma must be >= 0"),
+            ({"methods": [{"name": "LDAM", "logit_scale": 0}]}, "logit_scale > 0"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
@@ -431,3 +434,32 @@ class TestCli:
         lines = (tmp_path / "o" / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row
         assert lines[1].split(",")[1] == "5"
+
+
+def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
+    """CE, SMOTE+CE and RG+CE on a 3-class CSV: SMOTE neighbours, multiclass
+    k-means and training all feed these bytes (wall_time_s blanked)."""
+    import hashlib
+
+    from regroupbench.cli import main
+
+    rng = np.random.default_rng(2024)
+    lines = ["f0,f1,f2,f3,f4,f5,f6,f7,label"]
+    for c, (count, blobs) in enumerate([(40, 1), (160, 2), (640, 4)]):
+        centres = 1.5 * rng.standard_normal((blobs, 8))
+        X = centres[rng.integers(blobs, size=count)] + rng.standard_normal((count, 8))
+        lines += [",".join(map(repr, row.tolist())) + f",{'abc'[c]}" for row in X]
+    monkeypatch.chdir(tmp_path)  # the config hash covers the CSV path
+    Path("data.csv").write_text("\n".join(lines) + "\n")
+    Path("cfg.json").write_text(json.dumps({
+        "dataset": {"csv": "data.csv"},
+        "methods": [{"name": "CE"}, {"name": "SMOTE+CE"}, {"name": "RG+CE"}],
+        "seeds": [0, 1], "hidden_dims": [8], "train": {"epochs": 2}, "output_dir": "out",
+    }))
+    assert main(["run", "--config", "cfg.json"]) == 0
+    rows = [line.split(",") for line in Path("out/results.csv").read_text().splitlines()]
+    for cells in rows[1:]:
+        cells[-2] = ""  # wall_time_s
+    text = "\n".join(",".join(cells) for cells in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f2b2cf4d3022eeac05a9ba7cd08698588523dc2a881c664b4a89ea5cd5a01da0")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regroupbench.clustering import k_nearest
 from regroupbench.dataset import Dataset, generate_imbalanced_mixture
 from regroupbench.harness import rg_favorable_mixture
 from regroupbench.resampling import ResampleError, ResampleSpec, resample
@@ -144,3 +145,45 @@ def test_smote_memory_is_bounded():
         tracemalloc.stop()
     assert out.class_counts == (2100, 2100)
     assert peak < 16 * 2**20
+
+
+def reference_nearest_neighbors(rows, k, block=64):
+    """The former SMOTE search: (m, k) ids of each row's k nearest other rows
+    (stable: ties -> lowest id), brute force in blocks of 64 rows."""
+    m = rows.shape[0]
+    neighbors = np.empty((m, k), dtype=np.intp)
+    for start in range(0, m, block):
+        part = rows[start:start + block]
+        d2 = np.sum((part[:, None, :] - rows[None, :, :]) ** 2, axis=2)
+        own = np.arange(part.shape[0])
+        d2[own, start + own] = np.inf
+        neighbors[start:start + part.shape[0]] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return neighbors
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 300),
+    dim=st.integers(1, 16),
+    mode=st.sampled_from(["gauss", "lattice", "duplicates"]),
+    k=st.integers(1, 8),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_smote_neighbours_equal_brute_force(m, dim, mode, k, data_seed):
+    rng = np.random.default_rng(data_seed)
+    if mode == "lattice":  # many tied distances
+        rows = rng.integers(-2, 3, size=(m, dim)) * 1.0
+    else:
+        rows = rng.standard_normal((m, dim))
+        if mode == "duplicates":  # distance-0 neighbours
+            rows = rows[rng.integers(max(1, m // 3), size=m)]
+    k = min(k, m - 1)
+    np.testing.assert_array_equal(k_nearest(rows, rows, k, exclude_self=True),
+                                  reference_nearest_neighbors(rows, k))
+
+
+def test_smote_neighbours_equal_brute_force_at_csv_scale():
+    # the size of the csv-scale benchmark's 1,200-row SMOTE class (D = 16)
+    rows = np.random.default_rng(7).standard_normal((1200, 16))
+    np.testing.assert_array_equal(k_nearest(rows, rows, 5, exclude_self=True),
+                                  reference_nearest_neighbors(rows, 5))
