@@ -71,11 +71,11 @@ class MethodKind:
             raise HarnessError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
         if self.k_override is not None and self.k_override < 1:
             raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
-        self.loss_spec()  # the specs' own checks reject a bad hyperparameter here
+        self.loss_spec((1,))  # the specs' own checks reject a bad hyperparameter here
         if self.name in _RESAMPLERS:
             ResampleSpec(_RESAMPLERS[self.name], k_neighbors=self.k_neighbors)
 
-    def loss_spec(self, class_counts: tuple[int, ...] = (1,)) -> LossSpec:
+    def loss_spec(self, class_counts: tuple[int, ...]) -> LossSpec:
         """The loss this method trains with, for a train split's class counts."""
         if self.name == "WCE":
             return LossSpec("wce", class_counts=class_counts)
