@@ -60,15 +60,19 @@ class HarnessError(ValueError):
 @dataclass(frozen=True)
 class MethodKind:
     name: str
-    gamma: float = 2.0            # Focal
-    margin_scale: float = 0.5     # LDAM
-    logit_scale: float = 30.0     # LDAM
-    k_neighbors: int = 5          # SMOTE
-    k_override: int | None = None  # RG+CE: force K instead of the imbalance-ratio rule
+    gamma: float = field(default=2.0, metadata={"method": "Focal"})
+    margin_scale: float = field(default=0.5, metadata={"method": "LDAM"})
+    logit_scale: float = field(default=30.0, metadata={"method": "LDAM"})
+    k_neighbors: int = field(default=5, metadata={"method": "SMOTE+CE"})
+    k_override: int | None = field(default=None, metadata={"method": "RG+CE"})  # forced K
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise HarnessError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
+        unused = [f.name for f in fields(self) if f.metadata.get("method", self.name) != self.name
+                  and getattr(self, f.name) != f.default]
+        if unused:  # a typo'd pairing would otherwise be silent and change config_hash
+            raise HarnessError(f"method {self.name} does not use {', '.join(unused)}")
         if self.k_override is not None and self.k_override < 1:
             raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
         self.loss_spec((1,))  # the specs' own checks reject a bad hyperparameter here

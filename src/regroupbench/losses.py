@@ -1,8 +1,9 @@
 """Multiclass training losses with analytic gradients: CE, inverse-frequency
 weighted CE, focal, and LDAM (margin) loss.
 
-loss_and_grad computes a batch's losses and logit gradients from one softmax;
-the other loss functions are checked wrappers over it.
+loss_and_grad computes a batch's losses and logit gradients from one softmax,
+loss_values the losses alone from the same log-softmax; the other loss
+functions are checked wrappers over these two.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 
 KINDS = ("ce", "wce", "focal", "ldam")
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
+_CHAIN_C = 8  # below this many classes numpy 2.4.6 folds each row in order
 
 
 class LossError(ValueError):
@@ -72,33 +74,59 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _row_reduce(op, A: np.ndarray, initial: float) -> np.ndarray:
+    """op.reduce(A, axis=1) for op np.maximum or np.add, bytes equal (np.maximum
+    may keep another NaN of a row whose NaNs differ in sign). Below _CHAIN_C
+    columns numpy folds each row left to right (a sum from +0.0), and this
+    column chain does the same several times faster."""
+    if A.shape[1] >= _CHAIN_C:
+        return op.reduce(A, axis=1)
+    out = op(A[:, 0], initial)
+    for j in range(1, A.shape[1]):
+        op(out, A[:, j], out=out)
+    return out
+
+
+def _softmax_values(Z: np.ndarray, y: np.ndarray, rows: np.ndarray, spec: LossSpec):
+    """The prefix both loss routines share: exp of the max-shifted (LDAM:
+    margin-shifted and scaled) logits, their row sums, and the losses."""
+    if spec.kind == "ldam":
+        Z = Z.copy()
+        Z[rows, y] -= spec._per_class[y]
+        Z *= spec.logit_scale
+    zs = Z - _row_reduce(np.maximum, Z, -np.inf)[:, None]
+    e = np.exp(zs)
+    s = _row_reduce(np.add, e, 0.0)
+    logp = zs[rows, y] - np.log(s)
+    if spec.kind == "wce":
+        return e, s, -spec._per_class[y] * logp
+    if spec.kind == "focal":
+        return e, s, -((1.0 - np.exp(logp)) ** spec.gamma) * logp
+    return e, s, -logp
+
+
+def loss_values(Z: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """loss_and_grad's per-sample losses, bytes equal, without the gradient.
+    Unchecked, as loss_and_grad."""
+    return _softmax_values(Z, y, np.arange(len(y)), spec)[2]
+
+
 def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
     """Per-sample losses (n,) and d loss / d logits (n, C) for (n, C) logits Z
     and labels y, from one shared softmax. Unchecked: y must lie in 0..C-1
     and Z must be finite float64."""
     rows = np.arange(len(y))
-    if spec.kind == "ldam":
-        Z = Z.copy()
-        Z[rows, y] -= spec._per_class[y]
-        Z *= spec.logit_scale
-    zs = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(zs)
-    s = e.sum(axis=1, keepdims=True)
-    logp = zs[rows, y] - np.log(s[:, 0])
-    P = e / s
+    e, s, values = _softmax_values(Z, y, rows, spec)
+    P = e / s[:, None]
     P[rows, y] -= 1.0  # P - onehot, the CE gradient
-    if spec.kind == "ce":
-        return -logp, P
     if spec.kind == "wce":
-        w = spec._per_class[y]
-        return -w * logp, w[:, None] * P
+        return values, spec._per_class[y][:, None] * P
     if spec.kind == "ldam":
-        return -logp, spec.logit_scale * P
-    values = -((1.0 - np.exp(logp)) ** spec.gamma) * logp  # focal
-    if spec.gamma == 0:  # degenerates to CE; avoids 0 * inf at p_y = 1
+        return values, spec.logit_scale * P
+    if spec.kind == "ce" or spec.gamma == 0:  # focal at gamma 0 is CE; avoids 0 * inf at p_y = 1
         return values, P
     # dL/dp_y * dp_y/dz, with dp_y/dz_j = p_y (1{j=y} - p_j)
-    py = e[rows, y] / s[:, 0]
+    py = e[rows, y] / s
     # Where p_y underflows (0 or subnormal, so 1/p_y may overflow) the factor
     # dL/dp_y * p_y tends to -1: those rows take the CE gradient, and 0.5
     # keeps log(p_y) and 1/p_y finite until they are overwritten.
@@ -137,7 +165,7 @@ def _checked(logits, labels):
 
 def batch_loss_values(logits: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Per-sample loss values for an (n, C) logit matrix."""
-    return loss_and_grad(*_checked(logits, labels), spec)[0]
+    return loss_values(*_checked(logits, labels), spec)
 
 
 def loss_value(logits, label: int, spec: LossSpec) -> float:

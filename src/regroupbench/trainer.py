@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LossError, LossSpec, batch_loss_values, loss_and_grad, softmax
+from .losses import LossError, LossSpec, loss_and_grad, loss_values, softmax
+
+_PASS_CELLS = 2**16  # activations (rows x layer widths) per group of the epoch-end pass
 
 
 class TrainingError(ValueError):
@@ -191,13 +193,9 @@ class _Stack:
         self.X = np.stack([ds.features[o] for ds, o in zip(self.datasets, orders)])
         self.y = np.stack([ds.labels[o] for ds, o in zip(self.datasets, orders)])
 
-    def model(self, row: int):
-        """Per-layer weight and bias views of one stack row."""
-        return [w[row] for w in self.weights], [b[row, 0] for b in self.biases]
-
-    def drop(self, errors: dict, results: list):
+    def drop(self, errors: dict, results: list) -> bool:
         """Store errors {row: TrainingDiverged} as their slices' results and
-        remove those rows from the stack."""
+        remove those rows from the stack; False if no row is left."""
         keep = np.ones(len(self.slots), dtype=bool)
         keep[list(errors)] = False
         for row, exc in errors.items():
@@ -208,6 +206,32 @@ class _Stack:
         self.X, self.y = self.X[keep], self.y[keep]
         if self.slots:
             self._bind()
+        return bool(self.slots)
+
+
+def _full_pass(st: _Stack, loss: LossSpec, epoch: int, lr: float, curves: list) -> dict:
+    """Epoch-end pass over each live slice's whole dataset: append its mean
+    loss, accuracy and lr to its curves, or return it as {row:
+    TrainingDiverged} if its logits are non-finite. Slices run in groups of
+    about _PASS_CELLS activations, so memory does not grow with S."""
+    n = st.datasets[0].n
+    size = max(1, _PASS_CELLS // (n * sum(st.dims)))
+    errors = {}
+    for lo in range(0, len(st.slots), size):
+        group = slice(lo, lo + size)
+        X = np.stack([ds.features for ds in st.datasets[group]])
+        y = np.stack([ds.labels for ds in st.datasets[group]])
+        logits = _forward(X, [w[group] for w in st.weights], [b[group] for b in st.biases])[0]
+        G, _, C = logits.shape
+        losses = loss_values(logits.reshape(G * n, C), y.ravel(), loss).reshape(G, n).mean(axis=1)
+        accuracy = (logits.argmax(axis=2) == y).mean(axis=1)
+        for row, bad, *fit in zip(range(lo, lo + G), _non_finite_rows(logits), losses, accuracy):
+            if bad:
+                errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
+                continue
+            for curve, value in zip(curves[st.slots[row]], (*fit, lr)):
+                curve.append(float(value))
+    return errors
 
 
 def _check_stack(datasets, specs, loss: LossSpec, cfgs):
@@ -268,41 +292,30 @@ def train(train_ds, spec, loss: LossSpec, cfg):
                 st.vel *= cfg.momentum
                 st.vel += st.grad
                 st.theta -= lr * st.vel
+                # A sum is finite only if every term is, so one finite sum clears
+                # all three checks; the loss check is each slice's own sum.
+                loss_sums = values.reshape(len(X), -1).sum(axis=1)
+                if np.isfinite(logits.sum() + loss_sums.sum() + st.theta[:, :n_weights].sum()):
+                    continue
                 checks = (
                     ("non-finite forward pass", ": non-finite logits", _non_finite_rows(logits)),
-                    ("non-finite loss", "", ~np.isfinite(values.reshape(len(X), -1).sum(axis=1))),
+                    ("non-finite loss", "", ~np.isfinite(loss_sums)),
                     ("non-finite parameters", "", _non_finite_rows(st.theta[:, :n_weights])),
                 )
-                if any(bad.any() for _, _, bad in checks):
-                    errors = {}
-                    for what, detail, bad in checks:
-                        for row in np.flatnonzero(bad):
-                            errors.setdefault(row, TrainingDiverged(
-                                f"{what} at epoch {epoch}, batch {start // size}{detail}"))
-                    st.drop(errors, results)
-                    if not st.slots:
-                        return results
-            # The epoch-end full pass runs slice by slice, so its memory does not grow with S.
-            errors = {}
-            for row, (slot, ds) in enumerate(zip(st.slots, st.datasets)):
-                logits = _forward(ds.features, *st.model(row))[0]
-                if not np.isfinite(logits).all():
-                    errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
-                    continue
-                loss_mean = batch_loss_values(logits, ds.labels, loss).mean()
-                accuracy = np.mean(np.argmax(logits, axis=1) == ds.labels)
-                for curve, value in zip(curves[slot], (loss_mean, accuracy, lr)):
-                    curve.append(float(value))
-            if errors:
-                st.drop(errors, results)
-                if not st.slots:
+                errors = {}
+                for what, detail, bad in checks:
+                    for row in np.flatnonzero(bad):
+                        errors.setdefault(row, TrainingDiverged(
+                            f"{what} at epoch {epoch}, batch {start // size}{detail}"))
+                if errors and not st.drop(errors, results):  # a sum can overflow: errors may be {}
                     return results
+            errors = _full_pass(st, loss, epoch, lr, curves)
+            if errors and not st.drop(errors, results):
+                return results
 
     for row, slot in enumerate(st.slots):
-        weights, biases = st.model(row)
-        model = TrainedModel(
-            specs[slot], tuple(w.copy() for w in weights), tuple(b.copy() for b in biases)
-        )
+        model = TrainedModel(specs[slot], tuple(w[row].copy() for w in st.weights),
+                             tuple(b[row, 0].copy() for b in st.biases))
         results[slot] = (model, TrainHistory(*(tuple(c) for c in curves[slot])))
     return results
 

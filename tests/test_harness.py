@@ -349,6 +349,14 @@ class TestCli:
             ({"methods": [{"name": "SMOTE+CE", "k_neighbors": 0}]}, "k_neighbors must be >= 1"),
             ({"methods": [{"name": "Focal", "gamma": -1}]}, "gamma must be >= 0"),
             ({"methods": [{"name": "LDAM", "logit_scale": 0}]}, "logit_scale > 0"),
+            ({"methods": [{"name": "CE", "gamma": -1}]}, "method CE does not use gamma"),
+            ({"methods": [{"name": "LDAM", "gamma": 1.0}]}, "method LDAM does not use gamma"),
+            ({"methods": [{"name": "Focal", "k_neighbors": 3}]},
+             "method Focal does not use k_neighbors"),
+            ({"methods": [{"name": "SMOTE+CE", "logit_scale": 1.0, "k_override": 2}]},
+             "method SMOTE+CE does not use logit_scale, k_override"),
+            ({"methods": [{"name": "RG+CE", "margin_scale": 0.3}]},
+             "method RG+CE does not use margin_scale"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

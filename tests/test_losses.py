@@ -2,14 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regroupbench.losses import (
+    KINDS,
     LossError,
     LossSpec,
+    _row_reduce,
     batch_loss_values,
     loss_and_grad,
     loss_gradient,
     loss_value,
+    loss_values,
     softmax,
 )
 
@@ -306,3 +312,53 @@ class TestWceRosEquivalence:
         draws = np.array(draws)
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - wce) <= 3 * se + 1e-12
+
+
+NEG_NAN = -np.float64(np.nan)  # the sign-set NaN that inf - inf gives on x86-64
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, NEG_NAN, 5e-324, -5e-324,
+           np.finfo(np.float64).tiny, -1e308, 1e308, -1.0, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.integers(1, 12).flatmap(lambda C: arrays(
+    np.float64, st.tuples(st.integers(1, 30), st.just(C)),
+    elements=st.one_of(st.sampled_from(SPECIAL), st.floats(width=64, allow_nan=False)))))
+# a max of zeros of both signs at C = 9: numpy's own reduction keeps -0.0 there,
+# where a column chain keeps +0.0
+@example(A=np.array([[-0.0, -1.0, -1.0, -0.0, -0.0, -np.inf, -1.0, -np.inf, 0.0]]))
+def test_row_reduce_equals_numpy_axis_reductions(A):
+    """The loss's row max and row sum: bytes equal to numpy's axis-1
+    reductions for every C, which pins the column-chain threshold."""
+    with np.errstate(all="ignore"):
+        assert _row_reduce(np.add, A, 0.0).tobytes() == A.sum(axis=1).tobytes()
+        top, ref = _row_reduce(np.maximum, A, -np.inf), A.max(axis=1)
+    # numpy's reduction and its elementwise maximum keep different NaNs of a
+    # row that holds both signs; a NaN logit fails the step either way
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(top), nan)
+    assert top[~nan].tobytes() == ref[~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    C=st.integers(2, 12),
+    n=st.integers(1, 40),
+    scale=st.sampled_from([0.1, 3.0, 400.0]),
+    zeros=st.floats(0.0, 0.5),
+    gamma=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_values_bits_equal_loss_and_grad(kind, C, n, scale, zeros, gamma, seed):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, C)) * scale
+    at_zero = rng.random((n, C)) < zeros  # rows whose max is a zero of either sign
+    Z[at_zero] = rng.choice([0.0, -0.0], size=at_zero.sum())
+    y = rng.integers(C, size=n)
+    counts = tuple(int(c) for c in rng.integers(1, 1000, size=C))
+    spec = LossSpec(kind, class_counts=counts if kind in ("wce", "ldam") else None, gamma=gamma)
+    with np.errstate(all="ignore"):  # focal's reference gives nan gradients at p_y = 0
+        values = loss_values(Z, y, spec)
+        assert values.tobytes() == loss_and_grad(Z, y, spec)[0].tobytes()
+        # and both equal the reference's axis-reduction softmax
+        assert values.tobytes() == reference_loss_and_grad(Z, y, spec)[0].tobytes()

@@ -1,12 +1,15 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regroupbench import trainer
 from regroupbench.dataset import Dataset
 from regroupbench.losses import LossSpec
 from regroupbench.regrouping import regroup_binary
@@ -301,9 +304,10 @@ def model_bytes(model):
     extra_rows=st.integers(0, 15),
     dim=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
+    group=st.integers(1, 5),
 )
 def test_stacked_training_matches_separate_calls_bit_for_bit(
-    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed
+    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, group
 ):
     rng = np.random.default_rng(seed)
     n = batch_size * full_batches + extra_rows % batch_size  # often a partial last batch
@@ -318,7 +322,9 @@ def test_stacked_training_matches_separate_calls_bit_for_bit(
         specs.append(MlpSpec(dim, 3, hidden, init_seed=int(rng.integers(1000))))
         cfgs.append(TrainConfig(lr_max=0.05, lr_min=0.001, epochs=2, batch_size=batch_size,
                                 weight_decay=weight_decay, shuffle_seed=int(rng.integers(1000))))
-    stacked = train(datasets, specs, loss, cfgs)
+    # the epoch-end pass runs `group` slices at a time, so groups straddle the stack
+    with mock.patch.object(trainer, "_PASS_CELLS", group * n * (dim + sum(hidden) + 3)):
+        stacked = train(datasets, specs, loss, cfgs)
     assert len(stacked) == S
     for (model, history), ds, spec, cfg in zip(stacked, datasets, specs, cfgs):
         alone, alone_history = train(ds, spec, loss, cfg)
@@ -356,12 +362,56 @@ def test_diverged_slice_leaves_the_stack_and_others_keep_their_bits():
     messages = check_against_separate_calls(datasets, specs, cfgs)
     assert messages == ["non-finite forward pass at epoch 0, batch 1: non-finite logits"]
 
-    # one batch per epoch: the huge slice's step is finite, its epoch-end pass is not
+    # one batch per epoch: the huge slice's step is finite, its epoch-end pass
+    # is not, in an epoch-end group of 1, 2 (shared with slice 0) and 3 slices
     datasets = [Dataset(np.array([[v, v], [-v, -v]]), [0, 1]) for v in (1.0, 1e200, 2.0)]
     specs = [MlpSpec(2, 2, (), init_seed=1)] * 3
     cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(3)]
+    for group in (1, 2, 3):
+        with mock.patch.object(trainer, "_PASS_CELLS", group * 2 * (2 + 2)):  # n x widths
+            messages = check_against_separate_calls(datasets, specs, cfgs)
+        assert messages == ["non-finite full-pass logits at epoch 0"]
+
+
+def test_slices_diverging_at_one_batch_keep_their_own_messages():
+    # three slices fail batch 0 of epoch 0, each through a different check
+    # (the cases of test_each_divergence_check_names_its_location), beside a
+    # slice that trains on
+    datasets = [Dataset(np.array(rows), [0, 1]) for rows in (
+        [[1e308, 1e308], [-1e308, -1e308]],  # logits overflow
+        [[1e308, 0.0], [-1e308, 0.0]],       # finite logits, -inf log-probability
+        [[100.0, 100.0], [-100.0, -100.0]],  # finite loss, lr * velocity overflows
+        [[1e-300, 1e-300], [-1e-300, -1e-300]],
+    )]
+    specs = [MlpSpec(2, 2, (), init_seed=1)] * 4
+    cfgs = [TrainConfig(lr_max=1e308, epochs=1, shuffle_seed=s) for s in range(4)]
     messages = check_against_separate_calls(datasets, specs, cfgs)
-    assert messages == ["non-finite full-pass logits at epoch 0"]
+    assert messages == [
+        "non-finite forward pass at epoch 0, batch 0: non-finite logits",
+        "non-finite loss at epoch 0, batch 0",
+        "non-finite parameters at epoch 0, batch 0",
+    ]
+
+
+def test_epoch_end_pass_memory_does_not_grow_with_the_stack():
+    n, D = 2000, 2
+
+    def peak(S):
+        rng = np.random.default_rng(0)
+        datasets = [Dataset(rng.standard_normal((n, D)), np.arange(n) % 2) for _ in range(S)]
+        specs = [MlpSpec(D, 2, (32,), init_seed=s) for s in range(S)]
+        cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(S)]
+        tracemalloc.start()
+        try:
+            train(datasets, specs, LossSpec("ce"), cfgs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # beyond one capped epoch-end group, only the (S, n, D) inputs and (S, n)
+    # labels of the epoch's shuffle grow with S; a pass over all 8 slices at
+    # once would add 7 * n * (2 + 32 + 2) * 8 B = 4 MB
+    assert peak(8) - peak(1) <= 7 * n * (D + 1) * 8 + trainer._PASS_CELLS * 8
 
 
 def test_epoch_end_overflow_is_reported_as_divergence():
