@@ -116,19 +116,21 @@ def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return X[np.array(centers)].copy()
 
 
-def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> KMeansModel:
+def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
+               _n_distinct: int | None = None) -> KMeansModel:
     """Lloyd's algorithm from k-means++ seeds.
 
     Stops when the max squared centroid displacement drops below tol
     (converged) or max_iter is reached (not converged); the last step's
     displacement is the model's final_shift. Empty clusters are
     reseeded at the point farthest from its assigned centroid, which keeps
-    all k ids in use and preserves the non-increasing inertia trace.
+    all k ids in use and preserves the non-increasing inertia trace. A caller
+    that has counted X's distinct rows passes the count as _n_distinct.
     """
     X = np.asarray(X, dtype=np.float64)
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
-    n_distinct = np.unique(X, axis=0).shape[0]
+    n_distinct = np.unique(X, axis=0).shape[0] if _n_distinct is None else _n_distinct
     if k > n_distinct:
         raise ClusteringError(f"k={k} exceeds {n_distinct} distinct rows")
 
@@ -143,6 +145,7 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> 
             for cid in range(k):
                 if counts[cid] == 0:
                     dists = np.sum((X - centroids[assignments]) ** 2, axis=1)
+                    dists[counts[assignments] < 2] = -np.inf  # never empty another cluster
                     worst = int(np.argmax(dists))
                     counts[assignments[worst]] -= 1
                     counts[cid] = 1

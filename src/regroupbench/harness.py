@@ -9,18 +9,21 @@ statistic before final evaluation.
 A method's cells are prepared for every seed first; those that agree on
 train size, layer dims and loss are trained as one seed stack (one `train`
 call), with per-seed results bit-identical to training them one by one.
-Each source is loaded once per grid and shared by its cells.
+Each source is loaded once per grid; method columns run in parallel.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath  # linked to the OpenBLAS numpy loaded
 
 from .dataset import (
     Dataset,
@@ -44,6 +47,7 @@ from .regrouping import (
 from .resampling import ResampleSpec, resample
 from .trainer import MlpSpec, TrainConfig, predict_proba, train
 
+_BLAS_PIN = "scipy_openblas_set_num_threads64_"  # numpy's OpenBLAS thread-count setter
 METHOD_NAMES = ("CE", "WCE", "Focal", "LDAM", "ROS+CE", "RUS+CE", "SMOTE+CE", "RG+CE")
 _RESAMPLERS = {"ROS+CE": "ros", "RUS+CE": "rus", "SMOTE+CE": "smote"}
 
@@ -353,6 +357,50 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict)
     return out
 
 
+def _column_weight(cfg: ExperimentConfig, method: MethodKind, ds: Dataset) -> float:
+    """Expected training work of a column: epochs x fit rows x sum of fan_in * fan_out."""
+    train = [c * (1.0 - cfg.test_fraction) for c in ds.class_counts]
+    fit = {"ROS+CE": max(train), "SMOTE+CE": max(train), "RUS+CE": min(train)}
+    rows = len(train) * fit[method.name] if method.name in fit else sum(train)
+    heads = sum(round(c / min(train)) for c in train) if method.name == "RG+CE" else len(train)
+    dims = (ds.dim, *cfg.hidden_dims, heads)
+    return cfg.train.epochs * rows * sum(a * b for a, b in zip(dims, dims[1:]))
+
+
+_worker_sources: dict = {}  # filled in pool workers only: the sources they inherit
+
+
+def _init_worker(pin, sources: dict) -> None:
+    pin(1)  # one BLAS thread per worker: the workers already fill the CPUs
+    _worker_sources.update(sources)
+
+
+def _worker_column(cfg: ExperimentConfig, method: MethodKind) -> list:
+    return _run_column(cfg, method, cfg.seeds, _worker_sources)
+
+
+def _run_columns(cfg: ExperimentConfig, sources: dict) -> list[list]:
+    """Each method's `_run_column` results, config order: heaviest first on a fork pool of
+    one worker per CPU, or in-process (one CPU or method, or no OpenBLAS to pin)."""
+    pin = getattr(ctypes.CDLL(_multiarray_umath.__file__), _BLAS_PIN, None)
+    workers = min(len(os.sched_getaffinity(0)), len(cfg.methods))
+    ds = next((d for d in sources.values() if isinstance(d, Dataset)), None)
+    if pin is None or workers < 2 or ds is None:
+        return [_run_column(cfg, m, cfg.seeds, sources) for m in cfg.methods]
+    import concurrent.futures
+    import multiprocessing
+
+    import numpy.ma  # noqa: F401  np.unique imports it lazily: once here, not per worker
+
+    pin.argtypes, pin.restype = [ctypes.c_int], None
+    fork = multiprocessing.get_context("fork")  # the workers inherit the sources unpickled
+    with concurrent.futures.ProcessPoolExecutor(workers, fork, _init_worker, (pin, sources)) as pool:
+        futures = {m: pool.submit(_worker_column, cfg, m)
+                   for m in sorted(cfg.methods, key=lambda m: -_column_weight(cfg, m, ds))}
+    return [[futures[m].exception()] * len(cfg.seeds) if futures[m].exception()
+            else futures[m].result() for m in cfg.methods]  # exception: BrokenProcessPool
+
+
 def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> ResultRow:
     """One grid cell; deterministic in (cfg, method, seed) except wall time.
     Raises what the cell fails with."""
@@ -402,9 +450,9 @@ def run_grid(cfg: ExperimentConfig):
     are recorded with their error string and the grid continues."""
     rows = []
     chash = config_hash(cfg)
-    sources = _load_sources(cfg.dataset, cfg.seeds)
-    for method in cfg.methods:
-        for seed, result in zip(cfg.seeds, _run_column(cfg, method, cfg.seeds, sources)):
+    columns = _run_columns(cfg, _load_sources(cfg.dataset, cfg.seeds))
+    for method, column in zip(cfg.methods, columns):
+        for seed, result in zip(cfg.seeds, column):
             if isinstance(result, Exception):
                 result = ResultRow(
                     method.name, seed, None, None, None, (), None, None, chash, 0.0,

@@ -41,10 +41,10 @@ class LossSpec:
         if self.kind in ("wce", "ldam"):
             if self.class_counts is None or any(c < 1 for c in self.class_counts):
                 raise LossError(f"{self.kind} needs strictly positive class_counts")
-        if self.gamma < 0:
-            raise LossError("gamma must be >= 0")
-        if self.margin_scale < 0 or self.logit_scale <= 0:
-            raise LossError("margin_scale must be >= 0 and logit_scale > 0")
+        if not 0 <= self.gamma < np.inf:  # written so that NaN fails too
+            raise LossError(f"gamma must be >= 0 and finite, got {self.gamma}")
+        if not (0 <= self.margin_scale < np.inf and 0 < self.logit_scale < np.inf):
+            raise LossError("margin_scale must be >= 0 and logit_scale > 0, both finite")
         if self.class_counts is not None:
             object.__setattr__(self, "class_counts", tuple(int(c) for c in self.class_counts))
         # wce weights or ldam margins: loss_and_grad indexes them on every batch

@@ -79,7 +79,7 @@ def _regroup(train: Dataset, group_counts: list[int], seed: int) -> tuple[Datase
                 g = n_distinct
                 group_counts[c] = g
         if g > 1:
-            model = kmeans_fit(rows, g, seed=seed + c)
+            model = kmeans_fit(rows, g, seed=seed + c, _n_distinct=n_distinct)
             models[c] = model
             pseudo[idx] = offset + model.assignments
         else:

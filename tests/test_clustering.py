@@ -101,6 +101,14 @@ class TestFit:
         model = kmeans_fit(X, 5, seed=9)
         assert set(model.assignments) == set(range(5))
 
+    def test_repair_empties_no_cluster_when_distances_underflow(self):
+        # every squared distance is 0, so each row ties for the worst fit
+        X = np.random.default_rng(0).standard_normal((3, 2)) * 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # mean of an empty cluster
+            model = kmeans_fit(X, 3, seed=0, max_iter=2)
+        assert np.unique(model.centroids, axis=0).shape == (3, 2)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_inertia_trace_non_increasing(self, seed):
         rng = np.random.default_rng(seed)
@@ -237,6 +245,7 @@ def reference_kmeans_fit(X, k, seed, max_iter=100, tol=1e-6):
         for cid in range(k):
             if not np.any(assignments == cid):
                 dists = np.sum((X - centroids[assignments]) ** 2, axis=1)
+                dists[np.bincount(assignments, minlength=k)[assignments] < 2] = -np.inf
                 worst = int(np.argmax(dists))
                 centroids[cid] = X[worst]
                 assignments[worst] = cid
@@ -269,7 +278,7 @@ def test_fit_bits_equal_reference_loop(n, k, d, mode, exponent, max_iter, data_s
     X = sample_points(np.random.default_rng(data_seed), n, d, mode, exponent)
     k = min(k, np.unique(X, axis=0).shape[0])
     with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", RuntimeWarning)  # mean of a cluster left empty
+        warnings.simplefilter("error", RuntimeWarning)  # no cluster is left empty
         model = kmeans_fit(X, k, seed=seed, max_iter=max_iter)
         centroids, assignments, inertia, iterations, trace, converged, shift = (
             reference_kmeans_fit(X, k, seed=seed, max_iter=max_iter)

@@ -1,10 +1,13 @@
 import json
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regroupbench.harness as harness
 from regroupbench.dataset import Dataset, DatasetError, save_csv_dataset
 from regroupbench.harness import (
     ExperimentConfig,
@@ -204,6 +207,109 @@ class TestSeedStacking:
             run_experiment(cfg, MethodKind("CE"), 0)
 
 
+MULTI_CPU = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                               reason="columns run in-process on one CPU")
+
+
+def grid_text(cfg, out_dir):
+    """results.csv of a grid, minus wall_time_s, and its aggregates."""
+    rows, aggs = run_grid(cfg)
+    results, _ = write_results(rows, aggs, out_dir)
+    return strip_timing(results.read_text()), aggs
+
+
+def raise_pid(*args):
+    raise RuntimeError(f"pid {os.getpid()}")
+
+
+class TestParallelColumns:
+    @pytest.mark.parametrize("case", ["clean", "failed cell", "diverged slice", "unreadable csv"])
+    def test_pooled_rows_equal_serial_rows(self, tmp_path, monkeypatch, case):
+        single = {"mixture": {"minority": {"mean": [0.0, 0.0], "stddev": 1.0, "count": 2},
+                              "majority_components": [{"mean": [5.0, 0.0], "stddev": 1.0,
+                                                       "count": 40}]}}
+        cfg = {
+            "clean": lambda: tiny_cfg(list(harness.METHOD_NAMES), seeds=(0, 1),
+                                      dataset={"builtin": "overlap"}),
+            # the minority train split has one sample: SMOTE has no neighbour
+            "failed cell": lambda: tiny_cfg(["SMOTE+CE", "CE", "RG+CE"], seeds=(0, 1),
+                                            dataset=single, test_fraction=0.5),
+            # some seeds of LDAM and RG+CE diverge inside their stacks, the rest train on
+            "diverged slice": lambda: replace(
+                tiny_cfg(["CE", "LDAM", "RG+CE"], seeds=(0, 1, 2)), hidden_dims=(8,),
+                train=TrainConfig(lr_max=1e150, epochs=5, batch_size=64)),
+            "unreadable csv": lambda: tiny_cfg(["CE", "RG+CE"], seeds=(0, 1),
+                                               dataset={"csv": str(tmp_path / "no.csv")}),
+        }[case]()
+        pooled, pooled_aggs = grid_text(cfg, tmp_path / "pooled")
+        monkeypatch.setattr(harness, "_BLAS_PIN", "no_such_symbol")
+        serial, serial_aggs = grid_text(cfg, tmp_path / "serial")
+        assert pooled == serial and pooled_aggs == serial_aggs
+        errors = [line.split(",")[-1] for line in pooled.splitlines()[1:]]
+        if case == "clean":
+            assert not any(errors)
+        elif case == "diverged slice":
+            assert "" in errors
+            assert any(e.startswith("TrainingDiverged: ") and " at epoch " in e for e in errors)
+        else:
+            assert any(e.startswith(("DatasetError: ", "ResampleError: ")) for e in errors)
+
+    @MULTI_CPU
+    def test_columns_run_in_worker_processes(self, monkeypatch):
+        monkeypatch.setattr(harness, "_prepare", raise_pid)
+        rows, _ = run_grid(tiny_cfg(["CE", "WCE", "Focal"], seeds=(0, 1)))
+        assert all(r.error.startswith("RuntimeError: pid ") for r in rows)
+        assert f"RuntimeError: pid {os.getpid()}" not in {r.error for r in rows}
+
+    def test_serial_without_blas_pin_or_with_one_column(self, monkeypatch):
+        monkeypatch.setattr(harness, "_prepare", raise_pid)
+        here = f"RuntimeError: pid {os.getpid()}"
+        rows, _ = run_grid(tiny_cfg(["RG+CE"], seeds=(0, 1)))
+        assert {r.error for r in rows} == {here}
+        monkeypatch.setattr(harness, "_BLAS_PIN", "no_such_symbol")
+        rows, _ = run_grid(tiny_cfg(["CE", "WCE", "Focal"], seeds=(0, 1)))
+        assert {r.error for r in rows} == {here}
+
+    @MULTI_CPU
+    def test_dead_worker_fails_its_cells_and_the_grid_returns(self, tmp_path, monkeypatch,
+                                                              capsys):
+        from regroupbench.cli import main
+
+        real_prepare = harness._prepare
+
+        def die_in_rg(cfg, method, seed, ds):
+            if method.name == "RG+CE":
+                os._exit(3)
+            return real_prepare(cfg, method, seed, ds)
+
+        monkeypatch.setattr(harness, "_prepare", die_in_rg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"builtin": "rg-favorable"}, "methods": [{"name": "CE"}, {"name": "RG+CE"}],
+            "seeds": [0, 1], "train": {"epochs": 2}, "output_dir": str(tmp_path / "out")}))
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(main(["run", "--config",
+                                                                     str(cfg_path)])))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive() and codes == [1]
+        lines = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        errors = {(line.split(",")[0], line.split(",")[-1].split(":")[0]) for line in lines}
+        assert ("RG+CE", "BrokenProcessPool") in errors
+        assert errors <= {("CE", ""), ("CE", "BrokenProcessPool"), ("RG+CE", "BrokenProcessPool")}
+        assert "FAILED RG+CE seed=0: BrokenProcessPool: " in capsys.readouterr().err
+
+    def test_column_weight_counts_fit_rows_and_layer_products(self):
+        ds = load_source({"builtin": "overlap"}, 0)  # 100 minority, 900 majority rows
+        cfg = replace(tiny_cfg(["CE"]), hidden_dims=(32,))
+        weight = {m: harness._column_weight(cfg, MethodKind(m), ds) for m in harness.METHOD_NAMES}
+        epochs, layers = FAST.epochs, 2 * 32 + 32 * 2
+        assert weight["CE"] == weight["LDAM"] == epochs * 800 * layers
+        assert weight["ROS+CE"] == weight["SMOTE+CE"] == epochs * 1440 * layers
+        assert weight["RUS+CE"] == epochs * 160 * layers
+        assert weight["RG+CE"] == epochs * 800 * (2 * 32 + 32 * 10)  # 1 + 9 heads
+
+
 class TestConfigIO:
     def test_load_config_round_trip(self, tmp_path):
         doc = {
@@ -357,6 +463,10 @@ class TestCli:
              "method SMOTE+CE does not use logit_scale, k_override"),
             ({"methods": [{"name": "RG+CE", "margin_scale": 0.3}]},
              "method RG+CE does not use margin_scale"),
+            ({"methods": [{"name": "Focal", "gamma": float("nan")}]},
+             "gamma must be >= 0 and finite, got nan"),
+            ({"methods": [{"name": "LDAM", "margin_scale": float("nan")}]}, "both finite"),
+            ({"methods": [{"name": "LDAM", "logit_scale": float("inf")}]}, "both finite"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

@@ -163,6 +163,12 @@ class TestLossValues:
         with pytest.raises(LossError):
             LossSpec("ldam", class_counts=(0, 5))
 
+    @pytest.mark.parametrize("field", ["gamma", "margin_scale", "logit_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hyperparameter_rejected(self, field, value):
+        with pytest.raises(LossError, match="finite"):
+            LossSpec("ldam", class_counts=COUNTS, **{field: value})
+
 
 class TestGradients:
     def test_ce_at_uniform(self):
