@@ -342,7 +342,7 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict)
         start = time.perf_counter()
         try:
             fitted = train([c.fit_ds for c in group], [c.spec for c in group], group[0].loss,
-                           [c.train_cfg for c in group])
+                           [c.train_cfg for c in group], curves=False)
         except Exception as exc:
             fitted = [exc] * len(group)
         train_s = (time.perf_counter() - start) / len(group)

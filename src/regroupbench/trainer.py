@@ -5,6 +5,9 @@ Training is single-threaded and fully deterministic: identical inputs and
 seeds produce bit-identical models. `train` fits one model or a stack of S
 same-shape models in one loop (batched matmul over (S, fan_in, fan_out)
 weights); each stacked model's bits equal those of its own one-model call.
+`train(..., curves=False)` skips the per-epoch loss and accuracy curves but
+keeps their divergence check, screened by an O(P) bound on the logits
+(`_logit_bound`): only models the bound cannot clear run the exact pass.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .dataset import Dataset
 from .losses import LossError, LossSpec, loss_and_grad, loss_values, softmax
 
 _PASS_CELLS = 2**16  # activations (rows x layer widths) per group of the epoch-end pass
+_LOGIT_LIMIT = 2.0**1000  # a `_logit_bound` below this clears the exact epoch-end pass
 
 
 class TrainingError(ValueError):
@@ -80,9 +84,10 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class TrainHistory:
-    train_loss: tuple[float, ...]      # full-pass loss at each epoch end
-    train_accuracy: tuple[float, ...]
-    learning_rate: tuple[float, ...]
+    train_loss: tuple[float, ...]      # full-pass loss at each epoch end; () without curves
+    train_accuracy: tuple[float, ...]  # full-pass accuracy at each epoch end; () without curves
+    learning_rate: tuple[float, ...]   # each epoch's lr
+    step_loss: tuple[float, ...]       # each epoch's mean per-sample loss over its SGD steps
 
 
 def cosine_lr(t: int, T: int, lr_max: float, lr_min: float = 0.0) -> float:
@@ -159,6 +164,17 @@ def batch_gradients(X, y, weights, biases, loss: LossSpec):
     return float(values.mean()), [g[0] for g in gw], [g[0, 0] for g in gb]
 
 
+def _logit_bound(x_max, weights, biases) -> np.ndarray:
+    """(S,) bound on each stacked model's max |logit| over inputs with max |x| <= x_max: per layer
+    b <- b * max_j sum_i |W_ij| + max |bias|, as ReLU is 1-Lipschitz. Rounding moves the float
+    logits and bound by a factor (1 + 2**-53)**(2 * layers * (fan_in + 2)) at most, far inside
+    max double / _LOGIT_LIMIT = 2**24: below the limit, no exact logit is inf or NaN."""
+    b = x_max
+    for w, c in zip(weights, biases):
+        b = b * np.abs(w).sum(axis=1).max(axis=1) + np.abs(c).max(axis=(1, 2))
+    return b
+
+
 def _non_finite_rows(a: np.ndarray) -> np.ndarray:
     """(S,) mask of the slices of a stacked array holding a non-finite entry."""
     return ~np.isfinite(a).reshape(len(a), -1).all(axis=1)
@@ -166,13 +182,14 @@ def _non_finite_rows(a: np.ndarray) -> np.ndarray:
 
 class _Stack:
     """The live slices of a stacked fit: parameters and velocities in (S, P)
-    buffers with per-layer views, plus each slice's dataset and shuffle RNG.
-    slots[row] is the index of the input slice that stack row holds."""
+    buffers with per-layer views, plus each slice's dataset, max |x|, shuffle
+    RNG and step-loss sum. slots[row] is the input slice that stack row holds."""
 
     def __init__(self, datasets, specs, cfgs):
         self.slots = list(range(len(specs)))
         self.dims = specs[0].layer_dims
         self.datasets = list(datasets)
+        self.x_max = np.array([np.abs(ds.features).max() for ds in self.datasets])
         self.theta = np.stack([
             np.concatenate([p.ravel() for layer in init_params(spec) for p in layer])
             for spec in specs
@@ -188,7 +205,8 @@ class _Stack:
 
     def shuffle(self):
         """Gather each slice's rows in its own order for the next epoch:
-        (S, n, D) inputs and (S, n) labels."""
+        (S, n, D) inputs and (S, n) labels; zero the step-loss sums."""
+        self.step_sum = np.zeros(len(self.slots))
         orders = [self.rngs[slot].permutation(ds.n) for slot, ds in zip(self.slots, self.datasets)]
         self.X = np.stack([ds.features[o] for ds, o in zip(self.datasets, orders)])
         self.y = np.stack([ds.labels[o] for ds, o in zip(self.datasets, orders)])
@@ -202,34 +220,34 @@ class _Stack:
             results[self.slots[row]] = exc
         self.slots = [slot for slot, k in zip(self.slots, keep) if k]
         self.datasets = [ds for ds, k in zip(self.datasets, keep) if k]
-        self.theta, self.vel = self.theta[keep], self.vel[keep]
-        self.X, self.y = self.X[keep], self.y[keep]
+        self.theta, self.vel, self.step_sum, self.x_max, self.X, self.y = (
+            a[keep] for a in (self.theta, self.vel, self.step_sum, self.x_max, self.X, self.y))
         if self.slots:
             self._bind()
         return bool(self.slots)
 
 
-def _full_pass(st: _Stack, loss: LossSpec, epoch: int, lr: float, curves: list) -> dict:
-    """Epoch-end pass over each live slice's whole dataset: append its mean
-    loss, accuracy and lr to its curves, or return it as {row:
-    TrainingDiverged} if its logits are non-finite. Slices run in groups of
+def _full_pass(st: _Stack, loss: LossSpec, epoch: int, rows, curves) -> dict:
+    """Exact epoch-end pass over the whole datasets of the given stack rows: append
+    each row's mean loss and accuracy to its slice's curves (if any), or return it
+    as {row: TrainingDiverged} if its logits are non-finite. Rows run in groups of
     about _PASS_CELLS activations, so memory does not grow with S."""
     n = st.datasets[0].n
     size = max(1, _PASS_CELLS // (n * sum(st.dims)))
     errors = {}
-    for lo in range(0, len(st.slots), size):
-        group = slice(lo, lo + size)
-        X = np.stack([ds.features for ds in st.datasets[group]])
-        y = np.stack([ds.labels for ds in st.datasets[group]])
+    for lo in range(0, len(rows), size):
+        group = rows[lo:lo + size]
+        X = np.stack([st.datasets[row].features for row in group])
+        y = np.stack([st.datasets[row].labels for row in group])
         logits = _forward(X, [w[group] for w in st.weights], [b[group] for b in st.biases])[0]
         G, _, C = logits.shape
         losses = loss_values(logits.reshape(G * n, C), y.ravel(), loss).reshape(G, n).mean(axis=1)
         accuracy = (logits.argmax(axis=2) == y).mean(axis=1)
-        for row, bad, *fit in zip(range(lo, lo + G), _non_finite_rows(logits), losses, accuracy):
+        for row, bad, *fit in zip(group, _non_finite_rows(logits), losses, accuracy):
             if bad:
                 errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
                 continue
-            for curve, value in zip(curves[st.slots[row]], (*fit, lr)):
+            for curve, value in zip(curves[st.slots[row]] if curves else (), fit):
                 curve.append(float(value))
     return errors
 
@@ -251,12 +269,15 @@ def _check_stack(datasets, specs, loss: LossSpec, cfgs):
         )
 
 
-def train(train_ds, spec, loss: LossSpec, cfg):
+def train(train_ds, spec, loss: LossSpec, cfg, *, curves: bool = True):
     """Mini-batch SGD with momentum; lr fixed within an epoch from the
     cosine schedule; last partial batch kept and averaged over its size.
 
     Returns (TrainedModel, TrainHistory). Raises TrainingDiverged with the
     offending epoch/batch if the logits, loss or weights go non-finite.
+    Without curves, train_loss and train_accuracy are () and the exact pass
+    runs only where `_logit_bound` fails: each model drops at the same epoch,
+    with the same message, or keeps the same bits as with curves.
 
     Stacked form: with equal-length sequences of datasets, specs and configs
     that agree on n, layer dims and every config field but shuffle_seed, all
@@ -266,7 +287,7 @@ def train(train_ds, spec, loss: LossSpec, cfg):
     the others go on; every slice's bits equal those of its own one-model call.
     """
     if isinstance(train_ds, Dataset):
-        (result,) = train([train_ds], [spec], loss, [cfg])
+        (result,) = train([train_ds], [spec], loss, [cfg], curves=curves)
         if isinstance(result, TrainingDiverged):
             raise result
         return result
@@ -278,7 +299,7 @@ def train(train_ds, spec, loss: LossSpec, cfg):
     n_weights = sum(i * o for i, o in zip(specs[0].layer_dims[:-1], specs[0].layer_dims[1:]))
     st = _Stack(datasets, specs, cfgs)
     results = [None] * len(specs)
-    curves = [([], [], []) for _ in specs]
+    fits, steps = [([], []) for _ in specs], [[] for _ in specs]  # per-epoch curves
 
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
@@ -295,6 +316,7 @@ def train(train_ds, spec, loss: LossSpec, cfg):
                 # A sum is finite only if every term is, so one finite sum clears
                 # all three checks; the loss check is each slice's own sum.
                 loss_sums = values.reshape(len(X), -1).sum(axis=1)
+                st.step_sum += loss_sums
                 if np.isfinite(logits.sum() + loss_sums.sum() + st.theta[:, :n_weights].sum()):
                     continue
                 checks = (
@@ -309,14 +331,19 @@ def train(train_ds, spec, loss: LossSpec, cfg):
                             f"{what} at epoch {epoch}, batch {start // size}{detail}"))
                 if errors and not st.drop(errors, results):  # a sum can overflow: errors may be {}
                     return results
-            errors = _full_pass(st, loss, epoch, lr, curves)
+            bound = _logit_bound(st.x_max, st.weights, st.biases)
+            rows = np.flatnonzero(curves | ~(bound < _LOGIT_LIMIT))  # a NaN bound fails too
+            errors = _full_pass(st, loss, epoch, rows, curves and fits) if rows.size else {}
             if errors and not st.drop(errors, results):
                 return results
+            for slot, total in zip(st.slots, st.step_sum.tolist()):
+                steps[slot].append(total / n)
 
+    lrs = tuple(cosine_lr(t, cfg.epochs, cfg.lr_max, cfg.lr_min) for t in range(cfg.epochs))
     for row, slot in enumerate(st.slots):
         model = TrainedModel(specs[slot], tuple(w[row].copy() for w in st.weights),
                              tuple(b[row, 0].copy() for b in st.biases))
-        results[slot] = (model, TrainHistory(*(tuple(c) for c in curves[slot])))
+        results[slot] = (model, TrainHistory(*map(tuple, fits[slot]), lrs, tuple(steps[slot])))
     return results
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import regroupbench.harness as harness
+from regroupbench import trainer
 from regroupbench.dataset import Dataset, DatasetError, save_csv_dataset
 from regroupbench.harness import (
     ExperimentConfig,
@@ -169,9 +170,9 @@ class TestSeedStacking:
         stacks = []
         real_train = harness.train
 
-        def spy(datasets, specs, loss, cfgs):
+        def spy(datasets, specs, loss, cfgs, **kwargs):
             stacks.append(sorted(spec.output_dim for spec in specs))
-            return real_train(datasets, specs, loss, cfgs)
+            return real_train(datasets, specs, loss, cfgs, **kwargs)
 
         monkeypatch.setattr(harness, "train", spy)
         cfg = tiny_cfg([MethodKind("RG+CE", k_override=4)], seeds=tuple(range(6)),
@@ -308,6 +309,55 @@ class TestParallelColumns:
         assert weight["ROS+CE"] == weight["SMOTE+CE"] == epochs * 1440 * layers
         assert weight["RUS+CE"] == epochs * 160 * layers
         assert weight["RG+CE"] == epochs * 800 * (2 * 32 + 32 * 10)  # 1 + 9 heads
+
+
+def huge_csv(path):
+    """Two classes near +-1e200: a one-batch step stays finite, and the
+    weights it leaves overflow some seeds' logits over the whole split."""
+    rng = np.random.default_rng(0)
+    lines = ["f0,f1,label"]
+    for c, (count, sign) in enumerate([(8, 1.0), (24, -1.0)]):
+        X = sign * 1e200 * (1.0 + 0.1 * rng.random((count, 2)))
+        lines += [",".join(map(repr, row.tolist())) + f",{'ab'[c]}" for row in X]
+    path.write_text("\n".join(lines) + "\n")
+    return {"csv": str(path)}
+
+
+class TestEpochEndScreen:
+    """Grids train without epoch-end curves: a logit bound stands in for the
+    exact pass over each training set, which runs only when the bound fails."""
+
+    def spy_full_pass(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLAS_PIN", "no_such_symbol")  # serial: calls stay here
+        calls = []
+        real_full_pass = trainer._full_pass
+
+        def spy(st, loss, epoch, rows, curves):
+            calls.append((epoch, list(rows)))
+            return real_full_pass(st, loss, epoch, rows, curves)
+
+        monkeypatch.setattr(trainer, "_full_pass", spy)
+        return calls
+
+    def test_clean_grid_never_runs_the_exact_pass(self, tmp_path, monkeypatch):
+        calls = self.spy_full_pass(monkeypatch)
+        text, _ = grid_text(tiny_cfg(list(harness.METHOD_NAMES), seeds=(0, 1),
+                                     dataset={"builtin": "overlap"}), tmp_path)
+        assert not any(line.split(",")[-1] for line in text.splitlines()[1:])
+        assert calls == []
+
+    def test_full_pass_overflow_reads_as_with_curves(self, tmp_path, monkeypatch):
+        calls = self.spy_full_pass(monkeypatch)
+        cfg = tiny_cfg(["CE", "ROS+CE"], seeds=(0, 1, 2), dataset=huge_csv(tmp_path / "h.csv"),
+                       standardize=False)
+        screened, _ = grid_text(cfg, tmp_path / "screened")
+        errors = [line.split(",")[-1] for line in screened.splitlines()[1:]]
+        assert errors == ["", "TrainingDiverged: non-finite full-pass logits at epoch 0", ""] * 2
+        assert calls  # the bound failed, and the exact pass found the overflow
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train",
+                            lambda *args, curves: real_train(*args, curves=True))
+        assert grid_text(cfg, tmp_path / "curves")[0] == screened
 
 
 class TestConfigIO:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -119,6 +120,18 @@ class TestTrain:
         _, history = train(ds, MlpSpec(2, 2), LossSpec("ce"), TrainConfig(epochs=7))
         assert len(history.train_loss) == 7
         assert len(history.learning_rate) == 7
+        assert len(history.step_loss) == 7
+
+    def test_step_loss_and_history_without_curves(self):
+        ds = separable_dataset()
+        spec = MlpSpec(2, 2, (8,), init_seed=3)
+        cfg = TrainConfig(lr_max=0.0, epochs=3, batch_size=16)
+        _, full = train(ds, spec, LossSpec("ce"), cfg)
+        # lr 0 never moves the parameters, so the steps of an epoch (12 batches
+        # of 16, one of 8) see the same model as its full pass
+        assert full.step_loss == pytest.approx(full.train_loss, rel=1e-12)
+        _, lean = train(ds, spec, LossSpec("ce"), cfg, curves=False)
+        assert lean == replace(full, train_loss=(), train_accuracy=())
 
     def test_divergence_reported_with_location(self):
         ds = separable_dataset()
@@ -293,6 +306,11 @@ def model_bytes(model):
     return [a.tobytes() for a in (*model.weights, *model.biases)]
 
 
+def lean_history(history, curves):
+    """The history a curves=False call returns, from its curves=True one."""
+    return history if curves else replace(history, train_loss=(), train_accuracy=())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     S=st.integers(1, 5),
@@ -305,9 +323,10 @@ def model_bytes(model):
     dim=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     group=st.integers(1, 5),
+    curves=st.booleans(),
 )
 def test_stacked_training_matches_separate_calls_bit_for_bit(
-    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, group
+    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, group, curves
 ):
     rng = np.random.default_rng(seed)
     n = batch_size * full_batches + extra_rows % batch_size  # often a partial last batch
@@ -324,20 +343,20 @@ def test_stacked_training_matches_separate_calls_bit_for_bit(
                                 weight_decay=weight_decay, shuffle_seed=int(rng.integers(1000))))
     # the epoch-end pass runs `group` slices at a time, so groups straddle the stack
     with mock.patch.object(trainer, "_PASS_CELLS", group * n * (dim + sum(hidden) + 3)):
-        stacked = train(datasets, specs, loss, cfgs)
+        stacked = train(datasets, specs, loss, cfgs, curves=curves)
     assert len(stacked) == S
     for (model, history), ds, spec, cfg in zip(stacked, datasets, specs, cfgs):
         alone, alone_history = train(ds, spec, loss, cfg)
         assert model.spec == spec
-        assert history == alone_history
+        assert history == lean_history(alone_history, curves)
         assert model_bytes(model) == model_bytes(alone)
 
 
-def check_against_separate_calls(datasets, specs, cfgs):
-    """Train a stack and each slice alone; survivors must match bit for bit
-    and diverged slices carry the error their own call raises. Returns the
-    error messages of the diverged slices."""
-    results = train(datasets, specs, LossSpec("ce"), cfgs)
+def check_against_separate_calls(datasets, specs, cfgs, curves=True):
+    """Train a stack (with or without curves) and each slice alone (with);
+    survivors must match bit for bit and diverged slices carry the error
+    their own call raises. Returns the error messages of the diverged slices."""
+    results = train(datasets, specs, LossSpec("ce"), cfgs, curves=curves)
     messages = []
     for result, ds, spec, cfg in zip(results, datasets, specs, cfgs):
         try:
@@ -347,7 +366,7 @@ def check_against_separate_calls(datasets, specs, cfgs):
             messages.append(str(result))
             assert str(result) == str(exc)
             continue
-        assert result[1] == alone[1]
+        assert result[1] == lean_history(alone[1], curves)
         assert model_bytes(result[0]) == model_bytes(alone[0])
     return messages
 
@@ -359,17 +378,19 @@ def test_diverged_slice_leaves_the_stack_and_others_keep_their_bits():
     specs = [MlpSpec(2, 2, (4,), init_seed=s) for s in range(4)]
     cfgs = [TrainConfig(lr_max=0.1, epochs=3, batch_size=16, shuffle_seed=s) for s in range(4)]
     # slice 1's logits overflow at its second step; the others train on
-    messages = check_against_separate_calls(datasets, specs, cfgs)
-    assert messages == ["non-finite forward pass at epoch 0, batch 1: non-finite logits"]
+    for curves in (True, False):
+        messages = check_against_separate_calls(datasets, specs, cfgs, curves)
+        assert messages == ["non-finite forward pass at epoch 0, batch 1: non-finite logits"]
 
     # one batch per epoch: the huge slice's step is finite, its epoch-end pass
-    # is not, in an epoch-end group of 1, 2 (shared with slice 0) and 3 slices
+    # is not, in an epoch-end group of 1, 2 (shared with slice 0) and 3 slices;
+    # without curves, only the huge slice fails the logit bound and runs the pass
     datasets = [Dataset(np.array([[v, v], [-v, -v]]), [0, 1]) for v in (1.0, 1e200, 2.0)]
     specs = [MlpSpec(2, 2, (), init_seed=1)] * 3
     cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(3)]
-    for group in (1, 2, 3):
+    for group, curves in itertools.product((1, 2, 3), (True, False)):
         with mock.patch.object(trainer, "_PASS_CELLS", group * 2 * (2 + 2)):  # n x widths
-            messages = check_against_separate_calls(datasets, specs, cfgs)
+            messages = check_against_separate_calls(datasets, specs, cfgs, curves)
         assert messages == ["non-finite full-pass logits at epoch 0"]
 
 
@@ -418,8 +439,53 @@ def test_epoch_end_overflow_is_reported_as_divergence():
     # the batch step's logits are finite, the updated weights too, but the
     # epoch-end full pass overflows
     huge = Dataset(np.array([[1e200, 1e200], [-1e200, -1e200]]), [0, 1])
-    with pytest.raises(TrainingDiverged, match=r"^non-finite full-pass logits at epoch 0$"):
-        train(huge, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1))
+    for curves in (True, False):
+        with pytest.raises(TrainingDiverged, match=r"^non-finite full-pass logits at epoch 0$"):
+            train(huge, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1),
+                  curves=curves)
+
+
+def random_stack(data):
+    """A stack of S models with random layer scales up to about 1e150 and
+    inputs with scales from 1e-300 to 1e200: ((S, n, D) inputs, (S,) max |x|,
+    weights, biases), in `trainer._forward`'s stacked layout."""
+    hidden = data.draw(st.sampled_from([(), (8,), (6, 4)]))
+    S, n, D, C = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)), 3, 3
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = (D, *hidden, C)
+    scale = st.floats(-300, 200).map(lambda e: 10.0**e)
+    X = np.stack([rng.standard_normal((n, D)) * data.draw(scale) for _ in range(S)])
+    if data.draw(st.booleans()):  # every |x| at its maximum: the bound can be tight
+        X = np.abs(X).max(axis=(1, 2), keepdims=True) * np.sign(X)
+    weight_scale = st.floats(-5, 150).map(lambda e: 10.0**e)
+    weights = [rng.standard_normal((S, i, o)) * data.draw(weight_scale)
+               for i, o in zip(dims[:-1], dims[1:])]
+    biases = [rng.standard_normal((S, 1, o)) * data.draw(weight_scale) for o in dims[1:]]
+    return X, np.abs(X).max(axis=(1, 2)), weights, biases
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_logit_bound_is_never_below_max_logit(data):
+    X, x_max, weights, biases = random_stack(data)
+    with np.errstate(all="ignore"):
+        logits = trainer._forward(X, weights, biases)[0]
+        bound = trainer._logit_bound(x_max, weights, biases)
+        top = np.abs(logits).max(axis=(1, 2))
+        top[np.isnan(top)] = np.inf  # inf - inf in a layer: an overflow
+        # up to rounding: a few units in the last place, far inside the
+        # 2**24 margin of _LOGIT_LIMIT
+        assert np.all(top <= bound * (1 + 2**-30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_slices_the_logit_bound_clears_have_finite_logits(data):
+    X, x_max, weights, biases = random_stack(data)
+    with np.errstate(all="ignore"):
+        logits = trainer._forward(X, weights, biases)[0]
+        cleared = trainer._logit_bound(x_max, weights, biases) < trainer._LOGIT_LIMIT
+    assert np.isfinite(logits[cleared]).all()
 
 
 def test_stack_must_agree_on_shapes_and_schedule():
