@@ -10,20 +10,15 @@ one hidden layer of 32, batch 64, and C = 2 (the binary methods) or C = 10
 
 - `step_S{1,8}_C{2,10}`: µs per model-step, the wall time of one `train`
   call of S stacked models over EPOCHS epochs divided by S × steps. Each
-  epoch's end-of-epoch pass is included, as in a real fit.
-- `pass_S8_C{2,10}`: the epoch-end pass over 8 slices, in µs per slice.
-  A tree with `trainer._full_pass` is timed through it; an older tree
-  through its per-slice loop (`_forward`, the finiteness test,
-  `batch_loss_values(...).mean()` and the argmax accuracy).
+  epoch's end-of-epoch divergence check is included, as in a real fit.
 - `loss_and_grad_512x{2,10}`: one `losses.loss_and_grad` call on 512 rows of
   logits, in µs.
 
 Each round runs one fresh interpreter per side, alternating which side goes
 first; each interpreter makes one warm-up call per point before its timed
-calls. Both sides must give the same bytes: trained weights, biases and
-histories, the pass's losses and accuracies, and the loss values and
-gradients. The output file holds the environment, every sample, and the
-median and quartiles per side.
+calls. Both sides must give the same bytes: trained weights, biases, learning
+rates and step losses, and the loss values and gradients. The output file
+holds the environment, every sample, and the median and quartiles per side.
 """
 from __future__ import annotations
 
@@ -70,29 +65,8 @@ def measure(src: str) -> dict:
             out = []
             for model, history in trainer.train(datasets, specs, losses.LossSpec("ce"), cfgs):
                 out += [a.tobytes() for a in (*model.weights, *model.biases)]
-                out.append(repr(history).encode())
+                out.append(repr((history.learning_rate, history.step_loss)).encode())
             return out
-        return call
-
-    def full_pass(C):
-        st = trainer._Stack(*stack(8, C))
-        loss = losses.LossSpec("ce")
-        if hasattr(trainer, "_full_pass"):
-            def call():
-                curves = [([], [], []) for _ in st.slots]
-                trainer._full_pass(st, loss, 0, 0.01, curves)
-                return [repr(c).encode() for c in curves]
-        else:
-            def call():
-                out = []
-                for row, ds in enumerate(st.datasets):
-                    logits = trainer._forward(ds.features, *st.model(row))[0]
-                    if not np.isfinite(logits).all():
-                        raise RuntimeError("non-finite full-pass logits")
-                    value = trainer.batch_loss_values(logits, ds.labels, loss).mean()
-                    accuracy = np.mean(np.argmax(logits, axis=1) == ds.labels)
-                    out.append(repr(([float(value)], [float(accuracy)], [0.01])).encode())
-                return out
         return call
 
     def loss_and_grad(C):
@@ -106,8 +80,6 @@ def measure(src: str) -> dict:
         for S in (1, 8):
             calls[f"step_S{S}_C{C}"] = fit(S, C)
             per_call[f"step_S{S}_C{C}"] = S * EPOCHS * -(-N // BATCH)
-        calls[f"pass_S8_C{C}"] = full_pass(C)
-        per_call[f"pass_S8_C{C}"] = 8
         calls[f"loss_and_grad_{LOSS_ROWS}x{C}"] = loss_and_grad(C)
         per_call[f"loss_and_grad_{LOSS_ROWS}x{C}"] = 1
     samples, digests = {}, {}
@@ -164,8 +136,7 @@ def main() -> int:
         "environment": environment(),
         "input": f"n = {N} rows, D = {D}, hidden {HIDDEN}, batch {BATCH}, {EPOCHS} epochs, "
                  "CE; one Gaussian blob per class; step = train() wall / (S x steps), "
-                 "epoch-end passes included; pass = epoch-end pass per slice at S = 8; "
-                 f"loss_and_grad on {LOSS_ROWS} rows",
+                 f"epoch-end checks included; loss_and_grad on {LOSS_ROWS} rows",
         "rounds": ROUNDS,
         "calls_per_round": REPEATS,
         "bytes_equal": True,

@@ -48,8 +48,11 @@ from .resampling import ResampleSpec, resample
 from .trainer import MlpSpec, TrainConfig, predict_proba, train
 
 _BLAS_PIN = "scipy_openblas_set_num_threads64_"  # numpy's OpenBLAS thread-count setter
-METHOD_NAMES = ("CE", "WCE", "Focal", "LDAM", "ROS+CE", "RUS+CE", "SMOTE+CE", "RG+CE")
-_RESAMPLERS = {"ROS+CE": "ros", "RUS+CE": "rus", "SMOTE+CE": "smote"}
+METHODS = {  # name -> (loss kind, train-set transform: a resampling kind, "regroup" or None)
+    "CE": ("ce", None), "WCE": ("wce", None), "Focal": ("focal", None), "LDAM": ("ldam", None),
+    "ROS+CE": ("ce", "ros"), "RUS+CE": ("ce", "rus"), "SMOTE+CE": ("ce", "smote"),
+    "RG+CE": ("ce", "regroup"),
+}
 
 RESULTS_HEADER = (
     "method,seed,accuracy,balanced_accuracy,macro_ap,ap_per_class,K,train_size,"
@@ -71,8 +74,8 @@ class MethodKind:
     k_override: int | None = field(default=None, metadata={"method": "RG+CE"})  # forced K
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise HarnessError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
+        if self.name not in METHODS:
+            raise HarnessError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
         unused = [f.name for f in fields(self) if f.metadata.get("method", self.name) != self.name
                   and getattr(self, f.name) != f.default]
         if unused:  # a typo'd pairing would otherwise be silent and change config_hash
@@ -80,19 +83,15 @@ class MethodKind:
         if self.k_override is not None and self.k_override < 1:
             raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
         self.loss_spec((1,))  # the specs' own checks reject a bad hyperparameter here
-        if self.name in _RESAMPLERS:
-            ResampleSpec(_RESAMPLERS[self.name], k_neighbors=self.k_neighbors)
+        if METHODS[self.name][1] not in (None, "regroup"):
+            ResampleSpec(METHODS[self.name][1], k_neighbors=self.k_neighbors)
 
     def loss_spec(self, class_counts: tuple[int, ...]) -> LossSpec:
-        """The loss this method trains with, for a train split's class counts."""
-        if self.name == "WCE":
-            return LossSpec("wce", class_counts=class_counts)
-        if self.name == "Focal":
-            return LossSpec("focal", gamma=self.gamma)
-        if self.name == "LDAM":
-            return LossSpec("ldam", class_counts=class_counts, margin_scale=self.margin_scale,
-                            logit_scale=self.logit_scale)
-        return LossSpec("ce")
+        """The loss this method trains with, for a train split's class counts.
+        A hyperparameter the method does not use sits at its default."""
+        kind = METHODS[self.name][0]
+        return LossSpec(kind, class_counts if kind in ("wce", "ldam") else None, self.gamma,
+                        self.margin_scale, self.logit_scale)
 
 
 @dataclass(frozen=True)
@@ -256,12 +255,9 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) 
     if cfg.standardize:
         train_ds, (test_ds,), _, _ = standardize(train_ds, [test_ds])
 
-    counts = train_ds.class_counts
+    counts, transform = train_ds.class_counts, METHODS[method.name][1]
     loss, fit_ds, plan, k_groups = method.loss_spec(counts), train_ds, None, None
-    if method.name in _RESAMPLERS:
-        resampling = ResampleSpec(_RESAMPLERS[method.name], seed + 2, method.k_neighbors)
-        fit_ds = resample(train_ds, resampling)
-    elif method.name == "RG+CE":
+    if transform == "regroup":
         if ds.num_classes == 2:
             K = compute_k(counts[1], counts[0]) if method.k_override is None else method.k_override
             fit_ds, plan = regroup_binary(train_ds, K, seed + 2)
@@ -269,6 +265,8 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) 
         else:
             fit_ds, plan = regroup_multiclass(train_ds, seed + 2)
             k_groups = plan.pseudo_num_classes
+    elif transform:
+        fit_ds = resample(train_ds, ResampleSpec(transform, seed + 2, method.k_neighbors))
 
     spec = MlpSpec(train_ds.dim, fit_ds.num_classes, cfg.hidden_dims, init_seed=seed)
     train_cfg = replace(cfg.train, shuffle_seed=seed + 1)
@@ -342,7 +340,7 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict)
         start = time.perf_counter()
         try:
             fitted = train([c.fit_ds for c in group], [c.spec for c in group], group[0].loss,
-                           [c.train_cfg for c in group], curves=False)
+                           [c.train_cfg for c in group])
         except Exception as exc:
             fitted = [exc] * len(group)
         train_s = (time.perf_counter() - start) / len(group)
@@ -360,9 +358,10 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict)
 def _column_weight(cfg: ExperimentConfig, method: MethodKind, ds: Dataset) -> float:
     """Expected training work of a column: epochs x fit rows x sum of fan_in * fan_out."""
     train = [c * (1.0 - cfg.test_fraction) for c in ds.class_counts]
-    fit = {"ROS+CE": max(train), "SMOTE+CE": max(train), "RUS+CE": min(train)}
-    rows = len(train) * fit[method.name] if method.name in fit else sum(train)
-    heads = sum(round(c / min(train)) for c in train) if method.name == "RG+CE" else len(train)
+    transform = METHODS[method.name][1]
+    fit = {"ros": max(train), "smote": max(train), "rus": min(train)}
+    rows = len(train) * fit[transform] if transform in fit else sum(train)
+    heads = sum(round(c / min(train)) for c in train) if transform == "regroup" else len(train)
     dims = (ds.dim, *cfg.hidden_dims, heads)
     return cfg.train.epochs * rows * sum(a * b for a, b in zip(dims, dims[1:]))
 

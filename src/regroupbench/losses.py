@@ -1,9 +1,9 @@
 """Multiclass training losses with analytic gradients: CE, inverse-frequency
 weighted CE, focal, and LDAM (margin) loss.
 
-loss_and_grad computes a batch's losses and logit gradients from one softmax,
-loss_values the losses alone from the same log-softmax; the other loss
-functions are checked wrappers over these two.
+loss_and_grad computes a batch's losses and logit gradients from one softmax;
+batch_loss_values the losses alone from the same log-softmax, with checked
+inputs, and the one-sample functions wrap these two.
 """
 from __future__ import annotations
 
@@ -105,12 +105,6 @@ def _softmax_values(Z: np.ndarray, y: np.ndarray, rows: np.ndarray, spec: LossSp
     return e, s, -logp
 
 
-def loss_values(Z: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """loss_and_grad's per-sample losses, bytes equal, without the gradient.
-    Unchecked, as loss_and_grad."""
-    return _softmax_values(Z, y, np.arange(len(y)), spec)[2]
-
-
 def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
     """Per-sample losses (n,) and d loss / d logits (n, C) for (n, C) logits Z
     and labels y, from one shared softmax. Unchecked: y must lie in 0..C-1
@@ -164,8 +158,9 @@ def _checked(logits, labels):
 
 
 def batch_loss_values(logits: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Per-sample loss values for an (n, C) logit matrix."""
-    return loss_values(*_checked(logits, labels), spec)
+    """Per-sample loss values for an (n, C) logit matrix: loss_and_grad's,
+    bytes equal, without the gradient."""
+    return _softmax_values(*_checked(logits, labels), np.arange(np.size(labels)), spec)[2]
 
 
 def loss_value(logits, label: int, spec: LossSpec) -> float:

@@ -5,9 +5,8 @@ Training is single-threaded and fully deterministic: identical inputs and
 seeds produce bit-identical models. `train` fits one model or a stack of S
 same-shape models in one loop (batched matmul over (S, fan_in, fan_out)
 weights); each stacked model's bits equal those of its own one-model call.
-`train(..., curves=False)` skips the per-epoch loss and accuracy curves but
-keeps their divergence check, screened by an O(P) bound on the logits
-(`_logit_bound`): only models the bound cannot clear run the exact pass.
+After every epoch an O(P) bound on the logits (`_logit_bound`) screens each
+model for divergence; only models the bound cannot clear run the exact pass.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset
-from .losses import LossError, LossSpec, loss_and_grad, loss_values, softmax
+from .losses import LossError, LossSpec, loss_and_grad, softmax
 
 _PASS_CELLS = 2**16  # activations (rows x layer widths) per group of the epoch-end pass
 _LOGIT_LIMIT = 2.0**1000  # a `_logit_bound` below this clears the exact epoch-end pass
@@ -84,10 +83,8 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class TrainHistory:
-    train_loss: tuple[float, ...]      # full-pass loss at each epoch end; () without curves
-    train_accuracy: tuple[float, ...]  # full-pass accuracy at each epoch end; () without curves
-    learning_rate: tuple[float, ...]   # each epoch's lr
-    step_loss: tuple[float, ...]       # each epoch's mean per-sample loss over its SGD steps
+    learning_rate: tuple[float, ...]  # each epoch's lr
+    step_loss: tuple[float, ...]      # each epoch's mean per-sample loss over its SGD steps
 
 
 def cosine_lr(t: int, T: int, lr_max: float, lr_min: float = 0.0) -> float:
@@ -183,7 +180,8 @@ def _non_finite_rows(a: np.ndarray) -> np.ndarray:
 class _Stack:
     """The live slices of a stacked fit: parameters and velocities in (S, P)
     buffers with per-layer views, plus each slice's dataset, max |x|, shuffle
-    RNG and step-loss sum. slots[row] is the input slice that stack row holds."""
+    RNG, step-loss sum and shuffled (n, D) inputs and (n,) labels in (S, ...)
+    buffers. slots[row] is the input slice that stack row holds."""
 
     def __init__(self, datasets, specs, cfgs):
         self.slots = list(range(len(specs)))
@@ -196,6 +194,8 @@ class _Stack:
         ])
         self.vel = np.zeros_like(self.theta)
         self.rngs = [np.random.default_rng(cfg.shuffle_seed) for cfg in cfgs]
+        S, (n, D) = len(specs), self.datasets[0].features.shape
+        self.X, self.y = np.empty((S, n, D)), np.empty((S, n), dtype=np.int64)
         self._bind()
 
     def _bind(self):
@@ -204,12 +204,13 @@ class _Stack:
         self.grad_w, self.grad_b = _layer_views(self.grad, self.dims)
 
     def shuffle(self):
-        """Gather each slice's rows in its own order for the next epoch:
-        (S, n, D) inputs and (S, n) labels; zero the step-loss sums."""
+        """Gather each slice's rows in its own order for the next epoch into
+        X and y, in place; zero the step-loss sums."""
         self.step_sum = np.zeros(len(self.slots))
-        orders = [self.rngs[slot].permutation(ds.n) for slot, ds in zip(self.slots, self.datasets)]
-        self.X = np.stack([ds.features[o] for ds, o in zip(self.datasets, orders)])
-        self.y = np.stack([ds.labels[o] for ds, o in zip(self.datasets, orders)])
+        for row, (slot, ds) in enumerate(zip(self.slots, self.datasets)):
+            order = self.rngs[slot].permutation(ds.n)
+            np.take(ds.features, order, axis=0, out=self.X[row])
+            np.take(ds.labels, order, out=self.y[row])
 
     def drop(self, errors: dict, results: list) -> bool:
         """Store errors {row: TrainingDiverged} as their slices' results and
@@ -227,28 +228,19 @@ class _Stack:
         return bool(self.slots)
 
 
-def _full_pass(st: _Stack, loss: LossSpec, epoch: int, rows, curves) -> dict:
-    """Exact epoch-end pass over the whole datasets of the given stack rows: append
-    each row's mean loss and accuracy to its slice's curves (if any), or return it
-    as {row: TrainingDiverged} if its logits are non-finite. Rows run in groups of
-    about _PASS_CELLS activations, so memory does not grow with S."""
-    n = st.datasets[0].n
-    size = max(1, _PASS_CELLS // (n * sum(st.dims)))
+def _full_pass(st: _Stack, epoch: int, rows: np.ndarray) -> dict:
+    """Exact epoch-end forward pass over the whole datasets of the given stack
+    rows: {row: TrainingDiverged} for each row whose logits are non-finite.
+    Rows run in groups of about _PASS_CELLS activations, so memory does not
+    grow with S."""
+    size = max(1, _PASS_CELLS // (st.datasets[0].n * sum(st.dims)))
     errors = {}
     for lo in range(0, len(rows), size):
         group = rows[lo:lo + size]
         X = np.stack([st.datasets[row].features for row in group])
-        y = np.stack([st.datasets[row].labels for row in group])
         logits = _forward(X, [w[group] for w in st.weights], [b[group] for b in st.biases])[0]
-        G, _, C = logits.shape
-        losses = loss_values(logits.reshape(G * n, C), y.ravel(), loss).reshape(G, n).mean(axis=1)
-        accuracy = (logits.argmax(axis=2) == y).mean(axis=1)
-        for row, bad, *fit in zip(group, _non_finite_rows(logits), losses, accuracy):
-            if bad:
-                errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
-                continue
-            for curve, value in zip(curves[st.slots[row]] if curves else (), fit):
-                curve.append(float(value))
+        for row in group[_non_finite_rows(logits)]:
+            errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
     return errors
 
 
@@ -269,15 +261,13 @@ def _check_stack(datasets, specs, loss: LossSpec, cfgs):
         )
 
 
-def train(train_ds, spec, loss: LossSpec, cfg, *, curves: bool = True):
+def train(train_ds, spec, loss: LossSpec, cfg):
     """Mini-batch SGD with momentum; lr fixed within an epoch from the
     cosine schedule; last partial batch kept and averaged over its size.
 
     Returns (TrainedModel, TrainHistory). Raises TrainingDiverged with the
-    offending epoch/batch if the logits, loss or weights go non-finite.
-    Without curves, train_loss and train_accuracy are () and the exact pass
-    runs only where `_logit_bound` fails: each model drops at the same epoch,
-    with the same message, or keeps the same bits as with curves.
+    offending epoch/batch if the logits, loss or weights go non-finite, or
+    with the epoch if the logits over the whole training set do at its end.
 
     Stacked form: with equal-length sequences of datasets, specs and configs
     that agree on n, layer dims and every config field but shuffle_seed, all
@@ -287,7 +277,7 @@ def train(train_ds, spec, loss: LossSpec, cfg, *, curves: bool = True):
     the others go on; every slice's bits equal those of its own one-model call.
     """
     if isinstance(train_ds, Dataset):
-        (result,) = train([train_ds], [spec], loss, [cfg], curves=curves)
+        (result,) = train([train_ds], [spec], loss, [cfg])
         if isinstance(result, TrainingDiverged):
             raise result
         return result
@@ -299,7 +289,7 @@ def train(train_ds, spec, loss: LossSpec, cfg, *, curves: bool = True):
     n_weights = sum(i * o for i, o in zip(specs[0].layer_dims[:-1], specs[0].layer_dims[1:]))
     st = _Stack(datasets, specs, cfgs)
     results = [None] * len(specs)
-    fits, steps = [([], []) for _ in specs], [[] for _ in specs]  # per-epoch curves
+    steps = [[] for _ in specs]  # per-epoch step losses
 
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
@@ -332,8 +322,8 @@ def train(train_ds, spec, loss: LossSpec, cfg, *, curves: bool = True):
                 if errors and not st.drop(errors, results):  # a sum can overflow: errors may be {}
                     return results
             bound = _logit_bound(st.x_max, st.weights, st.biases)
-            rows = np.flatnonzero(curves | ~(bound < _LOGIT_LIMIT))  # a NaN bound fails too
-            errors = _full_pass(st, loss, epoch, rows, curves and fits) if rows.size else {}
+            rows = np.flatnonzero(~(bound < _LOGIT_LIMIT))  # a NaN bound fails too
+            errors = _full_pass(st, epoch, rows) if rows.size else {}
             if errors and not st.drop(errors, results):
                 return results
             for slot, total in zip(st.slots, st.step_sum.tolist()):
@@ -343,7 +333,7 @@ def train(train_ds, spec, loss: LossSpec, cfg, *, curves: bool = True):
     for row, slot in enumerate(st.slots):
         model = TrainedModel(specs[slot], tuple(w[row].copy() for w in st.weights),
                              tuple(b[row, 0].copy() for b in st.biases))
-        results[slot] = (model, TrainHistory(*map(tuple, fits[slot]), lrs, tuple(steps[slot])))
+        results[slot] = (model, TrainHistory(lrs, tuple(steps[slot])))
     return results
 
 

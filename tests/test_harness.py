@@ -230,7 +230,7 @@ class TestParallelColumns:
                               "majority_components": [{"mean": [5.0, 0.0], "stddev": 1.0,
                                                        "count": 40}]}}
         cfg = {
-            "clean": lambda: tiny_cfg(list(harness.METHOD_NAMES), seeds=(0, 1),
+            "clean": lambda: tiny_cfg(list(harness.METHODS), seeds=(0, 1),
                                       dataset={"builtin": "overlap"}),
             # the minority train split has one sample: SMOTE has no neighbour
             "failed cell": lambda: tiny_cfg(["SMOTE+CE", "CE", "RG+CE"], seeds=(0, 1),
@@ -303,7 +303,7 @@ class TestParallelColumns:
     def test_column_weight_counts_fit_rows_and_layer_products(self):
         ds = load_source({"builtin": "overlap"}, 0)  # 100 minority, 900 majority rows
         cfg = replace(tiny_cfg(["CE"]), hidden_dims=(32,))
-        weight = {m: harness._column_weight(cfg, MethodKind(m), ds) for m in harness.METHOD_NAMES}
+        weight = {m: harness._column_weight(cfg, MethodKind(m), ds) for m in harness.METHODS}
         epochs, layers = FAST.epochs, 2 * 32 + 32 * 2
         assert weight["CE"] == weight["LDAM"] == epochs * 800 * layers
         assert weight["ROS+CE"] == weight["SMOTE+CE"] == epochs * 1440 * layers
@@ -324,29 +324,29 @@ def huge_csv(path):
 
 
 class TestEpochEndScreen:
-    """Grids train without epoch-end curves: a logit bound stands in for the
-    exact pass over each training set, which runs only when the bound fails."""
+    """A logit bound stands in for the exact epoch-end pass over each training
+    set, which runs only when the bound fails."""
 
     def spy_full_pass(self, monkeypatch):
         monkeypatch.setattr(harness, "_BLAS_PIN", "no_such_symbol")  # serial: calls stay here
         calls = []
         real_full_pass = trainer._full_pass
 
-        def spy(st, loss, epoch, rows, curves):
+        def spy(st, epoch, rows):
             calls.append((epoch, list(rows)))
-            return real_full_pass(st, loss, epoch, rows, curves)
+            return real_full_pass(st, epoch, rows)
 
         monkeypatch.setattr(trainer, "_full_pass", spy)
         return calls
 
     def test_clean_grid_never_runs_the_exact_pass(self, tmp_path, monkeypatch):
         calls = self.spy_full_pass(monkeypatch)
-        text, _ = grid_text(tiny_cfg(list(harness.METHOD_NAMES), seeds=(0, 1),
+        text, _ = grid_text(tiny_cfg(list(harness.METHODS), seeds=(0, 1),
                                      dataset={"builtin": "overlap"}), tmp_path)
         assert not any(line.split(",")[-1] for line in text.splitlines()[1:])
         assert calls == []
 
-    def test_full_pass_overflow_reads_as_with_curves(self, tmp_path, monkeypatch):
+    def test_full_pass_overflow_reads_as_with_every_exact_pass(self, tmp_path, monkeypatch):
         calls = self.spy_full_pass(monkeypatch)
         cfg = tiny_cfg(["CE", "ROS+CE"], seeds=(0, 1, 2), dataset=huge_csv(tmp_path / "h.csv"),
                        standardize=False)
@@ -354,10 +354,10 @@ class TestEpochEndScreen:
         errors = [line.split(",")[-1] for line in screened.splitlines()[1:]]
         assert errors == ["", "TrainingDiverged: non-finite full-pass logits at epoch 0", ""] * 2
         assert calls  # the bound failed, and the exact pass found the overflow
-        real_train = harness.train
-        monkeypatch.setattr(harness, "train",
-                            lambda *args, curves: real_train(*args, curves=True))
-        assert grid_text(cfg, tmp_path / "curves")[0] == screened
+        monkeypatch.setattr(trainer, "_LOGIT_LIMIT", 0.0)  # every bound fails: every pass runs
+        calls.clear()
+        assert grid_text(cfg, tmp_path / "exact")[0] == screened
+        assert {epoch for epoch, _ in calls} == set(range(FAST.epochs))
 
 
 class TestConfigIO:
@@ -605,11 +605,21 @@ class TestCli:
 
 
 def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
-    """CE, SMOTE+CE and RG+CE on a 3-class CSV: SMOTE neighbours, multiclass
-    k-means and training all feed these bytes (wall_time_s blanked)."""
+    """The results.csv bytes (wall_time_s blanked) of two grids. CE, SMOTE+CE
+    and RG+CE on a 3-class CSV: SMOTE neighbours, multiclass k-means and
+    training feed them. All eight methods on the overlap family: each one's
+    loss, train-set transform and hyperparameters, and the config hash."""
     import hashlib
 
     from regroupbench.cli import main
+
+    def digest(doc):
+        Path("cfg.json").write_text(json.dumps({**doc, "output_dir": "out"}))
+        assert main(["run", "--config", "cfg.json"]) == 0
+        rows = [line.split(",") for line in Path("out/results.csv").read_text().splitlines()]
+        for cells in rows[1:]:
+            cells[-2] = ""  # wall_time_s
+        return hashlib.sha256("\n".join(",".join(cells) for cells in rows).encode()).hexdigest()
 
     rng = np.random.default_rng(2024)
     lines = ["f0,f1,f2,f3,f4,f5,f6,f7,label"]
@@ -619,15 +629,15 @@ def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
         lines += [",".join(map(repr, row.tolist())) + f",{'abc'[c]}" for row in X]
     monkeypatch.chdir(tmp_path)  # the config hash covers the CSV path
     Path("data.csv").write_text("\n".join(lines) + "\n")
-    Path("cfg.json").write_text(json.dumps({
+    assert digest({
         "dataset": {"csv": "data.csv"},
         "methods": [{"name": "CE"}, {"name": "SMOTE+CE"}, {"name": "RG+CE"}],
-        "seeds": [0, 1], "hidden_dims": [8], "train": {"epochs": 2}, "output_dir": "out",
-    }))
-    assert main(["run", "--config", "cfg.json"]) == 0
-    rows = [line.split(",") for line in Path("out/results.csv").read_text().splitlines()]
-    for cells in rows[1:]:
-        cells[-2] = ""  # wall_time_s
-    text = "\n".join(",".join(cells) for cells in rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f2b2cf4d3022eeac05a9ba7cd08698588523dc2a881c664b4a89ea5cd5a01da0")
+        "seeds": [0, 1], "hidden_dims": [8], "train": {"epochs": 2},
+    }) == "f2b2cf4d3022eeac05a9ba7cd08698588523dc2a881c664b4a89ea5cd5a01da0"
+    assert digest({
+        "dataset": {"builtin": "overlap"},
+        "methods": [{"name": m} for m in ("CE", "WCE", "Focal", "LDAM", "ROS+CE", "RUS+CE",
+                                          "SMOTE+CE", "RG+CE")],
+        "seeds": [0, 1], "hidden_dims": [],
+        "train": {"epochs": FAST.epochs, "batch_size": FAST.batch_size},
+    }) == "b388b9d9376c07dd091b294798e0cc93f684b51653a517516cfee63b59499bdd"

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from regroupbench import trainer
 from regroupbench.dataset import Dataset
-from regroupbench.losses import LossSpec
+from regroupbench.losses import LossSpec, batch_loss_values
 from regroupbench.regrouping import regroup_binary
 from regroupbench.trainer import (
     MlpSpec,
@@ -58,10 +57,7 @@ class TestBackprop:
         _, gw, gb = batch_gradients(X, y, weights, biases, loss)
 
         def batch_loss():
-            from regroupbench.losses import batch_loss_values
-            from regroupbench.trainer import _forward
-
-            logits, _ = _forward(X, weights, biases)
+            logits, _ = trainer._forward(X, weights, biases)
             return batch_loss_values(logits, y, loss).mean()
 
         h = 1e-5
@@ -85,14 +81,14 @@ class TestTrain:
         ds = separable_dataset()
         spec = MlpSpec(2, 2, (), init_seed=0)
         cfg = TrainConfig(epochs=50, batch_size=32, shuffle_seed=0)
-        _, history = train(ds, spec, LossSpec("ce"), cfg)
-        assert history.train_accuracy[-1] == 1.0
+        model, _ = train(ds, spec, LossSpec("ce"), cfg)
+        assert np.all(predict_proba(model, ds.features).argmax(axis=1) == ds.labels)
 
     def test_loss_decreases(self):
         ds = separable_dataset()
         spec = MlpSpec(2, 2, (32,), init_seed=0)
         _, history = train(ds, spec, LossSpec("ce"), TrainConfig(epochs=10))
-        assert history.train_loss[9] < history.train_loss[0]
+        assert history.step_loss[9] < history.step_loss[0]
 
     def test_zero_lr_keeps_initial_parameters(self):
         ds = separable_dataset()
@@ -118,20 +114,19 @@ class TestTrain:
     def test_history_length(self):
         ds = separable_dataset()
         _, history = train(ds, MlpSpec(2, 2), LossSpec("ce"), TrainConfig(epochs=7))
-        assert len(history.train_loss) == 7
         assert len(history.learning_rate) == 7
         assert len(history.step_loss) == 7
 
-    def test_step_loss_and_history_without_curves(self):
+    def test_step_loss_at_zero_lr_is_the_initial_loss(self):
         ds = separable_dataset()
         spec = MlpSpec(2, 2, (8,), init_seed=3)
         cfg = TrainConfig(lr_max=0.0, epochs=3, batch_size=16)
-        _, full = train(ds, spec, LossSpec("ce"), cfg)
-        # lr 0 never moves the parameters, so the steps of an epoch (12 batches
-        # of 16, one of 8) see the same model as its full pass
-        assert full.step_loss == pytest.approx(full.train_loss, rel=1e-12)
-        _, lean = train(ds, spec, LossSpec("ce"), cfg, curves=False)
-        assert lean == replace(full, train_loss=(), train_accuracy=())
+        _, history = train(ds, spec, LossSpec("ce"), cfg)
+        # lr 0 never moves the parameters, so every step of an epoch (12
+        # batches of 16, one of 8) sees the initial model
+        logits = trainer._forward(ds.features, *init_params(spec))[0]
+        initial = batch_loss_values(logits, ds.labels, LossSpec("ce")).mean()
+        assert history.step_loss == pytest.approx((initial,) * 3, rel=1e-12)
 
     def test_divergence_reported_with_location(self):
         ds = separable_dataset()
@@ -180,37 +175,39 @@ class TestTrain:
 
 
 # SHA-256 (first 16 hex digits) of the trained weight and bias bytes plus the
-# TrainHistory floats, recorded from the trainer that computed the loss and
-# its gradient with separate softmaxes and kept one array per layer. Any
-# change to the floating-point operations of a training step changes them.
+# TrainHistory floats (learning rates and step losses). The trainer that
+# computed the loss and its gradient with separate softmaxes and kept one
+# array per layer gave the same models; the one that also kept full-pass
+# curves gave these digests. Any change to the floating-point operations of
+# a training step changes them.
 # Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels) on x86-64;
 # a BLAS that rounds small matmuls differently needs them recorded afresh.
 GOLDEN_COUNTS = (7, 30, 16)  # n = 53: batches of 16 leave a partial last batch of 5
 GOLDEN_DIGESTS = {
-    ("ce", (), 0.0): "80b8ac363cc8d47e",
-    ("ce", (), 0.001): "21afec0ad5e86c4e",
-    ("ce", (8,), 0.0): "e5f06e1d8105671f",
-    ("ce", (8,), 0.001): "9e54d42971ca0a5b",
-    ("ce", (6, 4), 0.0): "e2d8cdbcb414420f",
-    ("ce", (6, 4), 0.001): "cb54f446c6aa72b0",
-    ("wce", (), 0.0): "9e81ecf86764106f",
-    ("wce", (), 0.001): "f0cd6a477108c8c6",
-    ("wce", (8,), 0.0): "af1114975720a625",
-    ("wce", (8,), 0.001): "c5cc0a297e4d9d18",
-    ("wce", (6, 4), 0.0): "b05e28153017474b",
-    ("wce", (6, 4), 0.001): "4350e59a167fc90a",
-    ("focal", (), 0.0): "c08d113e0e0a7e47",
-    ("focal", (), 0.001): "8ddad64d47747456",
-    ("focal", (8,), 0.0): "e32d90de5584a1db",
-    ("focal", (8,), 0.001): "6911763dca6d8099",
-    ("focal", (6, 4), 0.0): "a4952567067074fe",
-    ("focal", (6, 4), 0.001): "8ebc8b12c7cdb3ab",
-    ("ldam", (), 0.0): "a6959c6bcda8f479",
-    ("ldam", (), 0.001): "276d7e16d5dfdbe2",
-    ("ldam", (8,), 0.0): "ba30e79c1293aca2",
-    ("ldam", (8,), 0.001): "e4d193fa96b7229a",
-    ("ldam", (6, 4), 0.0): "96908f396c2a0b0c",
-    ("ldam", (6, 4), 0.001): "e1b4d80a8a2a9998",
+    ("ce", (), 0.0): "3ba62f57bcc8bc44",
+    ("ce", (), 0.001): "4193c1a18b0fe296",
+    ("ce", (8,), 0.0): "f526940738d7869a",
+    ("ce", (8,), 0.001): "877dbecb19b5fb84",
+    ("ce", (6, 4), 0.0): "cd2ae4037213b227",
+    ("ce", (6, 4), 0.001): "91834c6e446702be",
+    ("wce", (), 0.0): "f1a8a25f7ed1b742",
+    ("wce", (), 0.001): "b39ce7929616e512",
+    ("wce", (8,), 0.0): "596035914d98384c",
+    ("wce", (8,), 0.001): "f9f680da7497a436",
+    ("wce", (6, 4), 0.0): "f102cda19f79a755",
+    ("wce", (6, 4), 0.001): "f8dd363b69547743",
+    ("focal", (), 0.0): "6fc13a329d0615a9",
+    ("focal", (), 0.001): "515d93091d746db8",
+    ("focal", (8,), 0.0): "a9b85c6842b5a673",
+    ("focal", (8,), 0.001): "e198539861e2be22",
+    ("focal", (6, 4), 0.0): "1efcd1a9dd4347fd",
+    ("focal", (6, 4), 0.001): "2079533eb8be9a14",
+    ("ldam", (), 0.0): "d1be6ae3426d5a09",
+    ("ldam", (), 0.001): "0ae5f0f876cdf913",
+    ("ldam", (8,), 0.0): "fa5cdaca10b520cc",
+    ("ldam", (8,), 0.001): "726bae5d3d05ca7e",
+    ("ldam", (6, 4), 0.0): "fca72d9aede40782",
+    ("ldam", (6, 4), 0.001): "02b9205f0a766b40",
 }
 
 
@@ -225,7 +222,7 @@ def golden_digest(kind, hidden, weight_decay):
     h = hashlib.sha256()
     for a in (*model.weights, *model.biases):
         h.update(np.ascontiguousarray(a).tobytes())
-    for series in (hist.train_loss, hist.train_accuracy, hist.learning_rate):
+    for series in (hist.learning_rate, hist.step_loss):
         h.update(",".join(float(v).hex() for v in series).encode())
     return h.hexdigest()[:16]
 
@@ -283,13 +280,6 @@ class TestPredict:
         P = predict_proba(model, np.random.default_rng(0).standard_normal((5, 2)))
         np.testing.assert_allclose(P, 1 / 3, atol=1e-12)
 
-    def test_accuracy_self_consistency(self):
-        ds = separable_dataset(seed=4)
-        model, history = train(ds, MlpSpec(2, 2, (8,)), LossSpec("ce"), TrainConfig(epochs=5))
-        P = predict_proba(model, ds.features)
-        acc = np.mean(np.argmax(P, axis=1) == ds.labels)
-        assert acc == pytest.approx(history.train_accuracy[-1])
-
 
 def test_spec_validation():
     with pytest.raises(TrainingError):
@@ -306,11 +296,6 @@ def model_bytes(model):
     return [a.tobytes() for a in (*model.weights, *model.biases)]
 
 
-def lean_history(history, curves):
-    """The history a curves=False call returns, from its curves=True one."""
-    return history if curves else replace(history, train_loss=(), train_accuracy=())
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     S=st.integers(1, 5),
@@ -323,10 +308,10 @@ def lean_history(history, curves):
     dim=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
     group=st.integers(1, 5),
-    curves=st.booleans(),
+    exact=st.booleans(),
 )
 def test_stacked_training_matches_separate_calls_bit_for_bit(
-    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, group, curves
+    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, group, exact
 ):
     rng = np.random.default_rng(seed)
     n = batch_size * full_batches + extra_rows % batch_size  # often a partial last batch
@@ -341,22 +326,27 @@ def test_stacked_training_matches_separate_calls_bit_for_bit(
         specs.append(MlpSpec(dim, 3, hidden, init_seed=int(rng.integers(1000))))
         cfgs.append(TrainConfig(lr_max=0.05, lr_min=0.001, epochs=2, batch_size=batch_size,
                                 weight_decay=weight_decay, shuffle_seed=int(rng.integers(1000))))
-    # the epoch-end pass runs `group` slices at a time, so groups straddle the stack
-    with mock.patch.object(trainer, "_PASS_CELLS", group * n * (dim + sum(hidden) + 3)):
-        stacked = train(datasets, specs, loss, cfgs, curves=curves)
+    # the epoch-end pass runs `group` slices at a time, so groups straddle the
+    # stack; a logit limit of 0 fails every bound, so with `exact` every slice
+    # runs that pass after every epoch
+    with (mock.patch.object(trainer, "_PASS_CELLS", group * n * (dim + sum(hidden) + 3)),
+          mock.patch.object(trainer, "_LOGIT_LIMIT", 0.0 if exact else trainer._LOGIT_LIMIT)):
+        stacked = train(datasets, specs, loss, cfgs)
     assert len(stacked) == S
     for (model, history), ds, spec, cfg in zip(stacked, datasets, specs, cfgs):
         alone, alone_history = train(ds, spec, loss, cfg)
         assert model.spec == spec
-        assert history == lean_history(alone_history, curves)
+        assert history == alone_history
         assert model_bytes(model) == model_bytes(alone)
 
 
-def check_against_separate_calls(datasets, specs, cfgs, curves=True):
-    """Train a stack (with or without curves) and each slice alone (with);
-    survivors must match bit for bit and diverged slices carry the error
-    their own call raises. Returns the error messages of the diverged slices."""
-    results = train(datasets, specs, LossSpec("ce"), cfgs, curves=curves)
+def check_against_separate_calls(datasets, specs, cfgs, exact=False):
+    """Train a stack (with every slice's exact epoch-end pass forced, if
+    exact) and each slice alone (screened); survivors must match bit for bit
+    and diverged slices carry the error their own call raises. Returns the
+    error messages of the diverged slices."""
+    with mock.patch.object(trainer, "_LOGIT_LIMIT", 0.0 if exact else trainer._LOGIT_LIMIT):
+        results = train(datasets, specs, LossSpec("ce"), cfgs)
     messages = []
     for result, ds, spec, cfg in zip(results, datasets, specs, cfgs):
         try:
@@ -366,7 +356,7 @@ def check_against_separate_calls(datasets, specs, cfgs, curves=True):
             messages.append(str(result))
             assert str(result) == str(exc)
             continue
-        assert result[1] == lean_history(alone[1], curves)
+        assert result[1] == alone[1]
         assert model_bytes(result[0]) == model_bytes(alone[0])
     return messages
 
@@ -378,19 +368,19 @@ def test_diverged_slice_leaves_the_stack_and_others_keep_their_bits():
     specs = [MlpSpec(2, 2, (4,), init_seed=s) for s in range(4)]
     cfgs = [TrainConfig(lr_max=0.1, epochs=3, batch_size=16, shuffle_seed=s) for s in range(4)]
     # slice 1's logits overflow at its second step; the others train on
-    for curves in (True, False):
-        messages = check_against_separate_calls(datasets, specs, cfgs, curves)
+    for exact in (True, False):
+        messages = check_against_separate_calls(datasets, specs, cfgs, exact)
         assert messages == ["non-finite forward pass at epoch 0, batch 1: non-finite logits"]
 
     # one batch per epoch: the huge slice's step is finite, its epoch-end pass
     # is not, in an epoch-end group of 1, 2 (shared with slice 0) and 3 slices;
-    # without curves, only the huge slice fails the logit bound and runs the pass
+    # screened, only the huge slice fails the logit bound and runs the pass
     datasets = [Dataset(np.array([[v, v], [-v, -v]]), [0, 1]) for v in (1.0, 1e200, 2.0)]
     specs = [MlpSpec(2, 2, (), init_seed=1)] * 3
     cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(3)]
-    for group, curves in itertools.product((1, 2, 3), (True, False)):
+    for group, exact in itertools.product((1, 2, 3), (True, False)):
         with mock.patch.object(trainer, "_PASS_CELLS", group * 2 * (2 + 2)):  # n x widths
-            messages = check_against_separate_calls(datasets, specs, cfgs, curves)
+            messages = check_against_separate_calls(datasets, specs, cfgs, exact)
         assert messages == ["non-finite full-pass logits at epoch 0"]
 
 
@@ -439,10 +429,10 @@ def test_epoch_end_overflow_is_reported_as_divergence():
     # the batch step's logits are finite, the updated weights too, but the
     # epoch-end full pass overflows
     huge = Dataset(np.array([[1e200, 1e200], [-1e200, -1e200]]), [0, 1])
-    for curves in (True, False):
-        with pytest.raises(TrainingDiverged, match=r"^non-finite full-pass logits at epoch 0$"):
-            train(huge, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1),
-                  curves=curves)
+    for limit in (0.0, trainer._LOGIT_LIMIT):  # every bound fails, or the screen runs
+        with (mock.patch.object(trainer, "_LOGIT_LIMIT", limit),
+              pytest.raises(TrainingDiverged, match=r"^non-finite full-pass logits at epoch 0$")):
+            train(huge, MlpSpec(2, 2, (), init_seed=1), LossSpec("ce"), TrainConfig(epochs=1))
 
 
 def random_stack(data):
