@@ -1,6 +1,6 @@
 """Time `regroupbench run` grids in a base and a head `src/` tree.
 
-    python scripts/bench_grid.py BASE_SRC HEAD_SRC [--seed 1201] [--out BENCH_grid.json]
+    python scripts/bench_grid.py BASE_SRC HEAD_SRC [--seed 1201] [--serial] [--out BENCH_grid.json]
 
 BASE_SRC and HEAD_SRC are `src/` directories, for example of a `git archive`
 of the parent commit and of this checkout. The grids are the benchmark's
@@ -10,8 +10,11 @@ sides read the same config and CSV paths and `config_hash` is comparable
 across sides.
 
 Each round runs one fresh interpreter per side and workload, alternating
-which side goes first. An interpreter imports the package, runs the grid
-through `regroupbench.cli.main` PASSES times and reports:
+which side goes first. With --serial every workload is also timed with the
+interpreters pinned to one CPU (as `taskset -c 0` does), so `run_grid` runs
+the columns in-process; those rows are recorded as "<workload> serial". An
+interpreter imports the package, runs the grid through `regroupbench.cli.main`
+PASSES times and reports:
 
 - `wall_s`: the mean wall time of its passes;
 - `rss_self_mb`: its own peak resident memory (`RUSAGE_SELF`), which is
@@ -93,6 +96,8 @@ def main() -> int:
     parser.add_argument("base_src")
     parser.add_argument("head_src")
     parser.add_argument("--seed", type=int, default=1201, help="workload seed")
+    parser.add_argument("--serial", action="store_true",
+                        help="also time each workload pinned to one CPU")
     parser.add_argument("--out", default="BENCH_grid.json")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -101,22 +106,27 @@ def main() -> int:
     sides = {"base": str(Path(args.base_src).resolve()), "head": str(Path(args.head_src).resolve())}
     work = ROOT / ".bench_grid_work" / f"seed{args.seed}"
     pairs, digests, info = {}, set(), {}
-    for name in WORKLOADS:
+    one_cpu = {min(os.sched_getaffinity(0))}
+    runs = [(w, False) for w in WORKLOADS] + [(w, True) for w in WORKLOADS if args.serial]
+    for name, serial in runs:
         (work / name).mkdir(parents=True, exist_ok=True)
         workload = GENERATORS[name](args.seed, work / name)
         config, info[name] = workload.configs[0], workload.info
-        pairs[name] = []
+        pin = (lambda: os.sched_setaffinity(0, one_cpu)) if serial else None
+        label = f"{name} serial" if serial else name
+        pairs[label] = []
         for r in range(ROUNDS):
             pair = {}
             for side in (["base", "head"] if r % 2 == 0 else ["head", "base"]):
                 cmd = [sys.executable, __file__, "--measure", sides[side], config,
                        str(work / name / "out")]
-                proc = subprocess.run(cmd, check=True, capture_output=True, text=True)
+                proc = subprocess.run(cmd, check=True, capture_output=True, text=True,
+                                      preexec_fn=pin)
                 pair[side] = json.loads(proc.stdout)
                 digests.add((name, pair[side].pop("results_sha256")))
             pair["first"] = "base" if r % 2 == 0 else "head"
-            pairs[name].append(pair)
-            print(f"{name} round {r}: base {pair['base']['wall_s']:.3f} s, "
+            pairs[label].append(pair)
+            print(f"{label} round {r}: base {pair['base']['wall_s']:.3f} s, "
                   f"head {pair['head']['wall_s']:.3f} s", file=sys.stderr)
 
     summary = {}
@@ -134,7 +144,7 @@ def main() -> int:
         "grid_seeds": {name: info[name]["grid_seeds"] for name in WORKLOADS},
         "rounds": ROUNDS,
         "passes_per_interpreter": PASSES,
-        "results_csv_equal": len(digests) == len(WORKLOADS),
+        "results_csv_equal": len(digests) == len(WORKLOADS),  # one digest per workload, serial or not
         "summary": summary,
         "pairs": {name: [{k: (v if isinstance(v, str) else {m: round(x, 4) for m, x in v.items()})
                           for k, v in p.items()} for p in rounds]
@@ -142,7 +152,7 @@ def main() -> int:
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     shutil.rmtree(ROOT / ".bench_grid_work")
-    for name in WORKLOADS:
+    for name in pairs:
         s = summary[name]
         print(f"{name}: wall_s base {s['base']['wall_s']['median']} -> head "
               f"{s['head']['wall_s']['median']} (head faster in {s['head_wins_wall_s']}/{ROUNDS}); "

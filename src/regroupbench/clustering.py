@@ -45,6 +45,46 @@ def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _tolerance(xx: np.ndarray, cc_max: float, d: int) -> np.ndarray:
+    """`k_nearest`'s tol = 2 * 4b for rows of squared norms xx, max ||c||^2 = cc_max."""
+    u = (d + 4) * _UNIT_ROUNDOFF
+    return 8.0 * u / (1.0 - u) * (np.sqrt(xx) + np.sqrt(cc_max)) ** 2 + 4.0 * _TINY
+
+
+def _search(X: np.ndarray, C: np.ndarray, k: int, xx: np.ndarray, exclude_self: bool = False):
+    """`k_nearest` for rows X of squared norms xx, with the screen's G and its sure mask."""
+    cc = np.einsum("kd,kd->k", C, C)
+    neg2ct = -2.0 * C.T
+    nearest = np.empty((len(X), k), dtype=np.intp)
+    values = np.empty((len(X), k + 1))
+    tol = _tolerance(xx, cc.max(), X.shape[1])
+    step = max(1, _CELLS // len(C))
+    for start in range(0, len(X), step):
+        x, v = X[start:start + step], values[start:start + step]
+        rows = np.arange(len(x))
+        G = x @ neg2ct
+        G += cc
+        if exclude_self:
+            G[rows, start + rows] = np.inf
+        for j in range(k):
+            best = np.argmin(G, axis=1)
+            nearest[start:start + step, j] = best
+            v[:, j] = G[rows, best]
+            G[rows, best] = np.inf
+        v[:, k] = G[rows, np.argmin(G, axis=1)]  # faster than np.min along short rows
+    gaps = np.diff(values, axis=1)  # NaN gaps are unsure
+    sure = np.all((gaps > tol[:, None]) & (gaps < np.inf), axis=1)
+    unsure = np.flatnonzero(~sure)
+    step = max(1, _CELLS // C.size)
+    for idx in np.split(unsure, np.arange(step, unsure.size, step)):
+        d2 = _sq_dists(X[idx], C)
+        d2[np.isnan(d2)] = -np.inf  # NaN ranks nearest, as in np.argmin
+        if exclude_self:
+            d2[np.arange(idx.size), idx] = np.inf
+        nearest[idx] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest, values, sure
+
+
 def k_nearest(X: np.ndarray, C: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
     """(n, k) ids of each X row's k nearest C rows, nearest first, ties ->
     lowest id: exactly ``np.argsort(_sq_dists(X, C), axis=1, kind="stable")[:, :k]``
@@ -61,39 +101,7 @@ def k_nearest(X: np.ndarray, C: np.ndarray, k: int, exclude_self: bool = False) 
     covers rounding in gap, tol and the norms. Other rows (near-ties, under k+1
     finite values, overflow, NaN) are recomputed by `_sq_dists` + stable argsort.
     """
-    cc = np.einsum("kd,kd->k", C, C)
-    neg2ct = -2.0 * C.T
-    u = (X.shape[1] + 4) * _UNIT_ROUNDOFF
-    nearest = np.empty((len(X), k), dtype=np.intp)
-    sure = np.empty(len(X), dtype=bool)
-    step = max(1, _CELLS // len(C))
-    for start in range(0, len(X), step):
-        x = X[start:start + step]
-        rows = np.arange(len(x))
-        G = x @ neg2ct
-        G += cc
-        if exclude_self:
-            G[rows, start + rows] = np.inf
-        values = np.empty((len(x), k + 1))
-        for j in range(k):
-            best = np.argmin(G, axis=1)
-            nearest[start:start + step, j] = best
-            values[:, j] = G[rows, best]
-            G[rows, best] = np.inf
-        values[:, k] = G[rows, np.argmin(G, axis=1)]  # faster than np.min along short rows
-        scale = np.sqrt(np.einsum("nd,nd->n", x, x)) + np.sqrt(cc.max())
-        tol = 8.0 * u / (1.0 - u) * scale * scale + 4.0 * _TINY
-        gaps = np.diff(values, axis=1)  # NaN gaps are unsure
-        sure[start:start + step] = np.all((gaps > tol[:, None]) & (gaps < np.inf), axis=1)
-    unsure = np.flatnonzero(~sure)
-    step = max(1, _CELLS // C.size)
-    for idx in np.split(unsure, np.arange(step, unsure.size, step)):
-        d2 = _sq_dists(X[idx], C)
-        d2[np.isnan(d2)] = -np.inf  # NaN ranks nearest, as in np.argmin
-        if exclude_self:
-            d2[np.arange(idx.size), idx] = np.inf
-        nearest[idx] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return nearest
+    return _search(X, C, k, np.einsum("nd,nd->n", X, X), exclude_self)[0]
 
 
 def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,6 +134,9 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
     reseeded at the point farthest from its assigned centroid, which keeps
     all k ids in use and preserves the non-increasing inertia trace. A caller
     that has counted X's distinct rows passes the count as _n_distinct.
+
+    Bit for bit the plain loop: rows whose Hamerly (2010) bounds, grown by each
+    update's shifts, still clear skip the screen; only changed clusters get new means.
     """
     X = np.asarray(X, dtype=np.float64)
     if k < 1:
@@ -134,11 +145,24 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
     if k > n_distinct:
         raise ClusteringError(f"k={k} exceeds {n_distinct} distinct rows")
 
+    (n, d), xx = X.shape, np.einsum("nd,nd->n", X, X)
+    tol_fit = _tolerance(xx, xx.max(), d)  # every centroid is a row or a mean of rows
     centroids = _plusplus_init(X, k, np.random.default_rng(seed))
-    trace = []
+    assignments, upper, lower = np.zeros(n, dtype=np.intp), np.full(n, np.inf), np.zeros(n)
+    fresh = np.zeros(k, dtype=bool)  # centroid is the mean of its cluster's current rows
+    trace, resid = [], np.empty_like(X)  # resid: (X - centroids[assignments]) ** 2
     iterations, converged, movement = 0, False, np.inf
     for iterations in range(1, max_iter + 1):
-        assignments = k_nearest(X, centroids, 1)[:, 0]
+        rows = np.flatnonzero(~(upper * upper + tol_fit < lower * lower))
+        ids, values, sure = _search(X.take(rows, axis=0), centroids, 1, xx[rows])
+        moved = ids[:, 0] != assignments[rows]
+        fresh[assignments[rows[moved]]] = False  # clusters that lose or gain a row
+        fresh[ids[moved, 0]] = False
+        assignments[rows] = ids[:, 0]
+        upper[rows], lower[rows] = np.inf, 0.0
+        rows, values = rows[sure], values[sure]
+        upper[rows] = np.sqrt(values[:, 0] + xx[rows] + tol_fit[rows])
+        lower[rows] = np.sqrt(np.maximum(values[:, 1] + xx[rows] - tol_fit[rows], 0.0))
         counts = np.bincount(assignments, minlength=k)
         if not counts.all():
             # empty-cluster repair in id order: reseed at the worst-fit point
@@ -151,16 +175,26 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
                     counts[cid] = 1
                     centroids[cid] = X[worst]
                     assignments[worst] = cid
-        trace.append(float(np.sum((X - centroids[assignments]) ** 2)))
-        # each cluster's rows in index order, averaged as X[assignments == cid].mean(axis=0);
-        # the narrowest id dtype lets the stable sort be a radix sort
-        ids = assignments.astype(np.min_scalar_type(k - 1))
-        members = X[np.argsort(ids, kind="stable")]
-        new_centroids = np.vstack(
-            [part.mean(axis=0) for part in np.split(members, np.cumsum(counts)[:-1])]
-        )
-        movement = np.max(np.sum((new_centroids - centroids) ** 2, axis=1))
+            upper[:], lower[:], fresh[:] = np.inf, 0.0, False
+        np.subtract(X, np.take(centroids, assignments, axis=0, out=resid, mode="clip"), out=resid)
+        trace.append(float(np.sum(np.square(resid, out=resid))))
+        # each stale cluster's rows in index order, summed and divided as .mean(axis=0)
+        # does; the narrowest id dtype lets the stable sort be a radix sort
+        stale, new_centroids, fresh[:] = ~fresh, centroids.copy(), True
+        rows = np.flatnonzero(stale[assignments])
+        ids = assignments[rows].astype(np.min_scalar_type(k - 1))
+        members = X.take(rows[np.argsort(ids, kind="stable")], axis=0)
+        sums = [np.add.reduce(p, axis=0) for p in np.split(members, np.cumsum(counts[stale])[:-1])]
+        new_centroids[stale] = np.vstack(sums) / counts[stale, None]
+        shift2 = np.sum((new_centroids - centroids) ** 2, axis=1)
+        movement = np.max(shift2)
         centroids = new_centroids
+        # bounds move by upper bounds on the true shifts (rounding, underflow), rounded outward
+        shift = np.sqrt(shift2) * (1.0 + 2.0 * (d + 4) * _UNIT_ROUNDOFF) + np.sqrt(d * _TINY)
+        top, (second, first) = np.argmax(shift), np.sort(np.append(shift, 0.0))[-2:]
+        upper = (upper + shift[assignments]) * (1.0 + 4.0 * _UNIT_ROUNDOFF)
+        lower = (lower - np.where(assignments == top, second, first)) * (1.0 - 4.0 * _UNIT_ROUNDOFF)
+        np.maximum(lower, 0.0, out=lower)
         if movement < tol:
             converged = True
             break
@@ -169,7 +203,7 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
     order = np.lexsort(centroids.T[::-1])
     centroids = centroids[order]
     assignments = k_nearest(X, centroids, 1)[:, 0]
-    inertia = float(np.sum((X - centroids[assignments]) ** 2))
+    inertia = float(np.sum((X - centroids.take(assignments, axis=0)) ** 2))
     return KMeansModel(
         centroids, assignments, inertia, iterations, tuple(trace), converged, float(movement)
     )

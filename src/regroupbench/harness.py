@@ -115,6 +115,9 @@ class ExperimentConfig:
             raise HarnessError(f"seeds must be integers, got {self.seeds!r}") from None
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "seeds", seeds)
+        names = [m.name for m in self.methods]  # rows and summary lines are keyed by name
+        if len(set(names)) < len(names):
+            raise HarnessError(f"method {max(names, key=names.count)} is listed more than once")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
@@ -362,6 +365,8 @@ def _column_weight(cfg: ExperimentConfig, method: MethodKind, ds: Dataset) -> fl
     fit = {"ros": max(train), "smote": max(train), "rus": min(train)}
     rows = len(train) * fit[transform] if transform in fit else sum(train)
     heads = sum(round(c / min(train)) for c in train) if transform == "regroup" else len(train)
+    if transform == "regroup" and len(train) == 2 and method.k_override is not None:
+        heads = 1 + method.k_override  # regroup_binary: the minority's head and K majority heads
     dims = (ds.dim, *cfg.hidden_dims, heads)
     return cfg.train.epochs * rows * sum(a * b for a, b in zip(dims, dims[1:]))
 

@@ -1,9 +1,10 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regroupbench import clustering
@@ -276,7 +277,10 @@ def reference_kmeans_fit(X, k, seed, max_iter=100, tol=1e-6):
 )
 def test_fit_bits_equal_reference_loop(n, k, d, mode, exponent, max_iter, data_seed, seed):
     X = sample_points(np.random.default_rng(data_seed), n, d, mode, exponent)
-    k = min(k, np.unique(X, axis=0).shape[0])
+    assert_fit_bits_equal_reference(X, min(k, np.unique(X, axis=0).shape[0]), seed, max_iter)
+
+
+def assert_fit_bits_equal_reference(X, k, seed, max_iter):
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error", RuntimeWarning)  # no cluster is left empty
         model = kmeans_fit(X, k, seed=seed, max_iter=max_iter)
@@ -290,6 +294,82 @@ def test_fit_bits_equal_reference_loop(n, k, d, mode, exponent, max_iter, data_s
     assert (model.iterations_run, model.converged) == (iterations, converged)
     assert np.array(model.final_shift).tobytes() == np.array(shift).tobytes()
     assert model.converged == (model.final_shift < 1e-6)
+
+
+def with_gadget(X):
+    """X with four far rows appended, and a seeding that gives them three seeds
+    of their own after k-means++ seeds of X's rows. Alone, those rows and seeds
+    leave the third seed's cluster empty at the second assignment (a tie goes
+    to the lower id), so a fit repairs a cluster after its bounds were seeded."""
+    unit = 2.0 ** np.ceil(np.log2(np.abs(X).max() + 1.0))  # powers of two keep the ties exact
+    far = np.full((7, X.shape[1]), 64.0 * unit)  # no row of X nears a gadget row, nor the reverse
+    far[:, 0] += unit / 1024 * np.array([6.0, 4.0, 7.0, 3.0, 0.0, 7.0, 6.0])  # rows, then seeds
+
+    def seeding(X_all, k, rng, plusplus=_plusplus_init):
+        return np.vstack([plusplus(X_all[:-4], k - 3, rng), far[4:]])
+
+    return np.vstack([X, far[:4]]), seeding
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(200, 2000),
+    k=st.integers(2, 40),
+    d=st.integers(1, 16),
+    mode=st.sampled_from(["gauss", "lattice", "halves"]),
+    exponent=st.sampled_from([0, 0, -150, -200, 150]),
+    duplicate=st.booleans(),
+    max_iter=st.sampled_from([3, 100, 100]),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 1000),
+)
+@example(n=2000, k=40, d=16, mode="gauss", exponent=0, duplicate=False, max_iter=100,
+         data_seed=1, seed=0)
+@example(n=1500, k=30, d=4, mode="halves", exponent=0, duplicate=True, max_iter=100,
+         data_seed=2, seed=1)
+def test_bounded_fit_bits_equal_reference_at_pruning_sizes(
+    n, k, d, mode, exponent, duplicate, max_iter, data_seed, seed
+):
+    """Sizes where the bounds skip rows and clusters; every fit also repairs an
+    emptied cluster mid-way, after the bounds were seeded."""
+    rng = np.random.default_rng(data_seed)
+    X = sample_points(rng, n, d, mode, exponent)
+    if duplicate:  # a quarter of the rows repeat others
+        X[: n // 4] = X[rng.integers(n // 4, n, size=n // 4)]
+    X, seeding = with_gadget(X)
+    k = min(k, np.unique(X[:-4], axis=0).shape[0]) + 3
+    with mock.patch.object(clustering, "_plusplus_init", seeding), \
+            mock.patch.dict(globals(), {"_plusplus_init": seeding}):
+        assert_fit_bits_equal_reference(X, k, seed, max_iter)
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """The number of rows of each `clustering._search` call, in call order."""
+    calls, screen = [], clustering._search
+
+    def search(rows, *args):
+        calls.append(len(rows))
+        return screen(rows, *args)
+
+    monkeypatch.setattr(clustering, "_search", search)
+    return calls
+
+
+def test_mid_fit_repair_resets_every_bound(monkeypatch, screened):
+    X, seeding = with_gadget(three_blobs(0, std=1.0, n_each=100)[0])
+    monkeypatch.setattr(clustering, "_plusplus_init", seeding)
+    model = kmeans_fit(X, 6, seed=0, max_iter=3)
+    # step 1 screens every row, step 2 fewer and empties a gadget cluster, step 3 all again
+    assert model.iterations_run == 3 and screened[0] == screened[2] == len(X) > screened[1]
+
+
+def test_late_steps_rescreen_few_rows(screened):
+    """A fit that fell back to screening every row each step fails here."""
+    X, _ = three_blobs(3, std=1.5)
+    model = kmeans_fit(X, 8, seed=0)
+    assert model.converged and len(screened) == model.iterations_run + 1  # + final k_nearest
+    assert screened[0] == len(X) and screened[model.iterations_run - 1] < len(X) // 4
 
 
 def test_fit_memory_is_bounded():

@@ -148,14 +148,13 @@ def clamp_csv(path):
 
 class TestSeedStacking:
     def test_grid_rows_equal_one_cell_runs(self, tmp_path):
-        methods = ["CE", "WCE", "Focal", "LDAM", "ROS+CE", "SMOTE+CE", "RG+CE",
-                   MethodKind("RG+CE", k_override=4)]
-        for dataset, kwargs in (
-            ({"builtin": "overlap"}, {}),
-            (clamp_csv(tmp_path / "clamp.csv"), {"test_fraction": 0.25}),
-        ):
-            cfg = tiny_cfg(methods[:6] if "builtin" in dataset else methods[6:],
-                           seeds=(0, 1, 2, 3, 4, 5), dataset=dataset, **kwargs)
+        clamp = clamp_csv(tmp_path / "clamp.csv")
+        for dataset, methods, kwargs in (
+            ({"builtin": "overlap"}, ["CE", "WCE", "Focal", "LDAM", "ROS+CE", "SMOTE+CE"], {}),
+            (clamp, ["CE", "RG+CE"], {"test_fraction": 0.25}),
+            (clamp, ["CE", MethodKind("RG+CE", k_override=4)], {"test_fraction": 0.25}),
+        ):  # one RG+CE per config: a config names each method once
+            cfg = tiny_cfg(methods, seeds=(0, 1, 2, 3, 4, 5), dataset=dataset, **kwargs)
             rows, _ = run_grid(cfg)
             cells = [(m, s) for m in cfg.methods for s in cfg.seeds]
             assert [(r.method, r.seed) for r in rows] == [(m.name, s) for m, s in cells]
@@ -309,6 +308,8 @@ class TestParallelColumns:
         assert weight["ROS+CE"] == weight["SMOTE+CE"] == epochs * 1440 * layers
         assert weight["RUS+CE"] == epochs * 160 * layers
         assert weight["RG+CE"] == epochs * 800 * (2 * 32 + 32 * 10)  # 1 + 9 heads
+        forced = harness._column_weight(cfg, MethodKind("RG+CE", k_override=3), ds)
+        assert forced == epochs * 800 * (2 * 32 + 32 * 4)  # 1 + k_override heads
 
 
 def huge_csv(path):
@@ -517,6 +518,9 @@ class TestCli:
              "gamma must be >= 0 and finite, got nan"),
             ({"methods": [{"name": "LDAM", "margin_scale": float("nan")}]}, "both finite"),
             ({"methods": [{"name": "LDAM", "logit_scale": float("inf")}]}, "both finite"),
+            ({"methods": [{"name": "RG+CE", "k_override": 1}, {"name": "CE"},
+                          {"name": "RG+CE", "k_override": 8}]},
+             "method RG+CE is listed more than once"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
