@@ -1,0 +1,386 @@
+"""Time one topic in a base revision and in this checkout, in alternating pairs.
+
+    python scripts/pairs.py BASE_REV TOPIC [--out BENCH_<topic>.json]
+
+BASE_REV is any git revision. It is checked out, with no network, into a
+detached `git worktree` under `.pairs_work/`, and its `src/` is the base
+side; the head side is this checkout's `src/`. The topic's input files are
+written once into `.pairs_work/` as well, so both sides read the same paths
+(a grid's `config_hash` covers its CSV path). The worktree and the work
+directory are removed at the end, also when a side fails.
+
+For each of the topic's inputs, each of ROUNDS rounds runs one fresh
+interpreter per side, alternating which side goes first. An interpreter
+(`pairs.py --measure TOPIC SRC JOB`) imports the package from SRC, measures
+and prints its samples and output digests as JSON. The topics:
+
+- `grid`: `regroupbench run` through `regroupbench.cli.main` on the
+  benchmark's desk-overlap and csv-scale workloads (`perfbench/workloads.py`,
+  workload seed SEED), one interpreter per workload, GRID_PASSES grids each.
+  Points per workload: `wall_s`, the mean wall time of the passes;
+  `rss_self_mb`, the interpreter's own peak resident memory (`RUSAGE_SELF`,
+  what the benchmark's `peak_rss_mb` counts); `rss_children_mb`, the largest
+  peak of the processes it waited for, that is of the pool workers that ran
+  the columns. The output is `results.csv` without `wall_time_s`.
+- `grid-serial`: the same with every interpreter pinned to one CPU (as
+  `taskset -c 0` does), so `run_grid` runs the columns in-process.
+- `knn`: the nearest-neighbour kernels, in ms, on unit-noise Gaussian blobs
+  around centres drawn from N(0, 1.2^2) (D = 16), as in csv-scale.
+  `kmeans_assign` gives each of 8,000 rows its nearest of 40 centroids, the
+  centroids after 5 Lloyd steps from k-means++ seeds (csv-scale's largest
+  class and its k). `smote_<m>` finds each row's 5 nearest other rows of an
+  m-row class. `kmeans_fit_<n>` fits to convergence as regrouping calls it,
+  distinct-row count given, at csv-scale's two class shapes: 8,000 rows with
+  k = 40 (12 blobs) and 1,200 rows with k = 6 (3 blobs). The outputs are the
+  neighbour ids and the models' centroids, assignments and inertia traces.
+- `metrics_cli`: `read_csv_columns`, `per_class_ap` and one `cli.main`
+  metrics call, in ms, on score-csv's first prediction file (50,000 rows, 20
+  score columns in thousandths, so the block-tie AP path runs). The output is
+  the metrics JSON.
+- `trainer`: the desk recipe's shapes (n = 800 rows, D = 2, one hidden layer
+  of 32, batch 64, CE on one Gaussian blob per class). `step_S{1,8}_C{2,10}`
+  is µs per model-step: the wall time of one `train` call of S stacked models
+  over TRAINER_EPOCHS epochs, epoch-end divergence checks included, over
+  S x steps. `loss_and_grad_512x{2,10}` is one `losses.loss_and_grad` call on
+  512 rows of logits, in µs. The outputs are the trained weights, biases,
+  learning rates and step losses, and the loss values and gradients.
+
+The output file holds `environment`, `input`, `rounds`, `points` and
+`outputs_equal`. Per point: its `unit`; per side its `samples`, each
+interpreter's median (`rounds`) and the median and quartiles of the samples;
+`head_wins`, the rounds whose head median is below the base median (ties
+count for neither side); and `median_speedup`, the median over rounds of
+base / head. `outputs_equal` says whether every interpreter of both sides
+gave the same outputs; the run exits 1 if not.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import resource
+import shutil
+import subprocess
+import sys
+import time
+from functools import partial
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import (CSV_CENTRE_SD, CSV_DIM, SCORE_CLASSES, SCORE_ROWS,  # noqa: E402
+                       WORKLOADS, score_matrix, write_prediction_csv)
+
+ROUNDS = 10  # fresh-interpreter pairs per input, alternating which side goes first
+WORK = ROOT / ".pairs_work"
+SEED = 1201  # workload seed of the grids and of the metrics_cli prediction file
+GRID_PASSES = 2  # grids per interpreter, as the benchmark's minimum passes per run
+KNN_REPEATS = {"kmeans_assign": 20, "smote_1200": 5, "smote_5000": 1, "smote_20000": 1,
+               "kmeans_fit_8000": 5, "kmeans_fit_1200": 20}
+KMEANS_ROWS, KMEANS_K, SMOTE_K = 8_000, 40, 5
+METRICS_REPEATS = 3
+TRAINER_REPEATS = 5
+N, D, HIDDEN, BATCH, TRAINER_EPOCHS, LOSS_ROWS = 800, 2, 32, 64, 20, 512
+
+
+def clock(call: Callable, repeats: int, scale: float = 1e3) -> tuple[list, object]:
+    """`repeats` timed calls of `call`, each in seconds x `scale`, and the last output."""
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = call()
+        samples.append(scale * (time.perf_counter() - t0))
+    return samples, out
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def grid_inputs(work: Path) -> tuple[str, list[dict]]:
+    jobs, seeds = [], {}
+    for name in ("desk-overlap", "csv-scale"):
+        (work / name).mkdir()
+        workload = WORKLOADS[name](SEED, work / name)
+        seeds[name] = workload.info["grid_seeds"]
+        jobs.append({"workload": name, "config": workload.configs[0],
+                     "out": str(work / name / "out")})
+    return (f"perfbench workloads desk-overlap and csv-scale, workload seed {SEED}, grid seeds "
+            f"{seeds}; {GRID_PASSES} grids per interpreter"), jobs
+
+
+def measure_grid(job: dict) -> dict:
+    from regroupbench.cli import main
+
+    walls = []
+    for _ in range(GRID_PASSES):
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", job["config"], "--out", job["out"]])
+        walls.append(time.perf_counter() - t0)
+        if code != 0:
+            raise SystemExit(f"regroupbench run exited {code}")
+    lines = (Path(job["out"]) / "results.csv").read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("wall_time_s")
+    stripped = "\n".join(",".join(c[:col] + c[col + 1:]) for c in (ln.split(",") for ln in lines))
+    name = job["workload"]
+    return {
+        "points": {
+            f"{name} wall_s": ("s", [sum(walls) / len(walls)]),
+            f"{name} rss_self_mb":
+                ("MB", [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]),
+            f"{name} rss_children_mb":
+                ("MB", [resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0]),
+        },
+        "digests": {name: sha256(stripped.encode())},
+    }
+
+
+def knn_blobs(m: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, 0xB10B])
+    centres = rng.normal(0.0, CSV_CENTRE_SD, size=(count, CSV_DIM))
+    return centres[rng.integers(count, size=m)] + rng.standard_normal((m, CSV_DIM))
+
+
+def knn_inputs(work: Path) -> tuple[str, list[dict]]:
+    return (f"Gaussian blobs, D = {CSV_DIM}: k-means assignment of {KMEANS_ROWS} rows "
+            f"(12 blobs) to {KMEANS_K} centroids; SMOTE's {SMOTE_K} nearest other rows of an "
+            f"m-row class (3 blobs); kmeans_fit to convergence of 8,000 rows (12 blobs, "
+            f"k = {KMEANS_K}) and 1,200 rows (3 blobs, k = 6), seed 0, distinct-row count "
+            f"given; calls per interpreter {KNN_REPEATS}"), [{}]
+
+
+def measure_knn(job: dict) -> dict:
+    from regroupbench import clustering
+
+    X = knn_blobs(KMEANS_ROWS, 12, 1)
+    C = clustering.kmeans_fit(X, KMEANS_K, seed=0, max_iter=5).centroids
+    calls = {"kmeans_assign": lambda: clustering.k_nearest(X, C, 1)[:, 0]}
+    for m in (1_200, 5_000, 20_000):
+        rows = knn_blobs(m, 3, m)
+        calls[f"smote_{m}"] = lambda rows=rows: clustering.k_nearest(
+            rows, rows, SMOTE_K, exclude_self=True)
+    fits = (("kmeans_fit_8000", X, KMEANS_K), ("kmeans_fit_1200", knn_blobs(1_200, 3, 1_200), 6))
+    for name, rows, k in fits:
+        distinct = np.unique(rows, axis=0).shape[0]
+        calls[name] = lambda rows=rows, k=k, distinct=distinct: clustering.kmeans_fit(
+            rows, k, seed=0, _n_distinct=distinct)
+    for name in ("kmeans_assign", "smote_1200", "kmeans_fit_1200"):  # warm-ups
+        calls[name]()
+    points, digests = {}, {}
+    for name, call in calls.items():
+        samples, out = clock(call, KNN_REPEATS[name])
+        points[name] = ("ms", samples)
+        if isinstance(out, clustering.KMeansModel):  # the model's bits, not just its ids
+            out = (out.centroids, out.assignments, np.array(out.inertia_trace))
+        else:
+            out = (np.asarray(out, dtype=np.int64),)
+        digests[name] = sha256(b"".join(a.tobytes() for a in out))
+    return {"points": points, "digests": digests}
+
+
+def metrics_cli_inputs(work: Path) -> tuple[str, list[dict]]:
+    pred = work / "pred.csv"
+    write_prediction_csv(*score_matrix(SEED, 0), pred)
+    return (f"score-csv prediction file (seed {SEED}, file 0): {SCORE_ROWS} rows x "
+            f"{SCORE_CLASSES} score columns in thousandths + integer truth column; "
+            f"{METRICS_REPEATS} calls per interpreter after one warm-up"), [{"pred": str(pred)}]
+
+
+def measure_metrics_cli(job: dict) -> dict:
+    from regroupbench.cli import main
+    from regroupbench.dataset import read_csv_columns
+    from regroupbench.metrics import per_class_ap
+
+    def metrics_json():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            main(["metrics", "--pred", job["pred"], "--truth-col", "label"])
+        return out.getvalue()
+
+    scores, y = read_csv_columns(job["pred"], "label", int)
+    y = np.array(y)
+    calls = {"read_csv_columns": lambda: read_csv_columns(job["pred"], "label", int),
+             "per_class_ap": lambda: per_class_ap(y, scores),
+             "metrics_call": metrics_json}
+    points = {}
+    for name, call in calls.items():
+        call()  # warm-up
+        points[name] = ("ms", clock(call, METRICS_REPEATS)[0])
+    return {"points": points, "digests": {"metrics_json": sha256(metrics_json().encode())}}
+
+
+def class_blobs(n: int, C: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng([seed, C, 0x7A1])
+    y = np.arange(n) % C
+    return rng.normal(0.0, 2.0, size=(C, D))[y] + rng.standard_normal((n, D)), y
+
+
+def trainer_inputs(work: Path) -> tuple[str, list[dict]]:
+    return (f"n = {N} rows, D = {D}, hidden {HIDDEN}, batch {BATCH}, {TRAINER_EPOCHS} epochs, "
+            "CE; one Gaussian blob per class; step = train() wall / (S x steps), epoch-end "
+            f"checks included; loss_and_grad on {LOSS_ROWS} rows; {TRAINER_REPEATS} calls per "
+            "interpreter after one warm-up"), [{}]
+
+
+def measure_trainer(job: dict) -> dict:
+    from regroupbench import losses, trainer
+    from regroupbench.dataset import Dataset
+
+    def fit(S, C):
+        datasets = [Dataset(*class_blobs(N, C, s)) for s in range(S)]
+        specs = [trainer.MlpSpec(D, C, (HIDDEN,), init_seed=s) for s in range(S)]
+        cfgs = [trainer.TrainConfig(epochs=TRAINER_EPOCHS, batch_size=BATCH, shuffle_seed=s)
+                for s in range(S)]
+
+        def call():
+            out = []
+            for model, history in trainer.train(datasets, specs, losses.LossSpec("ce"), cfgs):
+                out += [a.tobytes() for a in (*model.weights, *model.biases)]
+                out.append(repr((history.learning_rate, history.step_loss)).encode())
+            return out
+        return call
+
+    def loss_and_grad(C):
+        rng = np.random.default_rng([C, 0x1055])
+        Z, y = rng.standard_normal((LOSS_ROWS, C)) * 3.0, rng.integers(C, size=LOSS_ROWS)
+        spec = losses.LossSpec("ce")
+        return lambda: [a.tobytes() for a in losses.loss_and_grad(Z, y, spec)]
+
+    calls, per_call = {}, {}
+    for C in (2, 10):
+        for S in (1, 8):
+            calls[f"step_S{S}_C{C}"] = fit(S, C)
+            per_call[f"step_S{S}_C{C}"] = S * TRAINER_EPOCHS * -(-N // BATCH)
+        calls[f"loss_and_grad_{LOSS_ROWS}x{C}"] = loss_and_grad(C)
+        per_call[f"loss_and_grad_{LOSS_ROWS}x{C}"] = 1
+    points, digests = {}, {}
+    for name, call in calls.items():
+        call()  # warm-up
+        samples, out = clock(call, TRAINER_REPEATS, 1e6 / per_call[name])
+        points[name] = ("us", samples)
+        digests[name] = sha256(b"".join(out))
+    return {"points": points, "digests": digests}
+
+
+class Topic(NamedTuple):
+    inputs: Callable  # (work dir) -> (description, one job per interpreter); writes input files
+    measure: Callable  # (job) -> {"points": {name: (unit, samples)}, "digests": {name: hex}}
+    serial: bool = False  # pin each interpreter to one CPU
+
+
+TOPICS = {
+    "grid": Topic(grid_inputs, measure_grid),
+    "grid-serial": Topic(grid_inputs, measure_grid, serial=True),
+    "knn": Topic(knn_inputs, measure_knn),
+    "metrics_cli": Topic(metrics_cli_inputs, measure_metrics_cli),
+    "trainer": Topic(trainer_inputs, measure_trainer),
+}
+
+
+def side(topic: str, src: str, job: dict) -> dict:
+    """Measure `job` in one fresh interpreter that imports the package from `src`."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--measure", topic, src, json.dumps(job)]
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pin = partial(os.sched_setaffinity, 0, one_cpu) if TOPICS[topic].serial else None
+    proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=pin)
+    if proc.returncode != 0:
+        raise SystemExit(f"{topic} with {src} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+    }
+
+
+def quartiles(values: list) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(med), 4), "q1": round(float(q1), 4), "q3": round(float(q3), 4)}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    """The report's `points` and `outputs_equal` from `pairs`, one
+    {side: measure output} per round and input."""
+    points, digests = {}, {}
+    for pair in pairs:
+        for name, doc in pair.items():
+            for point, (unit, samples) in doc["points"].items():
+                entry = points.setdefault(point, {"unit": unit, "base": {"samples": [], "rounds": []},
+                                                  "head": {"samples": [], "rounds": []}})
+                entry[name]["samples"] += samples
+                entry[name]["rounds"].append(float(np.median(samples)))
+            for output, digest in doc["digests"].items():
+                digests.setdefault(output, set()).add(digest)
+    for entry in points.values():
+        base, head = entry["base"]["rounds"], entry["head"]["rounds"]
+        entry["head_wins"] = sum(h < b for b, h in zip(base, head))
+        entry["median_speedup"] = (round(float(np.median(np.divide(base, head))), 4)
+                                   if all(head) else None)  # no ratio to a reading of 0
+        for name in ("base", "head"):
+            entry[name] = {"samples": [round(x, 4) for x in entry[name]["samples"]],
+                           "rounds": [round(x, 4) for x in entry[name]["rounds"]],
+                           **quartiles(entry[name]["samples"])}
+    return {"points": points, "outputs_equal": all(len(d) == 1 for d in digests.values())}
+
+
+def record(base_rev: str, topic: str, out: str) -> int:
+    """Write the pairs of `topic` between `base_rev` and this checkout to `out`;
+    1 if the two sides' outputs differ."""
+    base = WORK / "base"
+    WORK.mkdir()  # refuses to run over another recorder's work directory
+    try:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
+                        str(base), base_rev], check=True)
+        (WORK / "inputs").mkdir()
+        description, jobs = TOPICS[topic].inputs(WORK / "inputs")
+        srcs = {"base": str(base / "src"), "head": str(ROOT / "src")}
+        pairs = []
+        for i, job in enumerate(jobs):
+            for r in range(ROUNDS):
+                order = ("base", "head") if r % 2 == 0 else ("head", "base")
+                pairs.append({name: side(topic, srcs[name], job) for name in order})
+                print(f"{topic} input {i} round {r} done", file=sys.stderr)
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
+                       capture_output=True)
+        shutil.rmtree(WORK, ignore_errors=True)
+    report = {"environment": environment(), "input": description, "rounds": ROUNDS,
+              **summarize(pairs)}
+    Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    for point, entry in report["points"].items():
+        print(f"{point}: base {entry['base']['median']} -> head {entry['head']['median']} "
+              f"{entry['unit']}; head lower in {entry['head_wins']}/{ROUNDS} rounds, "
+              f"median speedup {entry['median_speedup']}")
+    print(f"outputs equal: {report['outputs_equal']}")
+    return 0 if report["outputs_equal"] else 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_rev", help="git revision of the base side")
+    parser.add_argument("topic", choices=TOPICS)
+    parser.add_argument("--out", help="output file (default BENCH_<topic>.json)")
+    args = parser.parse_args()
+    return record(args.base_rev, args.topic, args.out or f"BENCH_{args.topic}.json")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--measure"]:  # one side's fresh interpreter: TOPIC SRC JOB
+        topic, src, job = sys.argv[2:5]
+        sys.path.insert(0, src)
+        print(json.dumps(TOPICS[topic].measure(json.loads(job))))
+    else:
+        raise SystemExit(main())

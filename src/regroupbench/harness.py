@@ -45,7 +45,7 @@ from .regrouping import (
     regroup_multiclass,
 )
 from .resampling import ResampleSpec, resample
-from .trainer import MlpSpec, TrainConfig, predict_proba, train
+from .trainer import MlpSpec, TrainConfig, integer, predict_proba, train
 
 _BLAS_PIN = "scipy_openblas_set_num_threads64_"  # numpy's OpenBLAS thread-count setter
 METHODS = {  # name -> (loss kind, train-set transform: a resampling kind, "regroup" or None)
@@ -80,11 +80,12 @@ class MethodKind:
                   and getattr(self, f.name) != f.default]
         if unused:  # a typo'd pairing would otherwise be silent and change config_hash
             raise HarnessError(f"method {self.name} does not use {', '.join(unused)}")
-        if self.k_override is not None and self.k_override < 1:
+        if self.k_override is not None and integer("k_override", self.k_override) < 1:
             raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
         self.loss_spec((1,))  # the specs' own checks reject a bad hyperparameter here
         if METHODS[self.name][1] not in (None, "regroup"):
-            ResampleSpec(METHODS[self.name][1], k_neighbors=self.k_neighbors)
+            ResampleSpec(METHODS[self.name][1],
+                         k_neighbors=integer("k_neighbors", self.k_neighbors))
 
     def loss_spec(self, class_counts: tuple[int, ...]) -> LossSpec:
         """The loss this method trains with, for a train split's class counts.
@@ -110,7 +111,7 @@ class ExperimentConfig:
             raise HarnessError("need at least one method and one seed")
         seeds = self.seeds.split(",") if isinstance(self.seeds, str) else self.seeds
         try:
-            seeds = tuple(int(s) for s in seeds)
+            seeds = tuple(int(s) if isinstance(s, str) else integer("seeds", s) for s in seeds)
         except (TypeError, ValueError):
             raise HarnessError(f"seeds must be integers, got {self.seeds!r}") from None
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -118,7 +119,8 @@ class ExperimentConfig:
         names = [m.name for m in self.methods]  # rows and summary lines are keyed by name
         if len(set(names)) < len(names):
             raise HarnessError(f"method {max(names, key=names.count)} is listed more than once")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims",
+                           tuple(integer("hidden_dims entry", d) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if not 0.0 < self.test_fraction < 1.0:

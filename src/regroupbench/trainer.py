@@ -11,6 +11,7 @@ model for divergence; only models the bound cannot clear run the exact pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,14 @@ _LOGIT_LIMIT = 2.0**1000  # a `_logit_bound` below this clears the exact epoch-e
 
 class TrainingError(ValueError):
     """Raised for bad configuration or dimension mismatches."""
+
+
+def integer(name: str, value) -> int:
+    """`value` as an int, or a TrainingError naming `name` for a float or text."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TrainingError(f"{name} must be an integer, got {value!r}") from None
 
 
 class TrainingDiverged(RuntimeError):
@@ -61,8 +70,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.lr_max >= self.lr_min >= 0):
             raise TrainingError("need lr_max >= lr_min >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
+        if integer("epochs", self.epochs) < 1 or integer("batch_size", self.batch_size) < 1:
             raise TrainingError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.momentum) and math.isfinite(self.weight_decay)):
+            raise TrainingError("momentum and weight_decay must be finite")
 
 
 FULL_RECIPE = TrainConfig(lr_max=0.01, epochs=300, batch_size=256)

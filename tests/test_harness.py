@@ -521,6 +521,19 @@ class TestCli:
             ({"methods": [{"name": "RG+CE", "k_override": 1}, {"name": "CE"},
                           {"name": "RG+CE", "k_override": 8}]},
              "method RG+CE is listed more than once"),
+            ({"hidden_dims": "32"}, "hidden_dims entry must be an integer, got '3'"),
+            ({"hidden_dims": [8.7]}, "hidden_dims entry must be an integer, got 8.7"),
+            ({"seeds": [0.5]}, "seeds must be integers, got [0.5]"),
+            ({"train": {"epochs": 1.0}}, "epochs must be an integer, got 1.0"),
+            ({"train": {"epochs": 1, "batch_size": 64.0}}, "batch_size must be an integer, got 64.0"),
+            ({"methods": [{"name": "RG+CE", "k_override": 2.0}]},
+             "k_override must be an integer, got 2.0"),
+            ({"methods": [{"name": "SMOTE+CE", "k_neighbors": 3.0}]},
+             "k_neighbors must be an integer, got 3.0"),
+            ({"train": {"epochs": 1, "momentum": float("nan")}},
+             "momentum and weight_decay must be finite"),
+            ({"train": {"epochs": 1, "weight_decay": float("inf")}},
+             "momentum and weight_decay must be finite"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

@@ -1,0 +1,78 @@
+"""The pair recorder (`scripts/pairs.py`): its topic table, its summary of
+hand-made samples and its clean-up. Nothing here is timed.
+
+Importing the recorder imports the names it uses from `perfbench/workloads.py`,
+so a renamed workload helper fails here first."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+import pairs  # noqa: E402
+
+
+def doc(samples, digest="same"):
+    """One interpreter's measure output: one point in ms, one output digest."""
+    return {"points": {"p": ["ms", samples]}, "digests": {"out": digest}}
+
+
+def test_topic_table():
+    assert set(pairs.TOPICS) == {"grid", "grid-serial", "knn", "metrics_cli", "trainer"}
+    assert [name for name, topic in pairs.TOPICS.items() if topic.serial] == ["grid-serial"]
+
+
+def test_summary_of_hand_made_samples():
+    rounds = [
+        {"base": doc([4.0, 2.0, 3.0]), "head": doc([1.0, 1.0, 2.0])},  # head wins, 3 / 1
+        {"head": doc([2.0]), "base": doc([2.0])},  # a tie counts for neither side
+        {"base": doc([1.0]), "head": doc([4.0])},  # base wins, 1 / 4
+    ]
+    summary = pairs.summarize(rounds)
+    assert summary["outputs_equal"] is True
+    point = summary["points"]["p"]
+    assert point["unit"] == "ms"
+    assert point["base"]["rounds"] == [3.0, 2.0, 1.0]
+    assert point["head"]["rounds"] == [1.0, 2.0, 4.0]
+    assert point["base"]["samples"] == [4.0, 2.0, 3.0, 2.0, 1.0]
+    assert point["head_wins"] == 1
+    assert point["median_speedup"] == 1.0  # median of 3, 1 and 0.25
+    assert {k: point["base"][k] for k in ("median", "q1", "q3")} == {"median": 2.0, "q1": 2.0,
+                                                                     "q3": 3.0}
+    assert {k: point["head"][k] for k in ("median", "q1", "q3")} == {"median": 2.0, "q1": 1.0,
+                                                                     "q3": 2.0}
+
+
+def test_no_speedup_against_a_reading_of_zero():
+    # rss_children_mb reads 0 when an interpreter ran its grid without workers
+    point = pairs.summarize([{"base": doc([0.0]), "head": doc([0.0])}])["points"]["p"]
+    assert point["median_speedup"] is None and point["head_wins"] == 0
+
+
+@pytest.mark.parametrize("round_, side", [(0, "head"), (1, "base")])
+def test_outputs_differ_between_sides_or_rounds(round_, side):
+    rounds = [{"base": doc([1.0]), "head": doc([1.0])} for _ in range(2)]
+    rounds[round_][side] = doc([1.0], digest="other")
+    assert pairs.summarize(rounds)["outputs_equal"] is False
+
+
+def test_failed_side_leaves_no_worktree_or_work_directory(tmp_path, monkeypatch):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    work = tmp_path / "work"
+    monkeypatch.setattr(pairs, "WORK", work)
+
+    def failing_side(topic, src, job):
+        assert Path(src, "regroupbench").is_dir()
+        raise SystemExit("side failed")
+
+    monkeypatch.setattr(pairs, "side", failing_side)
+    with pytest.raises(SystemExit, match="side failed"):
+        pairs.record("HEAD", "knn", str(tmp_path / "out.json"))
+    assert not work.exists() and not (tmp_path / "out.json").exists()
+    trees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list", "--porcelain"],
+                           capture_output=True, text=True, check=True).stdout
+    assert str(work) not in trees
