@@ -71,7 +71,7 @@ def _cmd_synth(args) -> int:
         if "builtin" in doc:
             spec = builtin_mixture(doc["builtin"])
             if "seed" in doc:
-                spec = replace(spec, seed=int(doc["seed"]))
+                spec = replace(spec, seed=doc["seed"])
         else:
             spec = mixture_from_dict(doc)
     except (OSError, TypeError, ValueError) as exc:  # HarnessError, DatasetError: ValueErrors

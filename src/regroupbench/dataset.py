@@ -5,6 +5,7 @@ positive/minority class, class 1 the majority class.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +14,13 @@ import numpy as np
 
 class DatasetError(ValueError):
     """Raised when a dataset violates its invariants or cannot be parsed."""
+
+
+def integer(name: str, value, error: type[ValueError]) -> int:
+    """`value` as an int; `error` naming `name` for a bool or any other non-integer."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ class GaussianComponent:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
+        if integer("count", self.count, DatasetError) < 1:
             raise DatasetError("component count must be >= 1")
         if not self.stddev > 0:
             raise DatasetError("component stddev must be > 0")
@@ -102,6 +110,7 @@ class MixtureSpec:
 
     def __post_init__(self):
         comps = tuple(self.majority_components)
+        integer("seed", self.seed, DatasetError)
         if not comps:
             raise DatasetError("at least one majority component required")
         dim = len(self.minority.mean)
@@ -119,13 +128,13 @@ def mixture_from_dict(d: dict) -> MixtureSpec:
     component {"mean": [...], "stddev": s, "count": n}. DatasetError names
     a missing key or a malformed value."""
     def comp(c):
-        return GaussianComponent(tuple(c["mean"]), float(c["stddev"]), int(c["count"]))
+        return GaussianComponent(tuple(c["mean"]), float(c["stddev"]), c["count"])
 
     try:
         return MixtureSpec(
             comp(d["minority"]),
             tuple(comp(c) for c in d["majority_components"]),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
         )
     except KeyError as exc:
         raise DatasetError(f"mixture spec is missing key {exc}") from None

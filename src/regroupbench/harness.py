@@ -30,28 +30,31 @@ from .dataset import (
     GaussianComponent,
     MixtureSpec,
     generate_imbalanced_mixture,
+    integer,
     load_csv_dataset,
     mixture_from_dict,
     standardize,
     stratified_split,
 )
-from .losses import LossSpec
+from .losses import COUNTED_KINDS, LossSpec
 from .metrics import confusion_table, per_class_ap, summary_metrics
 from .regrouping import (
     RegroupPlan,
     collapse_proba_matrix,
     compute_k,
+    group_counts,
     regroup_binary,
     regroup_multiclass,
 )
-from .resampling import ResampleSpec, resample
-from .trainer import MlpSpec, TrainConfig, integer, predict_proba, train
+from .resampling import TARGET, ResampleSpec, resample
+from .trainer import MlpSpec, TrainConfig, predict_proba, train
 
 _BLAS_PIN = "scipy_openblas_set_num_threads64_"  # numpy's OpenBLAS thread-count setter
-METHODS = {  # name -> (loss kind, train-set transform: a resampling kind, "regroup" or None)
-    "CE": ("ce", None), "WCE": ("wce", None), "Focal": ("focal", None), "LDAM": ("ldam", None),
-    "ROS+CE": ("ce", "ros"), "RUS+CE": ("ce", "rus"), "SMOTE+CE": ("ce", "smote"),
-    "RG+CE": ("ce", "regroup"),
+METHODS = {  # name -> (loss kind, train-set transform or None, the MethodKind fields it uses)
+    "CE": ("ce", None, ()), "WCE": ("wce", None, ()), "Focal": ("focal", None, ("gamma",)),
+    "LDAM": ("ldam", None, ("margin_scale", "logit_scale")), "ROS+CE": ("ce", "ros", ()),
+    "RUS+CE": ("ce", "rus", ()), "SMOTE+CE": ("ce", "smote", ("k_neighbors",)),
+    "RG+CE": ("ce", "regroup", ("k_override",)),
 }
 
 RESULTS_HEADER = (
@@ -67,66 +70,77 @@ class HarnessError(ValueError):
 @dataclass(frozen=True)
 class MethodKind:
     name: str
-    gamma: float = field(default=2.0, metadata={"method": "Focal"})
-    margin_scale: float = field(default=0.5, metadata={"method": "LDAM"})
-    logit_scale: float = field(default=30.0, metadata={"method": "LDAM"})
-    k_neighbors: int = field(default=5, metadata={"method": "SMOTE+CE"})
-    k_override: int | None = field(default=None, metadata={"method": "RG+CE"})  # forced K
+    gamma: float = 2.0
+    margin_scale: float = 0.5
+    logit_scale: float = 30.0
+    k_neighbors: int = 5
+    k_override: int | None = None  # forced K, binary sources only
 
     def __post_init__(self):
         if self.name not in METHODS:
             raise HarnessError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
-        unused = [f.name for f in fields(self) if f.metadata.get("method", self.name) != self.name
+        unused = [f.name for f in fields(self)[1:] if f.name not in METHODS[self.name][2]
                   and getattr(self, f.name) != f.default]
         if unused:  # a typo'd pairing would otherwise be silent and change config_hash
             raise HarnessError(f"method {self.name} does not use {', '.join(unused)}")
-        if self.k_override is not None and integer("k_override", self.k_override) < 1:
-            raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
+        k = self.k_override
+        if k is not None and integer("k_override", k, HarnessError) < 1:
+            raise HarnessError(f"k_override must be >= 1, got {k}")
         self.loss_spec((1,))  # the specs' own checks reject a bad hyperparameter here
-        if METHODS[self.name][1] not in (None, "regroup"):
-            ResampleSpec(METHODS[self.name][1],
-                         k_neighbors=integer("k_neighbors", self.k_neighbors))
+        if METHODS[self.name][1] in TARGET:
+            ResampleSpec(METHODS[self.name][1], k_neighbors=self.k_neighbors)
 
     def loss_spec(self, class_counts: tuple[int, ...]) -> LossSpec:
         """The loss this method trains with, for a train split's class counts.
         A hyperparameter the method does not use sits at its default."""
         kind = METHODS[self.name][0]
-        return LossSpec(kind, class_counts if kind in ("wce", "ldam") else None, self.gamma,
+        return LossSpec(kind, class_counts if kind in COUNTED_KINDS else None, self.gamma,
                         self.margin_scale, self.logit_scale)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: dict                       # {"builtin": ...} | {"csv": ...} | {"mixture": ...}
-    methods: tuple[MethodKind, ...]
+    methods: tuple[MethodKind, ...]     # or plain dicts, as a JSON config holds them
     seeds: tuple[int, ...]              # or a comma-separated string, as --seeds gives it
     test_fraction: float = 0.2
     standardize: bool = True
     hidden_dims: tuple[int, ...] = (32,)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)  # or a plain dict
     output_dir: str = "out"
 
     def __post_init__(self):
         if not self.methods or not self.seeds:
             raise HarnessError("need at least one method and one seed")
-        seeds = self.seeds.split(",") if isinstance(self.seeds, str) else self.seeds
-        try:
-            seeds = tuple(int(s) if isinstance(s, str) else integer("seeds", s) for s in seeds)
+        try:  # int() reads the --seeds text only; a list takes integers
+            seeds = (tuple(map(int, self.seeds.split(","))) if isinstance(self.seeds, str)
+                     else tuple(integer("seeds", s, HarnessError) for s in self.seeds))
         except (TypeError, ValueError):
             raise HarnessError(f"seeds must be integers, got {self.seeds!r}") from None
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", tuple(
+            m if isinstance(m, MethodKind) else MethodKind(**m) for m in self.methods))
         object.__setattr__(self, "seeds", seeds)
+        if not isinstance(self.train, TrainConfig):
+            object.__setattr__(self, "train", TrainConfig(**self.train))
+        if self.train.shuffle_seed:
+            raise HarnessError("a config cannot set train.shuffle_seed; each grid seed sets it")
         names = [m.name for m in self.methods]  # rows and summary lines are keyed by name
         if len(set(names)) < len(names):
             raise HarnessError(f"method {max(names, key=names.count)} is listed more than once")
-        object.__setattr__(self, "hidden_dims",
-                           tuple(integer("hidden_dims entry", d) for d in self.hidden_dims))
+        if not isinstance(self.hidden_dims, (list, tuple)):
+            raise HarnessError(f"hidden_dims must be a list of integers, got {self.hidden_dims!r}")
+        object.__setattr__(self, "hidden_dims", tuple(
+            integer("hidden_dims entry", d, HarnessError) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
+        if not isinstance(self.test_fraction, (int, float)):
+            raise HarnessError(f"test_fraction must be a number, got {self.test_fraction!r}")
+        object.__setattr__(self, "test_fraction", float(self.test_fraction))
         if not 0.0 < self.test_fraction < 1.0:
             raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not isinstance(self.standardize, bool):
             raise HarnessError(f"standardize must be true or false, got {self.standardize!r}")
+        _source_mixture(self.dataset)
 
 
 @dataclass(frozen=True)
@@ -144,25 +158,15 @@ class ResultRow:
     error: str = ""
 
     def to_csv_line(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
+        def fmt(v, kind=float):
+            return "" if v is None else repr(kind(v))
 
-        ap_cell = ";".join("" if a is None else repr(float(a)) for a in self.ap_per_class)
-        return ",".join(
-            [
-                self.method,
-                str(self.seed),
-                fmt(self.accuracy),
-                fmt(self.balanced_accuracy),
-                fmt(self.macro_ap),
-                ap_cell,
-                "" if self.k_groups is None else str(self.k_groups),
-                "" if self.train_size is None else str(self.train_size),
-                self.config_hash,
-                f"{self.wall_time_s:.6f}",
-                self.error.replace(",", ";").replace("\n", " "),
-            ]
-        )
+        return ",".join([
+            self.method, str(self.seed), fmt(self.accuracy), fmt(self.balanced_accuracy),
+            fmt(self.macro_ap), ";".join(map(fmt, self.ap_per_class)), fmt(self.k_groups, int),
+            fmt(self.train_size, int), self.config_hash, f"{self.wall_time_s:.6f}",
+            self.error.replace(",", ";").replace("\n", " "),
+        ])
 
 
 def _majority_ring() -> tuple[GaussianComponent, ...]:
@@ -203,14 +207,19 @@ def builtin_mixture(name: str) -> MixtureSpec:
 
 def _source_mixture(source: dict) -> MixtureSpec | None:
     """The mixture a synthetic source samples, or None for a CSV source.
-    Raises HarnessError or DatasetError for a source that names none."""
-    if "csv" in source:
+    Raises HarnessError or DatasetError for a source that does not name
+    exactly one dataset, has a key its kind does not use, or a bad spec."""
+    kinds = [k for k in ("csv", "builtin", "mixture") if isinstance(source, dict) and k in source]
+    if not kinds:
+        raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
+    if set(source) - ({"csv", "label_column"} if kinds == ["csv"] else {kinds[0]}):
+        raise HarnessError(f"dataset source takes one of csv, builtin or mixture, and "
+                           f"label_column only beside csv; got keys {sorted(source)}")
+    if kinds == ["csv"]:
         return None
     if "builtin" in source:
         return builtin_mixture(source["builtin"])
-    if "mixture" in source:
-        return mixture_from_dict(source["mixture"])
-    raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
+    return mixture_from_dict(source["mixture"])
 
 
 def load_source(source: dict, seed: int) -> Dataset:
@@ -267,6 +276,8 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) 
             K = compute_k(counts[1], counts[0]) if method.k_override is None else method.k_override
             fit_ds, plan = regroup_binary(train_ds, K, seed + 2)
             k_groups = K
+        elif method.k_override is not None:
+            raise HarnessError(f"k_override needs a binary source, got {ds.num_classes} classes")
         else:
             fit_ds, plan = regroup_multiclass(train_ds, seed + 2)
             k_groups = plan.pseudo_num_classes
@@ -364,9 +375,8 @@ def _column_weight(cfg: ExperimentConfig, method: MethodKind, ds: Dataset) -> fl
     """Expected training work of a column: epochs x fit rows x sum of fan_in * fan_out."""
     train = [c * (1.0 - cfg.test_fraction) for c in ds.class_counts]
     transform = METHODS[method.name][1]
-    fit = {"ros": max(train), "smote": max(train), "rus": min(train)}
-    rows = len(train) * fit[transform] if transform in fit else sum(train)
-    heads = sum(round(c / min(train)) for c in train) if transform == "regroup" else len(train)
+    rows = len(train) * TARGET[transform](train) if transform in TARGET else sum(train)
+    heads = sum(group_counts(train)) if transform == "regroup" else len(train)
     if transform == "regroup" and len(train) == 2 and method.k_override is not None:
         heads = 1 + method.k_override  # regroup_binary: the minority's head and K majority heads
     dims = (ds.dim, *cfg.hidden_dims, heads)
@@ -499,32 +509,22 @@ def write_results(rows, aggregates, out_dir) -> tuple[Path, Path]:
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from JSON with keys matching
     ExperimentConfig fields. HarnessError names the first problem found: an
-    unreadable file, a missing or unknown key, a bad value, or a dataset
-    source that names no dataset."""
+    unreadable file, a missing or unknown key, or any problem
+    ExperimentConfig finds."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise HarnessError(f"cannot read config: {exc}") from None
     if not isinstance(doc, dict):
         raise HarnessError("config must be a JSON object")
-    known = [f.name for f in fields(ExperimentConfig)]
-    unknown = sorted(set(doc) - set(known))
+    known = fields(ExperimentConfig)
+    unknown = sorted(set(doc) - {f.name for f in known})
     if unknown:
-        raise HarnessError(f"unknown keys {unknown}; expected some of {known}")
+        raise HarnessError(f"unknown keys {unknown}; expected some of {[f.name for f in known]}")
+    missing = [f.name for f in known if f.name not in doc and f.default is f.default_factory]
+    if missing:  # no default: default and default_factory are both MISSING
+        raise HarnessError(f"missing key {missing[0]!r}")
     try:
-        cfg = ExperimentConfig(
-            dataset=doc["dataset"],
-            methods=tuple(MethodKind(**m) for m in doc["methods"]),
-            seeds=doc["seeds"],
-            test_fraction=float(doc.get("test_fraction", 0.2)),
-            standardize=doc.get("standardize", True),
-            hidden_dims=tuple(doc.get("hidden_dims", [32])),
-            train=TrainConfig(**doc.get("train", {})),
-            output_dir=doc.get("output_dir", "out"),
-        )
-        _source_mixture(cfg.dataset)
-    except KeyError as exc:
-        raise HarnessError(f"missing key {exc}") from None
-    except (TypeError, ValueError) as exc:  # HarnessError, DatasetError, TrainingError
+        return ExperimentConfig(**doc)
+    except (TypeError, ValueError) as exc:  # HarnessError, DatasetError, TrainingError, ...
         raise HarnessError(str(exc)) from None
-    return cfg

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("ce", "wce", "focal", "ldam")
+COUNTED_KINDS = ("wce", "ldam")  # the kinds that take class_counts
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 _CHAIN_C = 8  # below this many classes numpy 2.4.6 folds each row in order
 
@@ -38,7 +39,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise LossError(f"unknown loss kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in ("wce", "ldam"):
+        if self.kind in COUNTED_KINDS:
             if self.class_counts is None or any(c < 1 for c in self.class_counts):
                 raise LossError(f"{self.kind} needs strictly positive class_counts")
         if not 0 <= self.gamma < np.inf:  # written so that NaN fails too

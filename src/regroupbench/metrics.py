@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,17 +59,7 @@ class MetricReport:
     macro_ap: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "accuracy": self.accuracy,
-                "balanced_accuracy": self.balanced_accuracy,
-                "precision": list(self.precision),
-                "recall": list(self.recall),
-                "f1": list(self.f1),
-                "ap_per_class": None if self.ap_per_class is None else list(self.ap_per_class),
-                "macro_ap": self.macro_ap,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def confusion_table(y_true, y_pred, num_classes: int | None = None) -> ConfusionTable:

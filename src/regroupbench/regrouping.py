@@ -100,15 +100,19 @@ def regroup_binary(train: Dataset, K: int, seed: int) -> tuple[Dataset, RegroupP
     return _regroup(train, [1, K], seed)
 
 
+def group_counts(class_counts) -> list[int]:
+    """Groups per class: max(1, round-half-to-even(count_c / min count)).
+    For two classes with class 0 the minority it is [1, compute_k(n_1, n_0)]."""
+    smallest = min(class_counts)
+    return [max(1, round(c / smallest)) for c in class_counts]
+
+
 def regroup_multiclass(train: Dataset, seed: int) -> tuple[Dataset, RegroupPlan]:
-    """Every class gets max(1, round-half-to-even(count_c / min count))
-    groups; group counts exceeding a class's distinct-row count are clamped
-    with a warning recorded in the plan."""
+    """Every class gets its `group_counts` groups; group counts exceeding a
+    class's distinct-row count are clamped with a warning recorded in the plan."""
     if train.num_classes < 2:
         raise RegroupError("need >= 2 classes")
-    min_count = min(train.class_counts)
-    groups = [max(1, round(c / min_count)) for c in train.class_counts]
-    return _regroup(train, groups, seed)
+    return _regroup(train, group_counts(train.class_counts), seed)
 
 
 def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):

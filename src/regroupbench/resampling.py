@@ -6,7 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import k_nearest
-from .dataset import Dataset
+from .dataset import Dataset, integer
+
+TARGET = {"ros": max, "rus": min, "smote": max}  # kind -> each class's count after, of the counts
 
 
 class ResampleError(ValueError):
@@ -15,14 +17,14 @@ class ResampleError(ValueError):
 
 @dataclass(frozen=True)
 class ResampleSpec:
-    kind: str  # "ros" | "rus" | "smote"
+    kind: str  # a key of TARGET
     seed: int = 0
     k_neighbors: int = 5  # smote only
 
     def __post_init__(self):
-        if self.kind not in ("ros", "rus", "smote"):
+        if self.kind not in TARGET:
             raise ResampleError(f"unknown resampling kind {self.kind!r}")
-        if self.kind == "smote" and self.k_neighbors < 1:
+        if self.kind == "smote" and integer("k_neighbors", self.k_neighbors, ResampleError) < 1:
             raise ResampleError("k_neighbors must be >= 1")
 
 
@@ -39,7 +41,7 @@ def resample(train: Dataset, spec: ResampleSpec) -> Dataset:
         raise ResampleError("need >= 2 classes")
     rng = np.random.default_rng(spec.seed)
     counts = train.class_counts
-    target = max(counts) if spec.kind in ("ros", "smote") else min(counts)
+    target = TARGET[spec.kind](counts)
 
     feat_parts, label_parts = [], []
     for c, count in enumerate(counts):

@@ -11,28 +11,18 @@ model for divergence; only models the bound cannot clear run the exact pass.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
-from .losses import LossError, LossSpec, loss_and_grad, softmax
+from .dataset import Dataset, integer
+from .losses import COUNTED_KINDS, LossError, LossSpec, loss_and_grad, softmax
 
-_PASS_CELLS = 2**16  # activations (rows x layer widths) per group of the epoch-end pass
 _LOGIT_LIMIT = 2.0**1000  # a `_logit_bound` below this clears the exact epoch-end pass
 
 
 class TrainingError(ValueError):
     """Raised for bad configuration or dimension mismatches."""
-
-
-def integer(name: str, value) -> int:
-    """`value` as an int, or a TrainingError naming `name` for a float or text."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TrainingError(f"{name} must be an integer, got {value!r}") from None
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,7 +37,7 @@ class MlpSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.hidden_dims)
+        dims = tuple(integer("hidden_dims entry", d, TrainingError) for d in self.hidden_dims)
         if self.input_dim < 1 or self.output_dim < 2 or any(d < 1 for d in dims):
             raise TrainingError(f"invalid layer dims: {self.input_dim}, {dims}, {self.output_dim}")
         object.__setattr__(self, "hidden_dims", dims)
@@ -70,7 +60,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.lr_max >= self.lr_min >= 0):
             raise TrainingError("need lr_max >= lr_min >= 0")
-        if integer("epochs", self.epochs) < 1 or integer("batch_size", self.batch_size) < 1:
+        if any(integer(k, getattr(self, k), TrainingError) < 1 for k in ("epochs", "batch_size")):
             raise TrainingError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.momentum) and math.isfinite(self.weight_decay)):
             raise TrainingError("momentum and weight_decay must be finite")
@@ -240,17 +230,13 @@ class _Stack:
 
 
 def _full_pass(st: _Stack, epoch: int, rows: np.ndarray) -> dict:
-    """Exact epoch-end forward pass over the whole datasets of the given stack
-    rows: {row: TrainingDiverged} for each row whose logits are non-finite.
-    Rows run in groups of about _PASS_CELLS activations, so memory does not
-    grow with S."""
-    size = max(1, _PASS_CELLS // (st.datasets[0].n * sum(st.dims)))
+    """Exact epoch-end forward pass over the whole dataset of each given stack
+    row, one row at a time, so memory does not grow with S: {row:
+    TrainingDiverged} for each row whose logits are non-finite."""
     errors = {}
-    for lo in range(0, len(rows), size):
-        group = rows[lo:lo + size]
-        X = np.stack([st.datasets[row].features for row in group])
-        logits = _forward(X, [w[group] for w in st.weights], [b[group] for b in st.biases])[0]
-        for row in group[_non_finite_rows(logits)]:
+    for row in rows:
+        weights, biases = [w[row] for w in st.weights], [b[row] for b in st.biases]
+        if not np.isfinite(_forward(st.datasets[row].features, weights, biases)[0]).all():
             errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
     return errors
 
@@ -263,7 +249,7 @@ def _check_stack(datasets, specs, loss: LossSpec, cfgs):
             raise TrainingError(f"dataset dim {ds.dim} != spec input_dim {spec.input_dim}")
         if ds.num_classes > spec.output_dim:
             raise TrainingError(f"{ds.num_classes} classes exceed {spec.output_dim} output heads")
-        if loss.kind in ("wce", "ldam") and len(loss.class_counts) != spec.output_dim:
+        if loss.kind in COUNTED_KINDS and len(loss.class_counts) != spec.output_dim:
             raise TrainingError(f"{loss.kind} needs one class count per output head")
     if (len({ds.n for ds in datasets}) > 1 or len({s.layer_dims for s in specs}) > 1
             or len({replace(c, shuffle_seed=0) for c in cfgs}) > 1):

@@ -213,6 +213,13 @@ class TestMixture:
             mixture_from_dict({"majority_components": [comp]})
         with pytest.raises(DatasetError, match="missing key 'stddev'"):
             mixture_from_dict({"minority": {"mean": [0.0], "count": 3}, "majority_components": []})
+        for bad, problem in [({"count": 20.9}, "count must be an integer, got 20.9"),
+                             ({"count": True}, "count must be an integer, got True")]:
+            with pytest.raises(DatasetError, match=problem):
+                mixture_from_dict({"minority": {**comp, **bad}, "majority_components": [comp]})
+        for seed in (4.0, "4", False):
+            with pytest.raises(DatasetError, match=f"seed must be an integer, got {seed!r}"):
+                mixture_from_dict({"minority": comp, "majority_components": [comp], "seed": seed})
 
 
 class TestSplit:

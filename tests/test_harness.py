@@ -1,11 +1,13 @@
 import json
 import os
 import threading
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regroupbench.harness as harness
 from regroupbench import trainer
@@ -311,6 +313,29 @@ class TestParallelColumns:
         forced = harness._column_weight(cfg, MethodKind("RG+CE", k_override=3), ds)
         assert forced == epochs * 800 * (2 * 32 + 32 * 4)  # 1 + k_override heads
 
+    def test_k_override_on_a_multiclass_source_fails_its_cells(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        rng = np.random.default_rng(1)
+        y = np.repeat([0, 1, 2], (20, 40, 60))
+        save_csv_dataset(Dataset(rng.standard_normal((120, 2)) + y[:, None], y), tmp_path / "d.csv")
+        source = {"csv": str(tmp_path / "d.csv")}
+        method = MethodKind("RG+CE", k_override=7)
+        # the class count is known only once the CSV loads: the pool still sorts the column
+        assert harness._column_weight(tiny_cfg([method], dataset=source),
+                                      method, load_source(source, 0)) > 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": source, "methods": [{"name": "CE"}, {"name": "RG+CE", "k_override": 7}],
+            "seeds": [0, 1], "hidden_dims": [], "train": {"epochs": 1},
+            "output_dir": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[6], r[-1]) for r in rows] == [("CE", "", "")] * 2 + [
+            ("RG+CE", "", "HarnessError: k_override needs a binary source; got 3 classes")] * 2
+        assert "FAILED RG+CE seed=1: HarnessError: k_override" in capsys.readouterr().err
+
 
 def huge_csv(path):
     """Two classes near +-1e200: a one-batch step stays finite, and the
@@ -361,6 +386,32 @@ class TestEpochEndScreen:
         assert {epoch for epoch, _ in calls} == set(range(FAST.epochs))
 
 
+EVERY_SETTING = {  # every top-level key and hyperparameter off its default
+    "dataset": {"csv": "data.csv", "label_column": "y"},
+    "methods": [{"name": "CE"}, {"name": "WCE"}, {"name": "Focal", "gamma": 1.5},
+                {"name": "LDAM", "margin_scale": 0.3, "logit_scale": 10.0}, {"name": "ROS+CE"},
+                {"name": "RUS+CE"}, {"name": "SMOTE+CE", "k_neighbors": 3},
+                {"name": "RG+CE", "k_override": 4}],
+    "seeds": [3, 1],
+    "test_fraction": 0.3,
+    "standardize": False,
+    "hidden_dims": [16, 8],
+    "train": {"lr_max": 0.05, "lr_min": 0.001, "epochs": 7, "batch_size": 32,
+              "momentum": 0.8, "weight_decay": 0.0001},
+    "output_dir": "elsewhere",
+}
+OPTIONAL_KEYS = (  # paths into EVERY_SETTING of the keys a config may leave out
+    [(k,) for k in ("test_fraction", "standardize", "hidden_dims", "output_dir")]
+    + [("train", k) for k in EVERY_SETTING["train"]]
+    + [("methods", i, k) for i, m in enumerate(EVERY_SETTING["methods"]) for k in m if k != "name"]
+)
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestConfigIO:
     def test_load_config_round_trip(self, tmp_path):
         doc = {
@@ -382,6 +433,46 @@ class TestConfigIO:
         assert cfg.train.epochs == 3
         assert config_hash(cfg) == "e0108fee98293255"  # pinned: validation leaves valid configs alone
 
+    def test_method_table_and_method_fields_agree(self):
+        hyper = [h for _, _, used in harness.METHODS.values() for h in used]
+        # every field but name belongs to exactly one method, and only fields are named
+        assert sorted(hyper) == sorted(f.name for f in fields(MethodKind)[1:])
+
+    def test_config_hash_of_every_setting_is_pinned(self, tmp_path):
+        assert set(EVERY_SETTING) == {f.name for f in fields(ExperimentConfig)}
+        cfg = load_config(write_config(tmp_path / "cfg.json", EVERY_SETTING))
+        for field in fields(MethodKind)[1:]:  # every hyperparameter off its default
+            owner = next(m for m in cfg.methods if field.name in harness.METHODS[m.name][2])
+            assert getattr(owner, field.name) != field.default
+        assert [f.name for f in fields(TrainConfig)
+                if getattr(cfg.train, f.name) == f.default] == ["shuffle_seed"]
+        assert (cfg.test_fraction, cfg.standardize, cfg.hidden_dims) != (0.2, True, (32,))
+        assert config_hash(cfg) == "912b0bf44b047755"  # pinned: the checks leave every setting as given
+
+    @settings(max_examples=60, deadline=None)
+    @given(drop=st.sets(st.sampled_from(OPTIONAL_KEYS + [("train",)])))
+    def test_omitted_optional_keys_load_as_the_dataclass_defaults(self, tmp_path_factory, drop):
+        doc = json.loads(json.dumps(EVERY_SETTING))
+        for path in sorted(drop, key=len, reverse=True):  # a train key before train itself
+            *parents, key = path
+            owner = doc
+            for k in parents:
+                owner = owner[k]
+            del owner[key]
+        cfg = load_config(write_config(tmp_path_factory.mktemp("cfg") / "cfg.json", doc))
+        for path in OPTIONAL_KEYS:
+            *parents, key = path
+            owner, given_value = cfg, EVERY_SETTING
+            for k in parents:
+                owner = owner[k] if isinstance(k, int) else getattr(owner, k)
+            for k in path:
+                given_value = given_value[k]
+            field = next(f for f in fields(owner) if f.name == key)
+            default = field.default_factory() if field.default is MISSING else field.default
+            dropped = any(path[:i] in drop for i in range(1, len(path) + 1))
+            expected = default if dropped else given_value
+            assert getattr(owner, key) == (tuple(expected) if key == "hidden_dims" else expected)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(HarnessError):
             MethodKind("GAN")
@@ -399,6 +490,16 @@ class TestConfigIO:
     def test_bad_source_rejected(self):
         with pytest.raises(HarnessError):
             load_source({"parquet": "x"}, 0)
+        with pytest.raises(HarnessError, match="must have csv, builtin, or mixture key"):
+            tiny_cfg(["CE"], dataset={"parquet": "x"})  # at construction, as from a file
+        with pytest.raises(HarnessError, match="unknown builtin family 'nope'"):
+            tiny_cfg(["CE"], dataset={"builtin": "nope"})
+
+    def test_plain_dicts_build_the_same_config(self):
+        source = {"builtin": "overlap"}
+        assert ExperimentConfig(source, [{"name": "Focal", "gamma": 1.0}], [0],
+                                train={"epochs": 3}) == ExperimentConfig(
+            source, (MethodKind("Focal", gamma=1.0),), (0,), train=TrainConfig(epochs=3))
 
     def test_hash_sensitive_to_config(self):
         a = tiny_cfg(["CE"])
@@ -521,7 +622,7 @@ class TestCli:
             ({"methods": [{"name": "RG+CE", "k_override": 1}, {"name": "CE"},
                           {"name": "RG+CE", "k_override": 8}]},
              "method RG+CE is listed more than once"),
-            ({"hidden_dims": "32"}, "hidden_dims entry must be an integer, got '3'"),
+            ({"hidden_dims": "32"}, "hidden_dims must be a list of integers, got '32'"),
             ({"hidden_dims": [8.7]}, "hidden_dims entry must be an integer, got 8.7"),
             ({"seeds": [0.5]}, "seeds must be integers, got [0.5]"),
             ({"train": {"epochs": 1.0}}, "epochs must be an integer, got 1.0"),
@@ -534,6 +635,25 @@ class TestCli:
              "momentum and weight_decay must be finite"),
             ({"train": {"epochs": 1, "weight_decay": float("inf")}},
              "momentum and weight_decay must be finite"),
+            ({"train": {"epochs": 1, "shuffle_seed": 99}},
+             "a config cannot set train.shuffle_seed; each grid seed sets it"),
+            ({"dataset": {"csv": "d.csv", "label_col": "y"}}, "got keys ['csv', 'label_col']"),
+            ({"dataset": {"builtin": "overlap", "label_column": "y"}},
+             "label_column only beside csv; got keys ['builtin', 'label_column']"),
+            ({"dataset": {"builtin": "overlap", "csv": "d.csv"}},
+             "takes one of csv, builtin or mixture"),
+            ({"dataset": "d.csv"}, "must have csv, builtin, or mixture key"),
+            ({"seeds": [True]}, "seeds must be integers, got [True]"),
+            ({"seeds": ["1"]}, "seeds must be integers, got ['1']"),
+            ({"train": {"epochs": True}}, "epochs must be an integer, got True"),
+            ({"methods": [{"name": "RG+CE", "k_override": True}]},
+             "k_override must be an integer, got True"),
+            ({"hidden_dims": 32}, "hidden_dims must be a list of integers, got 32"),
+            ({"test_fraction": "0.5"}, "test_fraction must be a number, got '0.5'"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1.0, "count": 20.9},
+                                      "majority_components": [
+                                          {"mean": [1.0], "stddev": 1.0, "count": 50}]}}},
+             "count must be an integer, got 20.9"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

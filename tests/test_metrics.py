@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ def test_report_serialization():
     r = summary_metrics(confusion_table([0, 0, 1, 1], [0, 1, 1, 1]))
     doc = json.loads(r.to_json())
     assert doc["accuracy"] == r.accuracy
+    # every field in declaration order, tuples as lists: the bytes `metrics` prints
+    r = replace(r, ap_per_class=(0.75, None), macro_ap=0.75)
+    assert r.to_json() == json.dumps({
+        "accuracy": r.accuracy, "balanced_accuracy": r.balanced_accuracy,
+        "precision": list(r.precision), "recall": list(r.recall), "f1": list(r.f1),
+        "ap_per_class": [0.75, None], "macro_ap": 0.75,
+    })
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regroupbench import regrouping
 from regroupbench.dataset import Dataset, generate_imbalanced_mixture
 from regroupbench.harness import rg_favorable_mixture
 from regroupbench.losses import softmax
@@ -37,6 +38,11 @@ class TestComputeK:
             compute_k(0, 10)
         with pytest.raises(RegroupError):
             compute_k(10, 0)
+
+    @given(minority=st.integers(1, 10_000), extra=st.integers(0, 10_000))
+    def test_binary_group_counts_are_one_and_k(self, minority, extra):
+        majority = minority + extra
+        assert regrouping.group_counts([minority, majority]) == [1, compute_k(majority, minority)]
 
 
 class TestRegroupBinary:

@@ -307,11 +307,10 @@ def model_bytes(model):
     extra_rows=st.integers(0, 15),
     dim=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    group=st.integers(1, 5),
     exact=st.booleans(),
 )
 def test_stacked_training_matches_separate_calls_bit_for_bit(
-    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, group, exact
+    S, kind, hidden, weight_decay, batch_size, full_batches, extra_rows, dim, seed, exact
 ):
     rng = np.random.default_rng(seed)
     n = batch_size * full_batches + extra_rows % batch_size  # often a partial last batch
@@ -326,11 +325,9 @@ def test_stacked_training_matches_separate_calls_bit_for_bit(
         specs.append(MlpSpec(dim, 3, hidden, init_seed=int(rng.integers(1000))))
         cfgs.append(TrainConfig(lr_max=0.05, lr_min=0.001, epochs=2, batch_size=batch_size,
                                 weight_decay=weight_decay, shuffle_seed=int(rng.integers(1000))))
-    # the epoch-end pass runs `group` slices at a time, so groups straddle the
-    # stack; a logit limit of 0 fails every bound, so with `exact` every slice
-    # runs that pass after every epoch
-    with (mock.patch.object(trainer, "_PASS_CELLS", group * n * (dim + sum(hidden) + 3)),
-          mock.patch.object(trainer, "_LOGIT_LIMIT", 0.0 if exact else trainer._LOGIT_LIMIT)):
+    # a logit limit of 0 fails every bound, so with `exact` every slice runs
+    # the epoch-end pass after every epoch, in the stack and alone
+    with mock.patch.object(trainer, "_LOGIT_LIMIT", 0.0 if exact else trainer._LOGIT_LIMIT):
         stacked = train(datasets, specs, loss, cfgs)
     assert len(stacked) == S
     for (model, history), ds, spec, cfg in zip(stacked, datasets, specs, cfgs):
@@ -373,14 +370,13 @@ def test_diverged_slice_leaves_the_stack_and_others_keep_their_bits():
         assert messages == ["non-finite forward pass at epoch 0, batch 1: non-finite logits"]
 
     # one batch per epoch: the huge slice's step is finite, its epoch-end pass
-    # is not, in an epoch-end group of 1, 2 (shared with slice 0) and 3 slices;
-    # screened, only the huge slice fails the logit bound and runs the pass
+    # is not; with `exact` every slice runs the pass, the middle one between
+    # two that pass it, and screened only the huge slice fails the logit bound
     datasets = [Dataset(np.array([[v, v], [-v, -v]]), [0, 1]) for v in (1.0, 1e200, 2.0)]
     specs = [MlpSpec(2, 2, (), init_seed=1)] * 3
     cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(3)]
-    for group, exact in itertools.product((1, 2, 3), (True, False)):
-        with mock.patch.object(trainer, "_PASS_CELLS", group * 2 * (2 + 2)):  # n x widths
-            messages = check_against_separate_calls(datasets, specs, cfgs, exact)
+    for exact in (True, False):
+        messages = check_against_separate_calls(datasets, specs, cfgs, exact)
         assert messages == ["non-finite full-pass logits at epoch 0"]
 
 
@@ -413,16 +409,19 @@ def test_epoch_end_pass_memory_does_not_grow_with_the_stack():
         specs = [MlpSpec(D, 2, (32,), init_seed=s) for s in range(S)]
         cfgs = [TrainConfig(epochs=2, shuffle_seed=s) for s in range(S)]
         tracemalloc.start()
-        try:
-            train(datasets, specs, LossSpec("ce"), cfgs)
+        try:  # a logit limit of 0 fails every bound: every slice runs the exact pass
+            with mock.patch.object(trainer, "_LOGIT_LIMIT", 0.0):
+                train(datasets, specs, LossSpec("ce"), cfgs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # beyond one capped epoch-end group, only the (S, n, D) inputs and (S, n)
-    # labels of the epoch's shuffle grow with S; a pass over all 8 slices at
-    # once would add 7 * n * (2 + 32 + 2) * 8 B = 4 MB
-    assert peak(8) - peak(1) <= 7 * n * (D + 1) * 8 + trainer._PASS_CELLS * 8
+    # the pass holds one slice's activations at a time, n x (2 + 32 + 2)
+    # cells, which peak(1) holds too; beyond them only the (S, n, D) inputs
+    # and (S, n) labels of the epoch's shuffle grow with S. A pass over all 8
+    # slices at once would add 7 * n * (2 + 32 + 2) * 8 B = 4 MB.
+    one_slice = n * (D + 32 + 2) * 8
+    assert peak(8) - peak(1) <= 7 * n * (D + 1) * 8 + one_slice
 
 
 def test_epoch_end_overflow_is_reported_as_divergence():
