@@ -52,9 +52,12 @@ def _cmd_metrics(args) -> int:
     except DatasetError as exc:
         print(f"prediction CSV {exc}", file=sys.stderr)
         return 2
-    y = np.array(y)
     pred = np.argmax(scores, axis=1)
     try:
+        try:
+            y = np.array(y, dtype=np.int64)
+        except OverflowError:  # a label past int64 is outside the score columns too
+            raise MetricError(f"labels outside 0..{scores.shape[1] - 1}") from None
         report = summary_metrics(confusion_table(y, pred, num_classes=scores.shape[1]))
         aps, macro = per_class_ap(y, scores)
     except MetricError as exc:

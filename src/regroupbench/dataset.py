@@ -1,11 +1,13 @@
 """Labeled feature-vector datasets: construction, CSV I/O, synthesis, splitting.
 
-Binary label convention used throughout the package: class 0 is the
-positive/minority class, class 1 the majority class.
+Synthetic mixtures label the minority 0 and the majority 1; regrouping and
+the harness's aggregates find the minority by count, whatever its id.
 """
 from __future__ import annotations
 
+import numbers
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +23,13 @@ def integer(name: str, value, error: type[ValueError]) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise error(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def number(name: str, value, error: type[ValueError]) -> float:
+    """`value` as a float; `error` naming `name` for a bool, a text or any other non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,13 @@ class GaussianComponent:
     def __post_init__(self):
         if integer("count", self.count, DatasetError) < 1:
             raise DatasetError("component count must be >= 1")
-        if not self.stddev > 0:
+        if not number("stddev", self.stddev, DatasetError) > 0:
             raise DatasetError("component stddev must be > 0")
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
+        if not isinstance(self.mean, (list, tuple)):  # tuple("12") would read as (1.0, 2.0)
+            raise DatasetError(f"mean must be a list of numbers, got {self.mean!r}")
+        object.__setattr__(self, "mean", tuple(number("mean entry", v, DatasetError)
+                                               for v in self.mean))
+        object.__setattr__(self, "stddev", float(self.stddev))
 
 
 @dataclass(frozen=True)
@@ -128,7 +141,7 @@ def mixture_from_dict(d: dict) -> MixtureSpec:
     component {"mean": [...], "stddev": s, "count": n}. DatasetError names
     a missing key or a malformed value."""
     def comp(c):
-        return GaussianComponent(tuple(c["mean"]), float(c["stddev"]), c["count"])
+        return GaussianComponent(c["mean"], c["stddev"], c["count"])
 
     try:
         return MixtureSpec(
@@ -207,26 +220,34 @@ def save_csv_dataset(ds: Dataset, path):
             fh.write(f",{name}\n")
 
 
+_NOT_SPACE = re.compile(r"\S")  # \s: what str.isspace() and str.strip() take as whitespace
+
+
 def read_csv_columns(path, label_column: str | int, label_type=str):
     """Read a headered CSV into ((n, D) float64 features, n labels). The
     label column, named or given by index, is converted with label_type and
     every other column with float(). Blank lines are skipped; DatasetError
     names the physical line and the column of a bad cell.
-    Fast path: np.loadtxt in C, labels as objects (U<n> would truncate them);
-    U+001C..U+001F (float() rejects them) or a ValueError (ragged or
-    whitespace-only rows, bad cells) scan rows. That loadtxt takes no cell
-    float() rejects and no row of another width was checked on numpy 2.4.6.
+    Fast path: np.loadtxt in C on the file, labels as objects (U<n> would
+    truncate them) or, for label_type int, as int64. The row scan takes over
+    on U+001C..U+001F (loadtxt strips them; float() and int() reject them),
+    on a non-ASCII file with int labels (loadtxt reads any Unicode digit d as
+    ord(d) - 48), and on a ValueError: ragged or whitespace-only rows, bad
+    cells, int labels outside int64. So an int label reaches int64 only as an
+    optional sign and ASCII digits amid ASCII whitespace, with int()'s value
+    (`1_0` goes to the scan). That loadtxt takes no cell float() or int()
+    rejects, and no row of another width, was checked on numpy 2.4.6 only.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{path}: no such file")
     text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    first = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
-    body = lines[first + 1:]
-    if not any(ln.strip() for ln in body):
+    head = _NOT_SPACE.search(text)  # the header is the first line that is not blank
+    start = text.rfind("\n", 0, head.start()) + 1 if head else 0
+    end = text.find("\n", start)
+    if head is None or end < 0 or not _NOT_SPACE.search(text, end):
         raise DatasetError(f"{path} has no data rows")
-    header = lines[first].split(",")
+    header, first = text[start:end].split(","), text.count("\n", 0, start)
     if isinstance(label_column, int):
         label_idx = label_column
     else:
@@ -237,17 +258,24 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
         raise DatasetError(f"{path}: no column besides {header[label_idx]!r}")
     feat_idx = [j for j in range(len(header)) if j != label_idx]
 
-    fields = [(f"c{j}", object if j == label_idx else float) for j in range(len(header))]
+    typed = label_type is int
+    label_field = np.int64 if typed else object
+    fields = [(f"c{j}", label_field if j == label_idx else float) for j in range(len(header))]
     try:
-        if not any(c in text for c in "\x1c\x1d\x1e\x1f"):
-            table = np.loadtxt(body, delimiter=",", comments=None, dtype=fields, ndmin=1)
+        if not any(c in text for c in "\x1c\x1d\x1e\x1f") and (text.isascii() or not typed):
+            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=first + 1,
+                               encoding="utf-8", dtype=fields, ndmin=1)  # no list of lines
+            labels = table[f"c{label_idx}"].tolist()
+            if typed:  # every field is 8 bytes: the rows are one (n, columns) float64 block
+                block = table.view(np.float64).reshape(len(table), -1)
+                return np.delete(block, label_idx, axis=1), labels  # a C-contiguous copy
             features = np.column_stack([table[f"c{j}"] for j in feat_idx])
-            return features, list(map(label_type, table[f"c{label_idx}"].tolist()))
+            return features, list(map(label_type, labels))
     except ValueError:
-        pass  # the row scan names the bad cell, or takes cells only float() accepts
+        pass  # the row scan names the bad cell, or takes cells only float() or int() accepts
     rows, labels = [], []
     try:
-        for lineno, line in enumerate(body, first + 2):
+        for lineno, line in enumerate(text.split("\n")[first + 1:], first + 2):
             cells = line.split(",")
             if len(cells) != len(header):
                 if not line.strip():

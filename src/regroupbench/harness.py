@@ -33,19 +33,13 @@ from .dataset import (
     integer,
     load_csv_dataset,
     mixture_from_dict,
+    number,
     standardize,
     stratified_split,
 )
 from .losses import COUNTED_KINDS, LossSpec
 from .metrics import confusion_table, per_class_ap, summary_metrics
-from .regrouping import (
-    RegroupPlan,
-    collapse_proba_matrix,
-    compute_k,
-    group_counts,
-    regroup_binary,
-    regroup_multiclass,
-)
+from .regrouping import RegroupPlan, collapse_proba_matrix, group_counts, regroup_multiclass
 from .resampling import TARGET, ResampleSpec, resample
 from .trainer import MlpSpec, TrainConfig, predict_proba, train
 
@@ -133,9 +127,8 @@ class ExperimentConfig:
             integer("hidden_dims entry", d, HarnessError) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        if not isinstance(self.test_fraction, (int, float)):
-            raise HarnessError(f"test_fraction must be a number, got {self.test_fraction!r}")
-        object.__setattr__(self, "test_fraction", float(self.test_fraction))
+        object.__setattr__(self, "test_fraction",
+                           number("test_fraction", self.test_fraction, HarnessError))
         if not 0.0 < self.test_fraction < 1.0:
             raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not isinstance(self.standardize, bool):
@@ -272,15 +265,12 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) 
     counts, transform = train_ds.class_counts, METHODS[method.name][1]
     loss, fit_ds, plan, k_groups = method.loss_spec(counts), train_ds, None, None
     if transform == "regroup":
-        if ds.num_classes == 2:
-            K = compute_k(counts[1], counts[0]) if method.k_override is None else method.k_override
-            fit_ds, plan = regroup_binary(train_ds, K, seed + 2)
-            k_groups = K
-        elif method.k_override is not None:
+        if method.k_override is not None and ds.num_classes != 2:
             raise HarnessError(f"k_override needs a binary source, got {ds.num_classes} classes")
-        else:
-            fit_ds, plan = regroup_multiclass(train_ds, seed + 2)
-            k_groups = plan.pseudo_num_classes
+        fit_ds, plan = regroup_multiclass(train_ds, seed + 2, method.k_override)
+        # K: the requested majority groups of a binary source, else all pseudo-classes
+        k_groups = (max(group_counts(counts, method.k_override)) if ds.num_classes == 2
+                    else plan.pseudo_num_classes)
     elif transform:
         fit_ds = resample(train_ds, ResampleSpec(transform, seed + 2, method.k_neighbors))
 
@@ -376,13 +366,17 @@ def _column_weight(cfg: ExperimentConfig, method: MethodKind, ds: Dataset) -> fl
     train = [c * (1.0 - cfg.test_fraction) for c in ds.class_counts]
     transform = METHODS[method.name][1]
     rows = len(train) * TARGET[transform](train) if transform in TARGET else sum(train)
-    heads = sum(group_counts(train)) if transform == "regroup" else len(train)
-    if transform == "regroup" and len(train) == 2 and method.k_override is not None:
-        heads = 1 + method.k_override  # regroup_binary: the minority's head and K majority heads
+    if transform == "regroup":  # a k_override beside more than two classes fails the cells
+        heads = sum(group_counts(train, method.k_override if len(train) == 2 else None))
+    else:
+        heads = len(train)
     dims = (ds.dim, *cfg.hidden_dims, heads)
     return cfg.train.epochs * rows * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
+# Below this expected work the fork pool's start-up costs more than the parallel
+# columns save: calibrated from pooled and in-process grid times (README).
+_POOL_MIN_WORK = 3e7
 _worker_sources: dict = {}  # filled in pool workers only: the sources they inherit
 
 
@@ -395,13 +389,20 @@ def _worker_column(cfg: ExperimentConfig, method: MethodKind) -> list:
     return _run_column(cfg, method, cfg.seeds, _worker_sources)
 
 
+def _first_dataset(sources: dict) -> Dataset | None:
+    return next((d for d in sources.values() if isinstance(d, Dataset)), None)
+
+
 def _run_columns(cfg: ExperimentConfig, sources: dict) -> list[list]:
     """Each method's `_run_column` results, config order: heaviest first on a fork pool of
-    one worker per CPU, or in-process (one CPU or method, or no OpenBLAS to pin)."""
+    one worker per CPU, or in-process (one CPU or method, no OpenBLAS to pin, or less
+    expected work, seeds x summed column weights, than _POOL_MIN_WORK)."""
     pin = getattr(ctypes.CDLL(_multiarray_umath.__file__), _BLAS_PIN, None)
     workers = min(len(os.sched_getaffinity(0)), len(cfg.methods))
-    ds = next((d for d in sources.values() if isinstance(d, Dataset)), None)
-    if pin is None or workers < 2 or ds is None:
+    ds = _first_dataset(sources)
+    weight = {m: _column_weight(cfg, m, ds) for m in cfg.methods} if ds is not None else {}
+    if (pin is None or workers < 2 or not weight
+            or len(cfg.seeds) * sum(weight.values()) < _POOL_MIN_WORK):
         return [_run_column(cfg, m, cfg.seeds, sources) for m in cfg.methods]
     import concurrent.futures
     import multiprocessing
@@ -412,7 +413,7 @@ def _run_columns(cfg: ExperimentConfig, sources: dict) -> list[list]:
     fork = multiprocessing.get_context("fork")  # the workers inherit the sources unpickled
     with concurrent.futures.ProcessPoolExecutor(workers, fork, _init_worker, (pin, sources)) as pool:
         futures = {m: pool.submit(_worker_column, cfg, m)
-                   for m in sorted(cfg.methods, key=lambda m: -_column_weight(cfg, m, ds))}
+                   for m in sorted(cfg.methods, key=lambda m: -weight[m])}
     return [[futures[m].exception()] * len(cfg.seeds) if futures[m].exception()
             else futures[m].result() for m in cfg.methods]  # exception: BrokenProcessPool
 
@@ -440,9 +441,11 @@ class AggregateLine:
     std_accuracy: float
 
 
-def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...]) -> list[AggregateLine]:
-    """Mean and population std over seeds, per method, config order.
-    Failed cells are skipped; methods with no successful run are omitted."""
+def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...],
+              minority: int = 0) -> list[AggregateLine]:
+    """Mean and population std over seeds, per method, config order; minority
+    AP is class `minority`'s. Failed cells are skipped; methods with no
+    successful run are omitted."""
     lines = []
     for m in methods:
         ok = [r for r in rows if r.method == m.name and not r.error]
@@ -453,7 +456,7 @@ def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...]) -> list[Ag
             a = np.array(vals, dtype=np.float64)
             return float(a.mean()), float(a.std())
 
-        min_ap = stats([r.ap_per_class[0] for r in ok])
+        min_ap = stats([r.ap_per_class[minority] for r in ok])
         mac = stats([r.macro_ap for r in ok])
         ba = stats([r.balanced_accuracy for r in ok])
         acc = stats([r.accuracy for r in ok])
@@ -463,10 +466,12 @@ def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...]) -> list[Ag
 
 def run_grid(cfg: ExperimentConfig):
     """Run the full method x seed grid; rows in config order. Failed cells
-    are recorded with their error string and the grid continues."""
+    are recorded with their error string and the grid continues. The
+    aggregates' minority is the source's smallest class (ties: lowest id)."""
     rows = []
     chash = config_hash(cfg)
-    columns = _run_columns(cfg, _load_sources(cfg.dataset, cfg.seeds))
+    sources = _load_sources(cfg.dataset, cfg.seeds)
+    columns = _run_columns(cfg, sources)
     for method, column in zip(cfg.methods, columns):
         for seed, result in zip(cfg.seeds, column):
             if isinstance(result, Exception):
@@ -475,7 +480,9 @@ def run_grid(cfg: ExperimentConfig):
                     error=f"{type(result).__name__}: {result}",
                 )
             rows.append(result)
-    return rows, aggregate(rows, cfg.methods)
+    ds = _first_dataset(sources)  # None: every cell failed, and nothing aggregates
+    minority = ds.class_counts.index(min(ds.class_counts)) if ds is not None else 0
+    return rows, aggregate(rows, cfg.methods, minority)
 
 
 def write_results(rows, aggregates, out_dir) -> tuple[Path, Path]:

@@ -4,8 +4,8 @@ precision/recall/F1) and threshold-free average precision.
 AP uses step interpolation with block tie handling: all samples sharing a
 score enter the ranking together and precision/recall are evaluated after
 the whole block, so the result does not depend on the ordering among ties.
-Binary positives are class 0 throughout the package; average_precision
-itself takes an explicit 0/1 indicator where 1 marks a positive.
+per_class_ap scores every class one-vs-rest; average_precision itself takes
+an explicit 0/1 indicator where 1 marks a positive.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """Pseudo-label regrouping: split majority classes into clusters so an
 imbalanced problem becomes a near-balanced multiclass one.
 
-Pseudo id 0 is always the positive/minority class in the binary procedure;
-majority clusters take ids 1..K in canonical (lexicographic-centroid) order.
+Each class owns a block of pseudo ids, in class order; a split class's
+clusters take its block in canonical (lexicographic-centroid) order.
 """
 from __future__ import annotations
 
@@ -62,12 +62,32 @@ class RegroupPlan:
         return range(lo, lo + self.group_counts[original_class])
 
 
-def _regroup(train: Dataset, group_counts: list[int], seed: int) -> tuple[Dataset, RegroupPlan]:
+def group_counts(class_counts, k_override=None) -> list[int]:
+    """Groups per class: max(1, round-half-to-even(count_c / min count)). For
+    two classes that is 1 for the minority (the smaller class; class 0 on a
+    tie) and compute_k for the other class, whose count k_override replaces."""
+    counts = list(class_counts)
+    smallest = min(counts)
+    groups = [max(1, round(c / smallest)) for c in counts]
+    if k_override is not None:
+        if len(counts) != 2:
+            raise RegroupError(f"k_override needs 2 classes, got {len(counts)}")
+        groups[1 - counts.index(smallest)] = k_override
+    return groups
+
+
+def regroup_multiclass(train: Dataset, seed: int,
+                       k_override: int | None = None) -> tuple[Dataset, RegroupPlan]:
+    """Every class c gets its `group_counts` groups, split by k-means seeded
+    seed + c; a group count exceeding the class's distinct-row count is
+    clamped with a warning recorded in the plan."""
+    if train.num_classes < 2:
+        raise RegroupError("need >= 2 classes")
     models: dict[int, KMeansModel] = {}
     warnings: list[str] = []
+    groups: list[int] = []
     pseudo = np.empty(train.n, dtype=np.int64)
-    offset = 0
-    for c, g in enumerate(group_counts):
+    for c, g in enumerate(group_counts(train.class_counts, k_override)):
         idx = np.flatnonzero(train.labels == c)
         rows = train.features[idx]
         if g > 1:
@@ -77,42 +97,21 @@ def _regroup(train: Dataset, group_counts: list[int], seed: int) -> tuple[Datase
                     f"class {c}: requested {g} groups but only {n_distinct} distinct rows; clamped"
                 )
                 g = n_distinct
-                group_counts[c] = g
+        offset = sum(groups)
         if g > 1:
             model = kmeans_fit(rows, g, seed=seed + c, _n_distinct=n_distinct)
             models[c] = model
             pseudo[idx] = offset + model.assignments
         else:
             pseudo[idx] = offset
-        offset += g
-    plan = RegroupPlan(tuple(group_counts), models, tuple(warnings))
+        groups.append(g)
+    plan = RegroupPlan(tuple(groups), models, tuple(warnings))
     return train.with_labels(pseudo), plan
 
 
 def regroup_binary(train: Dataset, K: int, seed: int) -> tuple[Dataset, RegroupPlan]:
-    """Minority (class 0) keeps pseudo label 0; majority (class 1) is split
-    into K clusters taking pseudo labels 1..K. K=1 is a label-preserving
-    identity."""
-    if train.num_classes != 2:
-        raise RegroupError(f"binary regrouping needs 2 classes, got {train.num_classes}")
-    if K < 1:
-        raise RegroupError(f"K must be >= 1, got {K}")
-    return _regroup(train, [1, K], seed)
-
-
-def group_counts(class_counts) -> list[int]:
-    """Groups per class: max(1, round-half-to-even(count_c / min count)).
-    For two classes with class 0 the minority it is [1, compute_k(n_1, n_0)]."""
-    smallest = min(class_counts)
-    return [max(1, round(c / smallest)) for c in class_counts]
-
-
-def regroup_multiclass(train: Dataset, seed: int) -> tuple[Dataset, RegroupPlan]:
-    """Every class gets its `group_counts` groups; group counts exceeding a
-    class's distinct-row count are clamped with a warning recorded in the plan."""
-    if train.num_classes < 2:
-        raise RegroupError("need >= 2 classes")
-    return _regroup(train, group_counts(train.class_counts), seed)
+    """The minority keeps one group; the other class is split into K clusters."""
+    return regroup_multiclass(train, seed, K)
 
 
 def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):

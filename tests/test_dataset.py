@@ -374,7 +374,8 @@ def test_read_csv_columns_matches_split_and_float(tmp_path, case):
     with mock.patch.object(np, "loadtxt", side_effect=ValueError("forced row scan")):
         scanned = read_csv_columns(p, label_idx, label_type)
     quirky = any(c in text for c in "_\x1c") or any(
-        ln.strip() == "" != ln for ln in text.replace("\r\n", "\n").split("\n"))
+        ln.strip() == "" != ln for ln in text.replace("\r\n", "\n").split("\n")) or (
+        label_type is int and not all(-2**63 <= v < 2**63 for v in want_y))  # outside int64
     assert parsed == ([] if quirky else [len(want_y)])
     for X, y in (got, scanned):
         assert X.dtype == np.float64 and X.shape == want_X.shape
@@ -399,6 +400,15 @@ def test_separator_characters_are_left_to_float(tmp_path):
     p.write_text("f0,label\n1.5,a\n\x1c2.5,b\n")
     with pytest.raises(DatasetError, match=r"line 3: could not convert .* in column 'f0'"):
         read_csv_columns(p, "label")
+
+
+def test_non_ascii_int_labels_are_left_to_int(tmp_path):
+    # loadtxt's int64 field reads any Unicode digit d as ord(d) - 48: U+0968 as 2360
+    p = tmp_path / "d.csv"
+    p.write_text("f0,label\n1.5,\u0968\n2.5,1\n", encoding="utf-8")
+    features, labels = read_csv_columns(p, "label", int)
+    assert labels == [2, 1]  # DEVANAGARI DIGIT TWO is 2
+    np.testing.assert_array_equal(features, [[1.5], [2.5]])
 
 
 @pytest.mark.parametrize("row", ["1,1", "1,1,B,extra"])

@@ -90,6 +90,39 @@ class TestRunExperiment:
         assert 0.0 <= row.macro_ap <= 1.0
 
 
+class TestMajorityByCount:
+    """Regrouping splits the larger class, whichever id it has, and the
+    aggregates' minority is the smaller class."""
+
+    def test_class_zero_majority_csv_is_regrouped(self, tmp_path):
+        rng = np.random.default_rng(5)
+        y = np.repeat([0, 1], (900, 100))
+        angle = rng.integers(5, size=1000) * 2 * np.pi / 5
+        ring = 3.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+        X = np.where(y[:, None] == 0, ring, 0.0) + 0.5 * rng.standard_normal((1000, 2))
+        save_csv_dataset(Dataset(X, y), tmp_path / "d.csv")
+        cfg = tiny_cfg(["CE", "RG+CE"], seeds=(0, 1), dataset={"csv": str(tmp_path / "d.csv")})
+        rows, aggs = run_grid(cfg)
+        ce, rg = rows[:2], rows[2:]
+        assert [r.k_groups for r in rg] == [9, 9] and not any(r.error for r in rows)
+        assert [r.ap_per_class for r in rg] != [r.ap_per_class for r in ce]
+        for agg, cells in zip(aggs, (ce, rg)):
+            assert agg.mean_minority_ap == np.mean([r.ap_per_class[1] for r in cells])
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.tuples(st.integers(2, 120), st.integers(2, 120)),
+           k_override=st.none() | st.integers(1, 4), seed=st.integers(0, 100))
+    def test_swapping_class_ids_keeps_k(self, counts, k_override, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((sum(counts), 2))
+        y = np.repeat([0, 1], counts)
+        method = MethodKind("RG+CE", k_override=k_override)
+        cfg = tiny_cfg([method], test_fraction=0.25)
+        k = [harness._prepare(cfg, method, seed, Dataset(X, labels)).k_groups
+             for labels in (y, 1 - y)]
+        assert k[0] == k[1]
+
+
 class TestRunGrid:
     def test_cardinality_and_aggregates(self):
         cfg = tiny_cfg(["CE", "RG+CE"], seeds=(0, 1, 2))
@@ -224,6 +257,11 @@ def raise_pid(*args):
     raise RuntimeError(f"pid {os.getpid()}")
 
 
+def force_pool(monkeypatch):
+    """Pool every grid with two or more methods, however little work it holds."""
+    monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0.0)
+
+
 class TestParallelColumns:
     @pytest.mark.parametrize("case", ["clean", "failed cell", "diverged slice", "unreadable csv"])
     def test_pooled_rows_equal_serial_rows(self, tmp_path, monkeypatch, case):
@@ -243,6 +281,7 @@ class TestParallelColumns:
             "unreadable csv": lambda: tiny_cfg(["CE", "RG+CE"], seeds=(0, 1),
                                                dataset={"csv": str(tmp_path / "no.csv")}),
         }[case]()
+        force_pool(monkeypatch)
         pooled, pooled_aggs = grid_text(cfg, tmp_path / "pooled")
         monkeypatch.setattr(harness, "_BLAS_PIN", "no_such_symbol")
         serial, serial_aggs = grid_text(cfg, tmp_path / "serial")
@@ -258,12 +297,14 @@ class TestParallelColumns:
 
     @MULTI_CPU
     def test_columns_run_in_worker_processes(self, monkeypatch):
+        force_pool(monkeypatch)
         monkeypatch.setattr(harness, "_prepare", raise_pid)
         rows, _ = run_grid(tiny_cfg(["CE", "WCE", "Focal"], seeds=(0, 1)))
         assert all(r.error.startswith("RuntimeError: pid ") for r in rows)
         assert f"RuntimeError: pid {os.getpid()}" not in {r.error for r in rows}
 
     def test_serial_without_blas_pin_or_with_one_column(self, monkeypatch):
+        force_pool(monkeypatch)
         monkeypatch.setattr(harness, "_prepare", raise_pid)
         here = f"RuntimeError: pid {os.getpid()}"
         rows, _ = run_grid(tiny_cfg(["RG+CE"], seeds=(0, 1)))
@@ -284,6 +325,7 @@ class TestParallelColumns:
                 os._exit(3)
             return real_prepare(cfg, method, seed, ds)
 
+        force_pool(monkeypatch)
         monkeypatch.setattr(harness, "_prepare", die_in_rg)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -301,6 +343,19 @@ class TestParallelColumns:
         assert errors <= {("CE", ""), ("CE", "BrokenProcessPool"), ("RG+CE", "BrokenProcessPool")}
         assert "FAILED RG+CE seed=0: BrokenProcessPool: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=MULTI_CPU)])
+    def test_grids_below_the_work_floor_run_in_process(self, monkeypatch, pooled):
+        cfg = tiny_cfg(["CE", "WCE", "RG+CE"], seeds=(0, 1))
+        ds = load_source(cfg.dataset, 0)
+        work = len(cfg.seeds) * sum(harness._column_weight(cfg, m, ds) for m in cfg.methods)
+        assert work < harness._POOL_MIN_WORK  # a tiny grid runs in-process as it is
+        monkeypatch.setattr(harness, "_POOL_MIN_WORK", work if pooled else work * (1 + 1e-9))
+        monkeypatch.setattr(harness, "_prepare", raise_pid)
+        rows, _ = run_grid(cfg)
+        here = f"RuntimeError: pid {os.getpid()}"
+        assert all(r.error.startswith("RuntimeError: pid ") for r in rows)
+        assert ({r.error for r in rows} == {here}) != pooled
+
     def test_column_weight_counts_fit_rows_and_layer_products(self):
         ds = load_source({"builtin": "overlap"}, 0)  # 100 minority, 900 majority rows
         cfg = replace(tiny_cfg(["CE"]), hidden_dims=(32,))
@@ -312,6 +367,9 @@ class TestParallelColumns:
         assert weight["RG+CE"] == epochs * 800 * (2 * 32 + 32 * 10)  # 1 + 9 heads
         forced = harness._column_weight(cfg, MethodKind("RG+CE", k_override=3), ds)
         assert forced == epochs * 800 * (2 * 32 + 32 * 4)  # 1 + k_override heads
+        swapped = Dataset(ds.features, 1 - ds.labels)  # class 0 the majority
+        for m in (MethodKind("RG+CE"), MethodKind("RG+CE", k_override=3)):
+            assert harness._column_weight(cfg, m, swapped) == harness._column_weight(cfg, m, ds)
 
     def test_k_override_on_a_multiclass_source_fails_its_cells(self, tmp_path, capsys):
         from regroupbench.cli import main
@@ -569,6 +627,7 @@ class TestCli:
         [
             ("s0,s1,truth\n0.9,0.1,0\n0.2,0.8,2\n", "labels outside 0..1"),
             ("s0,s1,truth\n0.9,0.1,0\n0.2,0.8,-1\n", "labels outside 0..1"),
+            ("s0,s1,truth\n0.9,0.1,0\n0.2,0.8,100000000000000000000\n", "labels outside 0..1"),
             ("s0,s1,truth\n0.9,0.1,0\n0.2,high,1\n", "line 3: could not convert string to float"),
             ("s0,s1,truth\n0.9,0.1,zero\n", "line 2: invalid literal for int()"),
             ("s0,s1,truth\n0.9,0.1,0\n0.2,1\n", "line 3: 2 cells, expected 3"),
@@ -654,6 +713,18 @@ class TestCli:
                                       "majority_components": [
                                           {"mean": [1.0], "stddev": 1.0, "count": 50}]}}},
              "count must be an integer, got 20.9"),
+            ({"dataset": {"mixture": {"minority": {"mean": "12", "stddev": 1.0, "count": 20},
+                                      "majority_components": [
+                                          {"mean": [1.0, 0.0], "stddev": 1.0, "count": 50}]}}},
+             "mean must be a list of numbers, got '12'"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1.0, "count": 20},
+                                      "majority_components": [
+                                          {"mean": [1.0], "stddev": "0.5", "count": 50}]}}},
+             "stddev must be a number, got '0.5'"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0, "1"], "stddev": 1.0, "count": 20},
+                                      "majority_components": [
+                                          {"mean": [1.0, 0.0], "stddev": 1.0, "count": 50}]}}},
+             "mean entry must be a number, got '1'"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
