@@ -123,7 +123,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         comps = tuple(self.majority_components)
-        integer("seed", self.seed, DatasetError)
+        if integer("seed", self.seed, DatasetError) < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         if not comps:
             raise DatasetError("at least one majority component required")
         dim = len(self.minority.mean)
@@ -203,7 +204,9 @@ def standardize(train: Dataset, others: list[Dataset] = ()):
     scale = np.where(std > 0, std, 1.0)
 
     def apply(ds: Dataset) -> Dataset:
-        return Dataset((ds.features - mean) / scale, ds.labels, ds.class_names)
+        X = ds.features - mean  # one allocation: the same bits as (features - mean) / scale
+        X /= scale
+        return Dataset(X, ds.labels, ds.class_names)
 
     return apply(train), [apply(ds) for ds in others], mean, std
 

@@ -1,15 +1,15 @@
 """Experiment runner: configure a dataset and a set of methods, run a seeded
 method x seed grid, and persist per-run metric rows plus an aggregate table.
 
-Pipeline per cell: load/generate -> stratified split -> standardize with
-train statistics -> method-specific transform (resample or regroup) ->
-train -> predict on test -> metrics. Test data never influences any fitted
-statistic before final evaluation.
+Pipeline per seed, shared by every method: load/generate -> stratified
+split -> standardize with train statistics. Per cell: method-specific
+transform (resample or regroup) -> train -> predict on test -> metrics.
+Test data never influences any fitted statistic before final evaluation.
 
 A method's cells are prepared for every seed first; those that agree on
 train size, layer dims and loss are trained as one seed stack (one `train`
 call), with per-seed results bit-identical to training them one by one.
-Each source is loaded once per grid; method columns run in parallel.
+A CSV is parsed once per grid; method columns run in parallel.
 """
 from __future__ import annotations
 
@@ -111,6 +111,10 @@ class ExperimentConfig:
                      else tuple(integer("seeds", s, HarnessError) for s in self.seeds))
         except (TypeError, ValueError):
             raise HarnessError(f"seeds must be integers, got {self.seeds!r}") from None
+        if min(seeds) < 0:
+            raise HarnessError(f"seeds must be >= 0, got {min(seeds)}")
+        if len(set(seeds)) < len(seeds):  # a repeated seed would count twice in the aggregates
+            raise HarnessError(f"seed {max(seeds, key=seeds.count)} is listed more than once")
         object.__setattr__(self, "methods", tuple(
             m if isinstance(m, MethodKind) else MethodKind(**m) for m in self.methods))
         object.__setattr__(self, "seeds", seeds)
@@ -201,7 +205,8 @@ def builtin_mixture(name: str) -> MixtureSpec:
 def _source_mixture(source: dict) -> MixtureSpec | None:
     """The mixture a synthetic source samples, or None for a CSV source.
     Raises HarnessError or DatasetError for a source that does not name
-    exactly one dataset, has a key its kind does not use, or a bad spec."""
+    exactly one dataset, has a key its kind does not use, a label_column that
+    is neither a text nor an integer, or a bad spec."""
     kinds = [k for k in ("csv", "builtin", "mixture") if isinstance(source, dict) and k in source]
     if not kinds:
         raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
@@ -209,19 +214,37 @@ def _source_mixture(source: dict) -> MixtureSpec | None:
         raise HarnessError(f"dataset source takes one of csv, builtin or mixture, and "
                            f"label_column only beside csv; got keys {sorted(source)}")
     if kinds == ["csv"]:
+        column = source.get("label_column", "label")
+        if isinstance(column, bool) or not isinstance(column, (str, int)):
+            raise HarnessError(f"label_column must be a column name or index, got {column!r}")
         return None
     if "builtin" in source:
         return builtin_mixture(source["builtin"])
     return mixture_from_dict(source["mixture"])
 
 
-def load_source(source: dict, seed: int) -> Dataset:
-    """Materialize the configured dataset. For synthetic sources the run
-    seed offsets the mixture seed so different seeds draw fresh data."""
-    spec = _source_mixture(source)
+def _split_sources(cfg: ExperimentConfig, seeds) -> dict:
+    """Each seed's (train, test) split, standardized with the train statistics when
+    cfg says so, or the exception that stopped it. A CSV is parsed once for all seeds;
+    a synthetic source's grid seed offsets its mixture seed, so each seed draws anew."""
+    spec, source, csv = _source_mixture(cfg.dataset), cfg.dataset, None
     if spec is None:
-        return load_csv_dataset(source["csv"], source.get("label_column", "label"))
-    return generate_imbalanced_mixture(replace(spec, seed=spec.seed + seed))
+        try:
+            csv = load_csv_dataset(source["csv"], source.get("label_column", "label"))
+        except Exception as exc:  # every cell reports it
+            return dict.fromkeys(seeds, exc)
+    splits = {}
+    for seed in seeds:
+        try:
+            ds = csv if spec is None else generate_imbalanced_mixture(
+                replace(spec, seed=spec.seed + seed))
+            train_ds, test_ds = stratified_split(ds, cfg.test_fraction, seed)
+            if cfg.standardize:
+                train_ds, (test_ds,), _, _ = standardize(train_ds, [test_ds])
+            splits[seed] = train_ds, test_ds
+        except Exception as exc:  # every cell of this seed reports it
+            splits[seed] = exc
+    return splits
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -255,21 +278,17 @@ class _Cell:
     seconds: float
 
 
-def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, ds: Dataset) -> _Cell:
-    """Split, standardize and resample or regroup one cell's source data."""
+def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, train_ds, test_ds) -> _Cell:
+    """Resample or regroup one cell's train split."""
     start = time.perf_counter()
-    train_ds, test_ds = stratified_split(ds, cfg.test_fraction, seed)
-    if cfg.standardize:
-        train_ds, (test_ds,), _, _ = standardize(train_ds, [test_ds])
-
     counts, transform = train_ds.class_counts, METHODS[method.name][1]
     loss, fit_ds, plan, k_groups = method.loss_spec(counts), train_ds, None, None
     if transform == "regroup":
-        if method.k_override is not None and ds.num_classes != 2:
-            raise HarnessError(f"k_override needs a binary source, got {ds.num_classes} classes")
+        if method.k_override is not None and len(counts) != 2:
+            raise HarnessError(f"k_override needs a binary source, got {len(counts)} classes")
         fit_ds, plan = regroup_multiclass(train_ds, seed + 2, method.k_override)
         # K: the requested majority groups of a binary source, else all pseudo-classes
-        k_groups = (max(group_counts(counts, method.k_override)) if ds.num_classes == 2
+        k_groups = (max(group_counts(counts, method.k_override)) if len(counts) == 2
                     else plan.pseudo_num_classes)
     elif transform:
         fit_ds = resample(train_ds, ResampleSpec(transform, seed + 2, method.k_neighbors))
@@ -307,23 +326,7 @@ def _evaluate(method: MethodKind, cell: _Cell, model, chash: str, train_s: float
     )
 
 
-def _load_sources(source: dict, seeds) -> dict:
-    """Each seed's source dataset, or the exception loading it raised. A
-    CSV does not depend on the seed, so it is parsed once for all seeds."""
-
-    def load(seed):
-        try:
-            return load_source(source, seed)
-        except Exception as exc:  # every cell of this seed reports it
-            return exc
-
-    if "csv" in source:
-        shared = load(seeds[0])
-        return {seed: shared for seed in seeds}
-    return {seed: load(seed) for seed in seeds}
-
-
-def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict) -> list:
+def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, splits: dict) -> list:
     """One method over the given seeds, in order: a ResultRow or the
     exception each cell failed with. Prepared cells that agree on train size,
     layer dims and loss train together as one stack."""
@@ -331,11 +334,11 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict)
     out: list = [None] * len(seeds)
     cells = {}
     for i, seed in enumerate(seeds):
-        if isinstance(sources[seed], Exception):
-            out[i] = sources[seed]
+        if isinstance(splits[seed], Exception):
+            out[i] = splits[seed]
             continue
         try:
-            cells[i] = _prepare(cfg, method, seed, sources[seed])
+            cells[i] = _prepare(cfg, method, seed, *splits[seed])
         except Exception as exc:  # record and continue
             out[i] = exc
     stacks: dict = {}
@@ -361,57 +364,57 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, sources: dict)
     return out
 
 
-def _column_weight(cfg: ExperimentConfig, method: MethodKind, ds: Dataset) -> float:
+def _column_weight(cfg: ExperimentConfig, method: MethodKind, train_ds: Dataset) -> float:
     """Expected training work of a column: epochs x fit rows x sum of fan_in * fan_out."""
-    train = [c * (1.0 - cfg.test_fraction) for c in ds.class_counts]
+    train = train_ds.class_counts
     transform = METHODS[method.name][1]
     rows = len(train) * TARGET[transform](train) if transform in TARGET else sum(train)
     if transform == "regroup":  # a k_override beside more than two classes fails the cells
         heads = sum(group_counts(train, method.k_override if len(train) == 2 else None))
     else:
         heads = len(train)
-    dims = (ds.dim, *cfg.hidden_dims, heads)
+    dims = (train_ds.dim, *cfg.hidden_dims, heads)
     return cfg.train.epochs * rows * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
 # Below this expected work the fork pool's start-up costs more than the parallel
 # columns save: calibrated from pooled and in-process grid times (README).
 _POOL_MIN_WORK = 3e7
-_worker_sources: dict = {}  # filled in pool workers only: the sources they inherit
+_worker_splits: dict = {}  # filled in pool workers only: the splits they inherit
 
 
-def _init_worker(pin, sources: dict) -> None:
+def _init_worker(pin, splits: dict) -> None:
     pin(1)  # one BLAS thread per worker: the workers already fill the CPUs
-    _worker_sources.update(sources)
+    _worker_splits.update(splits)
 
 
 def _worker_column(cfg: ExperimentConfig, method: MethodKind) -> list:
-    return _run_column(cfg, method, cfg.seeds, _worker_sources)
+    return _run_column(cfg, method, cfg.seeds, _worker_splits)
 
 
-def _first_dataset(sources: dict) -> Dataset | None:
-    return next((d for d in sources.values() if isinstance(d, Dataset)), None)
+def _first_split(splits: dict) -> tuple[Dataset, Dataset] | None:
+    return next((s for s in splits.values() if not isinstance(s, Exception)), None)
 
 
-def _run_columns(cfg: ExperimentConfig, sources: dict) -> list[list]:
+def _run_columns(cfg: ExperimentConfig, splits: dict) -> list[list]:
     """Each method's `_run_column` results, config order: heaviest first on a fork pool of
     one worker per CPU, or in-process (one CPU or method, no OpenBLAS to pin, or less
     expected work, seeds x summed column weights, than _POOL_MIN_WORK)."""
     pin = getattr(ctypes.CDLL(_multiarray_umath.__file__), _BLAS_PIN, None)
     workers = min(len(os.sched_getaffinity(0)), len(cfg.methods))
-    ds = _first_dataset(sources)
-    weight = {m: _column_weight(cfg, m, ds) for m in cfg.methods} if ds is not None else {}
+    split = _first_split(splits)
+    weight = {m: _column_weight(cfg, m, split[0]) for m in cfg.methods} if split else {}
     if (pin is None or workers < 2 or not weight
             or len(cfg.seeds) * sum(weight.values()) < _POOL_MIN_WORK):
-        return [_run_column(cfg, m, cfg.seeds, sources) for m in cfg.methods]
+        return [_run_column(cfg, m, cfg.seeds, splits) for m in cfg.methods]
     import concurrent.futures
     import multiprocessing
 
     import numpy.ma  # noqa: F401  np.unique imports it lazily: once here, not per worker
 
     pin.argtypes, pin.restype = [ctypes.c_int], None
-    fork = multiprocessing.get_context("fork")  # the workers inherit the sources unpickled
-    with concurrent.futures.ProcessPoolExecutor(workers, fork, _init_worker, (pin, sources)) as pool:
+    fork = multiprocessing.get_context("fork")  # the workers inherit the splits unpickled
+    with concurrent.futures.ProcessPoolExecutor(workers, fork, _init_worker, (pin, splits)) as pool:
         futures = {m: pool.submit(_worker_column, cfg, m)
                    for m in sorted(cfg.methods, key=lambda m: -weight[m])}
     return [[futures[m].exception()] * len(cfg.seeds) if futures[m].exception()
@@ -421,7 +424,7 @@ def _run_columns(cfg: ExperimentConfig, sources: dict) -> list[list]:
 def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> ResultRow:
     """One grid cell; deterministic in (cfg, method, seed) except wall time.
     Raises what the cell fails with."""
-    (result,) = _run_column(cfg, method, (seed,), _load_sources(cfg.dataset, (seed,)))
+    (result,) = _run_column(cfg, method, (seed,), _split_sources(cfg, (seed,)))
     if isinstance(result, Exception):
         raise result
     return result
@@ -470,8 +473,8 @@ def run_grid(cfg: ExperimentConfig):
     aggregates' minority is the source's smallest class (ties: lowest id)."""
     rows = []
     chash = config_hash(cfg)
-    sources = _load_sources(cfg.dataset, cfg.seeds)
-    columns = _run_columns(cfg, sources)
+    splits = _split_sources(cfg, cfg.seeds)
+    columns = _run_columns(cfg, splits)
     for method, column in zip(cfg.methods, columns):
         for seed, result in zip(cfg.seeds, column):
             if isinstance(result, Exception):
@@ -480,8 +483,9 @@ def run_grid(cfg: ExperimentConfig):
                     error=f"{type(result).__name__}: {result}",
                 )
             rows.append(result)
-    ds = _first_dataset(sources)  # None: every cell failed, and nothing aggregates
-    minority = ds.class_counts.index(min(ds.class_counts)) if ds is not None else 0
+    split = _first_split(splits)  # None: every cell failed, and nothing aggregates
+    # a split partitions the source's rows: train + test counts are the source's
+    minority = int(np.argmin(np.add(split[0].class_counts, split[1].class_counts))) if split else 0
     return rows, aggregate(rows, cfg.methods, minority)
 
 

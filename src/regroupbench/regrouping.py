@@ -63,12 +63,12 @@ class RegroupPlan:
 
 
 def group_counts(class_counts, k_override=None) -> list[int]:
-    """Groups per class: max(1, round-half-to-even(count_c / min count)). For
-    two classes that is 1 for the minority (the smaller class; class 0 on a
-    tie) and compute_k for the other class, whose count k_override replaces."""
+    """Groups per class: compute_k(count_c, min count), which is 1 for the
+    smallest class. For two classes, k_override replaces the count of the class
+    other than the minority (the smaller class; class 0 on a tie)."""
     counts = list(class_counts)
     smallest = min(counts)
-    groups = [max(1, round(c / smallest)) for c in counts]
+    groups = [compute_k(c, smallest) for c in counts]
     if k_override is not None:
         if len(counts) != 2:
             raise RegroupError(f"k_override needs 2 classes, got {len(counts)}")

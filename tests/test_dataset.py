@@ -220,6 +220,8 @@ class TestMixture:
         for seed in (4.0, "4", False):
             with pytest.raises(DatasetError, match=f"seed must be an integer, got {seed!r}"):
                 mixture_from_dict({"minority": comp, "majority_components": [comp], "seed": seed})
+        with pytest.raises(DatasetError, match="seed must be >= 0, got -5"):
+            mixture_from_dict({"minority": comp, "majority_components": [comp], "seed": -5})
 
 
 class TestSplit:
@@ -301,6 +303,20 @@ class TestStandardize:
         _, (test_std,), mean, std = standardize(train, [test])
         np.testing.assert_allclose(test_std.features, (test.features - mean) / std)
         assert abs(test_std.features.mean()) > 1e-10  # its own mean is not forced to zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 4)),
+                elements=st.floats(-1e6, 1e6)),
+       constant=st.lists(st.booleans(), min_size=4, max_size=4), cut=st.integers(1, 11))
+def test_standardize_is_byte_equal_to_the_plain_expression(X, constant, cut):
+    X[:, constant[:X.shape[1]]] = X[0, constant[:X.shape[1]]]  # constant columns
+    cut = min(cut, len(X) - 1)
+    train, other = Dataset(X[:cut], np.zeros(cut)), Dataset(X[cut:], np.zeros(len(X) - cut))
+    out, (out_other,), mean, std = standardize(train, [other])
+    scale = np.where(std > 0, std, 1.0)
+    assert out.features.tobytes() == ((X[:cut] - mean) / scale).tobytes()
+    assert out_other.features.tobytes() == ((X[cut:] - mean) / scale).tobytes()
 
 
 def reference_read(text, label_idx, label_type):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import regroupbench.harness as harness
 from regroupbench import trainer
-from regroupbench.dataset import Dataset, DatasetError, save_csv_dataset
+from regroupbench.dataset import (
+    Dataset,
+    DatasetError,
+    generate_imbalanced_mixture,
+    save_csv_dataset,
+    stratified_split,
+)
 from regroupbench.harness import (
     ExperimentConfig,
     HarnessError,
@@ -19,7 +25,6 @@ from regroupbench.harness import (
     aggregate,
     config_hash,
     load_config,
-    load_source,
     run_experiment,
     run_grid,
     write_results,
@@ -109,6 +114,18 @@ class TestMajorityByCount:
         for agg, cells in zip(aggs, (ce, rg)):
             assert agg.mean_minority_ap == np.mean([r.ap_per_class[1] for r in cells])
 
+    def test_minority_is_the_sources_smallest_class_not_the_train_splits(self, tmp_path):
+        rng = np.random.default_rng(3)
+        y = np.repeat([0, 1], (7, 6))
+        save_csv_dataset(Dataset(rng.standard_normal((13, 2)) + y[:, None], y), tmp_path / "d.csv")
+        cfg = tiny_cfg(["CE"], seeds=(0, 1), dataset={"csv": str(tmp_path / "d.csv")},
+                       test_fraction=0.5)
+        train_ds, test_ds = harness._split_sources(cfg, (0,))[0]
+        assert train_ds.class_counts == (3, 3) and test_ds.class_counts == (4, 3)
+        rows, (agg,) = run_grid(cfg)
+        assert not any(r.error for r in rows)
+        assert agg.mean_minority_ap == np.mean([r.ap_per_class[1] for r in rows])
+
     @settings(max_examples=40, deadline=None)
     @given(counts=st.tuples(st.integers(2, 120), st.integers(2, 120)),
            k_override=st.none() | st.integers(1, 4), seed=st.integers(0, 100))
@@ -118,8 +135,9 @@ class TestMajorityByCount:
         y = np.repeat([0, 1], counts)
         method = MethodKind("RG+CE", k_override=k_override)
         cfg = tiny_cfg([method], test_fraction=0.25)
-        k = [harness._prepare(cfg, method, seed, Dataset(X, labels)).k_groups
-             for labels in (y, 1 - y)]
+        splits = [stratified_split(Dataset(X, labels), cfg.test_fraction, seed)
+                  for labels in (y, 1 - y)]
+        k = [harness._prepare(cfg, method, seed, *split).k_groups for split in splits]
         assert k[0] == k[1]
 
 
@@ -320,10 +338,10 @@ class TestParallelColumns:
 
         real_prepare = harness._prepare
 
-        def die_in_rg(cfg, method, seed, ds):
+        def die_in_rg(cfg, method, seed, train_ds, test_ds):
             if method.name == "RG+CE":
                 os._exit(3)
-            return real_prepare(cfg, method, seed, ds)
+            return real_prepare(cfg, method, seed, train_ds, test_ds)
 
         force_pool(monkeypatch)
         monkeypatch.setattr(harness, "_prepare", die_in_rg)
@@ -346,8 +364,8 @@ class TestParallelColumns:
     @pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=MULTI_CPU)])
     def test_grids_below_the_work_floor_run_in_process(self, monkeypatch, pooled):
         cfg = tiny_cfg(["CE", "WCE", "RG+CE"], seeds=(0, 1))
-        ds = load_source(cfg.dataset, 0)
-        work = len(cfg.seeds) * sum(harness._column_weight(cfg, m, ds) for m in cfg.methods)
+        train_ds, _ = harness._split_sources(cfg, cfg.seeds)[0]
+        work = len(cfg.seeds) * sum(harness._column_weight(cfg, m, train_ds) for m in cfg.methods)
         assert work < harness._POOL_MIN_WORK  # a tiny grid runs in-process as it is
         monkeypatch.setattr(harness, "_POOL_MIN_WORK", work if pooled else work * (1 + 1e-9))
         monkeypatch.setattr(harness, "_prepare", raise_pid)
@@ -356,9 +374,30 @@ class TestParallelColumns:
         assert all(r.error.startswith("RuntimeError: pid ") for r in rows)
         assert ({r.error for r in rows} == {here}) != pooled
 
+    @pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=MULTI_CPU)])
+    def test_each_seed_is_split_and_standardized_once(self, monkeypatch, pooled):
+        calls = []
+
+        def count(name):
+            real = getattr(harness, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+
+        count("stratified_split")
+        count("standardize")
+        if pooled:
+            force_pool(monkeypatch)
+        rows, _ = run_grid(tiny_cfg(["CE", "WCE", "RG+CE"], seeds=(0, 1)))
+        assert len(rows) == 6 and not any(r.error for r in rows)
+        assert sorted(calls) == ["standardize"] * 2 + ["stratified_split"] * 2
+
     def test_column_weight_counts_fit_rows_and_layer_products(self):
-        ds = load_source({"builtin": "overlap"}, 0)  # 100 minority, 900 majority rows
-        cfg = replace(tiny_cfg(["CE"]), hidden_dims=(32,))
+        cfg = replace(tiny_cfg(["CE"], dataset={"builtin": "overlap"}), hidden_dims=(32,))
+        ds, _ = harness._split_sources(cfg, (0,))[0]  # 80 minority, 720 majority rows
         weight = {m: harness._column_weight(cfg, MethodKind(m), ds) for m in harness.METHODS}
         epochs, layers = FAST.epochs, 2 * 32 + 32 * 2
         assert weight["CE"] == weight["LDAM"] == epochs * 800 * layers
@@ -380,8 +419,8 @@ class TestParallelColumns:
         source = {"csv": str(tmp_path / "d.csv")}
         method = MethodKind("RG+CE", k_override=7)
         # the class count is known only once the CSV loads: the pool still sorts the column
-        assert harness._column_weight(tiny_cfg([method], dataset=source),
-                                      method, load_source(source, 0)) > 0
+        cfg = tiny_cfg([method], dataset=source)
+        assert harness._column_weight(cfg, method, harness._split_sources(cfg, (0,))[0][0]) > 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "dataset": source, "methods": [{"name": "CE"}, {"name": "RG+CE", "k_override": 7}],
@@ -547,7 +586,7 @@ class TestConfigIO:
 
     def test_bad_source_rejected(self):
         with pytest.raises(HarnessError):
-            load_source({"parquet": "x"}, 0)
+            harness._source_mixture({"parquet": "x"})
         with pytest.raises(HarnessError, match="must have csv, builtin, or mixture key"):
             tiny_cfg(["CE"], dataset={"parquet": "x"})  # at construction, as from a file
         with pytest.raises(HarnessError, match="unknown builtin family 'nope'"):
@@ -565,9 +604,14 @@ class TestConfigIO:
         assert config_hash(a) != config_hash(b)
 
     def test_seed_offsets_synthetic_draw(self):
-        a = load_source({"builtin": "rg-favorable"}, 0)
-        b = load_source({"builtin": "rg-favorable"}, 1)
-        assert not np.array_equal(a.features, b.features)
+        cfg = tiny_cfg(["CE"], seeds=(0, 1), standardize=False)
+        drawn = []
+        for seed, (train_ds, test_ds) in harness._split_sources(cfg, cfg.seeds).items():
+            rows = np.sort(np.vstack([train_ds.features, test_ds.features]), axis=0)
+            own = generate_imbalanced_mixture(harness.rg_favorable_mixture(seed))
+            assert np.array_equal(rows, np.sort(own.features, axis=0))
+            drawn.append(rows)
+        assert not np.array_equal(*drawn)
 
 
 class TestCli:
@@ -609,6 +653,21 @@ class TestCli:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert "unknown builtin family 'nope'" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"builtin": "overlap", "seed": -3},
+        {"minority": {"mean": [0.0], "stddev": 1.0, "count": 5},
+         "majority_components": [{"mean": [1.0], "stddev": 1.0, "count": 9}], "seed": -3},
+    ])
+    def test_synth_negative_seed_is_named_error(self, tmp_path, capsys, doc):
+        from regroupbench.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "seed must be >= 0, got -3" in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("text", ["s0,s1,truth\n", ""])
@@ -725,6 +784,17 @@ class TestCli:
                                       "majority_components": [
                                           {"mean": [1.0, 0.0], "stddev": 1.0, "count": 50}]}}},
              "mean entry must be a number, got '1'"),
+            ({"seeds": [3, 3]}, "seed 3 is listed more than once"),
+            ({"seeds": [0, -1]}, "seeds must be >= 0, got -1"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1.0, "count": 20},
+                                      "majority_components": [
+                                          {"mean": [1.0], "stddev": 1.0, "count": 50}],
+                                      "seed": -5}}},
+             "seed must be >= 0, got -5"),
+            ({"dataset": {"csv": "d.csv", "label_column": True}},
+             "label_column must be a column name or index, got True"),
+            ({"dataset": {"csv": "d.csv", "label_column": 1.0}},
+             "label_column must be a column name or index, got 1.0"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
@@ -751,16 +821,18 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"config {path}: cannot read config") and "No such file" in err
 
-    @pytest.mark.parametrize("seeds", ["1,,2", "1,x", ","])
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,x", ",", "3,3", "2,-1"])
     def test_run_bad_seed_override_is_named_error(self, tmp_path, capsys, seeds):
         from regroupbench.cli import main
 
+        problem = {"3,3": "seed 3 is listed more than once",
+                   "2,-1": "seeds must be >= 0, got -1"}.get(seeds, "seeds must be integers")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dataset": {"builtin": "rg-favorable"},
                                         "methods": [{"name": "CE"}], "seeds": [0]}))
         assert main(["run", "--config", str(cfg_path), "--seeds", seeds]) == 2
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "seeds must be integers" in err
+        assert len(err.strip().splitlines()) == 1 and problem in err
 
     def test_metrics_missing_file_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main
