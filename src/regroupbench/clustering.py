@@ -104,13 +104,41 @@ def k_nearest(X: np.ndarray, C: np.ndarray, k: int, exclude_self: bool = False) 
     return _search(X, C, k, np.einsum("nd,nd->n", X, X), exclude_self)[0]
 
 
+def _row_sq_dists(X: np.ndarray, XT: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``np.sum((X - c) ** 2, axis=1)`` bit for bit, from XT = X.T made contiguous.
+
+    Up to 128 columns numpy sums each row pairwise: under 8 left to right, else
+    into 8 accumulators that combine as ((0+1)+(2+3))+((4+5)+(6+7)) before the
+    leftover columns add left to right. Here each term is a whole row of XT, and
+    the 8 accumulators are 8 rows updated as one block, so the same additions
+    run as a few vector operations. Wider rows take numpy's expression.
+    """
+    d = XT.shape[0]
+    if d > 128:
+        return np.sum((X - c) ** 2, axis=1)
+    sq = XT - c[:, None]
+    np.multiply(sq, sq, out=sq)  # row j: column j's squared differences
+    if d < 8:
+        acc, head = sq[0], 1
+    else:
+        head, r = d - d % 8, sq[:8]
+        for i in range(8, head, 8):
+            r += sq[i:i + 8]
+        r = r[0::2] + r[1::2]  # 0+1, 2+3, 4+5, 6+7
+        acc = r[0] + r[1]
+        acc += r[2] + r[3]
+    for j in range(head, d):
+        acc += sq[j]
+    return acc
+
+
 def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: first center uniform, the rest drawn with
     probability proportional to squared distance to the nearest chosen
     center. Draws resolve ties at the lowest index."""
-    n = X.shape[0]
+    n, XT = X.shape[0], np.ascontiguousarray(X.T)
     centers = [int(rng.integers(n))]
-    closest = np.sum((X - X[centers[0]]) ** 2, axis=1)
+    closest = _row_sq_dists(X, XT, X[centers[0]])
     for _ in range(1, k):
         total = closest.sum()
         if total <= 0:  # all remaining points coincide with chosen centers
@@ -120,7 +148,7 @@ def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             u = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(closest), u, side="right"))
             centers.append(min(idx, n - 1))
-        closest = np.minimum(closest, np.sum((X - X[centers[-1]]) ** 2, axis=1))
+        np.minimum(closest, _row_sq_dists(X, XT, X[centers[-1]]), out=closest)
     return X[np.array(centers)].copy()
 
 
@@ -132,8 +160,11 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
     (converged) or max_iter is reached (not converged); the last step's
     displacement is the model's final_shift. Empty clusters are
     reseeded at the point farthest from its assigned centroid, which keeps
-    all k ids in use and preserves the non-increasing inertia trace. A caller
-    that has counted X's distinct rows passes the count as _n_distinct.
+    all k ids in use and preserves the non-increasing inertia trace.
+
+    _n_distinct, when given, means "X has at least this many distinct rows";
+    the fit only checks k against it, so a caller may pass a lower bound that
+    reaches k, and must pass the exact count otherwise (the error names it).
 
     Bit for bit the plain loop: rows whose Hamerly (2010) bounds, grown by each
     update's shifts, still clear skip the screen; only changed clusters get new means.

@@ -137,6 +137,8 @@ class ExperimentConfig:
             raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not isinstance(self.standardize, bool):
             raise HarnessError(f"standardize must be true or false, got {self.standardize!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):  # else the grid's work is lost
+            raise HarnessError(f"output_dir must be a text, got {self.output_dir!r}")
         _source_mixture(self.dataset)
 
 
@@ -205,8 +207,8 @@ def builtin_mixture(name: str) -> MixtureSpec:
 def _source_mixture(source: dict) -> MixtureSpec | None:
     """The mixture a synthetic source samples, or None for a CSV source.
     Raises HarnessError or DatasetError for a source that does not name
-    exactly one dataset, has a key its kind does not use, a label_column that
-    is neither a text nor an integer, or a bad spec."""
+    exactly one dataset, has a key its kind does not use, a csv that is not a
+    text, a label_column that is neither a text nor an integer >= 0, or a bad spec."""
     kinds = [k for k in ("csv", "builtin", "mixture") if isinstance(source, dict) and k in source]
     if not kinds:
         raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
@@ -215,8 +217,12 @@ def _source_mixture(source: dict) -> MixtureSpec | None:
                            f"label_column only beside csv; got keys {sorted(source)}")
     if kinds == ["csv"]:
         column = source.get("label_column", "label")
+        if not isinstance(source["csv"], str):
+            raise HarnessError(f"csv must be a path text, got {source['csv']!r}")
         if isinstance(column, bool) or not isinstance(column, (str, int)):
             raise HarnessError(f"label_column must be a column name or index, got {column!r}")
+        if isinstance(column, int) and column < 0:
+            raise HarnessError(f"label_column index must be >= 0, got {column}")
         return None
     if "builtin" in source:
         return builtin_mixture(source["builtin"])
@@ -377,14 +383,14 @@ def _column_weight(cfg: ExperimentConfig, method: MethodKind, train_ds: Dataset)
     return cfg.train.epochs * rows * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
-# Below this expected work the fork pool's start-up costs more than the parallel
-# columns save: calibrated from pooled and in-process grid times (README).
-_POOL_MIN_WORK = 3e7
+# Below this expected work the fork pool's start-up, its imports included, costs more
+# than the parallel columns save in a fresh process: calibrated from pooled and
+# in-process grid times (README).
+_POOL_MIN_WORK = 1e7
 _worker_splits: dict = {}  # filled in pool workers only: the splits they inherit
 
 
-def _init_worker(pin, splits: dict) -> None:
-    pin(1)  # one BLAS thread per worker: the workers already fill the CPUs
+def _init_worker(splits: dict) -> None:
     _worker_splits.update(splits)
 
 
@@ -413,8 +419,12 @@ def _run_columns(cfg: ExperimentConfig, splits: dict) -> list[list]:
     import numpy.ma  # noqa: F401  np.unique imports it lazily: once here, not per worker
 
     pin.argtypes, pin.restype = [ctypes.c_int], None
+    # one BLAS thread per worker, as the workers already fill the CPUs. Pinned here, not in
+    # each worker: a pin after the fork starts an OpenBLAS server thread there that spins
+    # while the columns start. Not restored, so the next pooled grid forks pinned too.
+    pin(1)
     fork = multiprocessing.get_context("fork")  # the workers inherit the splits unpickled
-    with concurrent.futures.ProcessPoolExecutor(workers, fork, _init_worker, (pin, splits)) as pool:
+    with concurrent.futures.ProcessPoolExecutor(workers, fork, _init_worker, (splits,)) as pool:
         futures = {m: pool.submit(_worker_column, cfg, m)
                    for m in sorted(cfg.methods, key=lambda m: -weight[m])}
     return [[futures[m].exception()] * len(cfg.seeds) if futures[m].exception()
@@ -470,7 +480,11 @@ def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...],
 def run_grid(cfg: ExperimentConfig):
     """Run the full method x seed grid; rows in config order. Failed cells
     are recorded with their error string and the grid continues. The
-    aggregates' minority is the source's smallest class (ties: lowest id)."""
+    aggregates' minority is the source's smallest class (ties: lowest id).
+
+    A grid whose columns run on the fork pool first pins the calling
+    process's OpenBLAS to one thread, and leaves it pinned: the next pooled
+    grid in the process must fork pinned again."""
     rows = []
     chash = config_hash(cfg)
     splits = _split_sources(cfg, cfg.seeds)

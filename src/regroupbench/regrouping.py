@@ -91,7 +91,11 @@ def regroup_multiclass(train: Dataset, seed: int,
         idx = np.flatnonzero(train.labels == c)
         rows = train.features[idx]
         if g > 1:
-            n_distinct = np.unique(rows, axis=0).shape[0]
+            # the distinct values of one column bound the distinct rows from below;
+            # count the rows only when that bound does not reach g
+            n_distinct = np.unique(rows[:, 0]).shape[0]
+            if g > n_distinct:
+                n_distinct = np.unique(rows, axis=0).shape[0]
             if g > n_distinct:
                 warnings.append(
                     f"class {c}: requested {g} groups but only {n_distinct} distinct rows; clamped"

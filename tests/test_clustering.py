@@ -12,6 +12,7 @@ from regroupbench.clustering import (
     ClusteringError,
     KMeansModel,
     _plusplus_init,
+    _row_sq_dists,
     _sq_dists,
     k_nearest,
     kmeans_fit,
@@ -278,6 +279,58 @@ def reference_kmeans_fit(X, k, seed, max_iter=100, tol=1e-6):
 def test_fit_bits_equal_reference_loop(n, k, d, mode, exponent, max_iter, data_seed, seed):
     X = sample_points(np.random.default_rng(data_seed), n, d, mode, exponent)
     assert_fit_bits_equal_reference(X, min(k, np.unique(X, axis=0).shape[0]), seed, max_iter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 130),  # numpy sums rows in blocks of 128 above 128 columns
+    exponent=st.integers(-150, 150),
+    mixed=st.booleans(),  # each entry at its own scale in 1e-150..1e150
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, d=128, exponent=0, mixed=False, data_seed=0)
+@example(n=5, d=129, exponent=0, mixed=False, data_seed=0)
+def test_column_order_distances_equal_row_sums(n, d, exponent, mixed, data_seed):
+    rng = np.random.default_rng(data_seed)
+    X = rng.standard_normal((n, d)) * 10.0 ** (rng.integers(-150, 151, (n, d)) if mixed
+                                                else exponent)
+    XT = np.ascontiguousarray(X.T)
+    for c in (X[0], X[-1], rng.standard_normal(d) * 10.0 ** exponent):
+        assert _row_sq_dists(X, XT, c).tobytes() == np.sum((X - c) ** 2, axis=1).tobytes()
+
+
+def reference_plusplus_init(X, k, rng):
+    """k-means++ seeding with numpy's row sums, kept as the bit reference."""
+    n = X.shape[0]
+    centers = [int(rng.integers(n))]
+    closest = np.sum((X - X[centers[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers.append(int(np.setdiff1d(np.arange(n), np.array(centers))[0]))
+        else:
+            idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total, side="right"))
+            centers.append(min(idx, n - 1))
+        closest = np.minimum(closest, np.sum((X - X[centers[-1]]) ** 2, axis=1))
+    return X[np.array(centers)].copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    k=st.integers(1, 8),
+    d=st.sampled_from([1, 2, 7, 8, 9, 16, 24, 130]),
+    mode=st.sampled_from(["gauss", "lattice", "halves"]),
+    exponent=st.sampled_from([0, -150, 150]),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 1000),
+)
+def test_seeding_bits_equal_reference(n, k, d, mode, exponent, data_seed, seed):
+    X = sample_points(np.random.default_rng(data_seed), n, d, mode, exponent)
+    k = min(k, n)
+    got = _plusplus_init(X, k, np.random.default_rng(seed))
+    assert got.tobytes() == reference_plusplus_init(X, k, np.random.default_rng(seed)).tobytes()
 
 
 def assert_fit_bits_equal_reference(X, k, seed, max_iter):

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import threading
@@ -275,6 +276,13 @@ def raise_pid(*args):
     raise RuntimeError(f"pid {os.getpid()}")
 
 
+def worker_threads(cfg, method):
+    """A pooled column's stand-in: its pid, OS threads and OpenBLAS threads, per seed."""
+    get = ctypes.CDLL(harness._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return [(os.getpid(), len(os.listdir("/proc/self/task")), get())] * len(cfg.seeds)
+
+
 def force_pool(monkeypatch):
     """Pool every grid with two or more methods, however little work it holds."""
     monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0.0)
@@ -320,6 +328,18 @@ class TestParallelColumns:
         rows, _ = run_grid(tiny_cfg(["CE", "WCE", "Focal"], seeds=(0, 1)))
         assert all(r.error.startswith("RuntimeError: pid ") for r in rows)
         assert f"RuntimeError: pid {os.getpid()}" not in {r.error for r in rows}
+
+    @MULTI_CPU
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_pooled_columns_run_one_thread(self, monkeypatch):
+        # a pin inside the worker would start an OpenBLAS server thread there
+        force_pool(monkeypatch)
+        monkeypatch.setattr(harness, "_worker_column", worker_threads)
+        cfg = tiny_cfg(["CE", "WCE", "RG+CE"], seeds=(0, 1))
+        columns = harness._run_columns(cfg, harness._split_sources(cfg, cfg.seeds))
+        cells = [cell for column in columns for cell in column]
+        assert len(cells) == 6 and os.getpid() not in {pid for pid, _, _ in cells}
+        assert {(threads, blas) for _, threads, blas in cells} == {(1, 1)}
 
     def test_serial_without_blas_pin_or_with_one_column(self, monkeypatch):
         force_pool(monkeypatch)
@@ -373,6 +393,13 @@ class TestParallelColumns:
         here = f"RuntimeError: pid {os.getpid()}"
         assert all(r.error.startswith("RuntimeError: pid ") for r in rows)
         assert ({r.error for r in rows} == {here}) != pooled
+
+    def test_work_floor_keeps_one_epoch_grids_in_process(self):
+        # all 8 methods on rg-favorable, hidden [32]: 1 epoch stays in-process, 16 pool
+        cfg = replace(tiny_cfg(list(harness.METHODS)), hidden_dims=(32,))
+        train_ds, _ = harness._split_sources(cfg, cfg.seeds)[0]
+        work = sum(harness._column_weight(cfg, m, train_ds) for m in cfg.methods)
+        assert work / FAST.epochs < harness._POOL_MIN_WORK < 16 * work / FAST.epochs
 
     @pytest.mark.parametrize("pooled", [False, pytest.param(True, marks=MULTI_CPU)])
     def test_each_seed_is_split_and_standardized_once(self, monkeypatch, pooled):
@@ -591,6 +618,11 @@ class TestConfigIO:
             tiny_cfg(["CE"], dataset={"parquet": "x"})  # at construction, as from a file
         with pytest.raises(HarnessError, match="unknown builtin family 'nope'"):
             tiny_cfg(["CE"], dataset={"builtin": "nope"})
+        with pytest.raises(HarnessError, match="csv must be a path text, got 5"):
+            harness._source_mixture({"csv": 5})
+        with pytest.raises(HarnessError, match="label_column index must be >= 0, got -1"):
+            harness._source_mixture({"csv": "d.csv", "label_column": -1})
+        assert harness._source_mixture({"csv": "d.csv", "label_column": 0}) is None
 
     def test_plain_dicts_build_the_same_config(self):
         source = {"builtin": "overlap"}
@@ -795,6 +827,12 @@ class TestCli:
              "label_column must be a column name or index, got True"),
             ({"dataset": {"csv": "d.csv", "label_column": 1.0}},
              "label_column must be a column name or index, got 1.0"),
+            ({"dataset": {"csv": "d.csv", "label_column": -1}},
+             "label_column index must be >= 0, got -1"),
+            ({"dataset": {"csv": 5}}, "csv must be a path text, got 5"),
+            ({"dataset": {"csv": ["d.csv"]}}, "csv must be a path text, got ['d.csv']"),
+            ({"output_dir": 5}, "output_dir must be a text, got 5"),
+            ({"output_dir": ["o"]}, "output_dir must be a text, got ['o']"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

@@ -114,8 +114,31 @@ class TestRegroupMulticlass:
         y = np.array([0, 0] + [1] * 12)
         ds = Dataset(X, y)
         pseudo, plan = regroup_multiclass(ds, seed=0)
-        assert plan.group_counts[1] == 2
-        assert any("clamped" in w for w in plan.warnings)
+        assert plan.group_counts == (1, 2)
+        assert plan.warnings == ("class 1: requested 6 groups but only 2 distinct rows; clamped",)
+
+    def test_clamp_warning_counts_rows_not_first_column_values(self):
+        # one value in class 1's first column, three distinct rows; ratio asks for 6 groups
+        X = np.array([[0.0, 0.0], [1.0, 0.0]] + [[7.0, float(i % 3)] for i in range(12)])
+        _, plan = regroup_multiclass(Dataset(X, np.array([0, 0] + [1] * 12)), seed=0)
+        assert plan.group_counts == (1, 3)
+        assert plan.warnings == ("class 1: requested 6 groups but only 3 distinct rows; clamped",)
+
+    def test_rows_are_counted_only_when_one_column_cannot_bound_them(self, monkeypatch):
+        calls, real = [], np.unique
+
+        def unique(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(regrouping.np, "unique", unique)
+        # class 1's first column repeats two values, its 12 rows are distinct
+        X = np.array([[0.0, 0.0], [1.0, 0.0]] + [[7.0 + 2 * (i % 2), float(i)] for i in range(12)])
+        _, plan = regroup_multiclass(Dataset(X, np.array([0, 0] + [1] * 12)), seed=0)
+        assert plan.group_counts == (1, 6) and plan.warnings == () and calls == [1, 2]
+        calls.clear()
+        _, plan = regroup_multiclass(generate_imbalanced_mixture(rg_favorable_mixture(0)), seed=0)
+        assert plan.group_counts == (1, 9) and calls == [1]  # 900 distinct values in column 0
 
     def test_invertibility(self):
         # a one-hot pseudo row collapses to the class owning that pseudo id
