@@ -26,7 +26,11 @@ def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seeds:
-            cfg = replace(cfg, seeds=args.seeds)
+            try:  # int() reads the --seeds text; a config's list goes through typed
+                seeds = [int(s) for s in args.seeds.split(",")]
+            except ValueError:
+                raise HarnessError(f"seeds must be integers, got {args.seeds!r}") from None
+            cfg = replace(cfg, seeds=seeds)
     except HarnessError as exc:
         print(f"config {args.config}: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,9 @@ the harness's aggregates find the minority by count, whatever its id.
 """
 from __future__ import annotations
 
-import numbers
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +17,40 @@ class DatasetError(ValueError):
     """Raised when a dataset violates its invariants or cannot be parsed."""
 
 
-def integer(name: str, value, error: type[ValueError]) -> int:
-    """`value` as an int; `error` naming `name` for a bool or any other non-integer."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+_TYPES = {  # annotation: (noun, plural, classes, conversion); a bool is no int and no float
+    "int": ("an integer", "integers", (int, np.integer), operator.index),
+    "float": ("a number", "numbers", (int, float, np.integer, np.floating), float),
+    "bool": ("true or false", "booleans", bool, bool),
+    "str": ("a text", "texts", str, str),
+}
+_ENTRY = ("an object", "objects", object, lambda v: v)  # in a tuple of any other annotation
 
 
-def number(name: str, value, error: type[ValueError]) -> float:
-    """`value` as a float; `error` naming `name` for a bool, a text or any other non-number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a number, got {value!r}")
-    return float(value)
+def typed(obj, error: type[ValueError]) -> None:
+    """Convert each field of the dataclass `obj` in place by its annotation: `int` (no bool
+    or float), `float` (an int becomes a float), `bool`, `str`, and `tuple[X, ...]` from a
+    list or tuple, its entries converted as X (for any other X, kept if not a bool); each
+    of these also with `| None`. A field of any other annotation is left as given.
+    `error` names the field, or "<field> entry", and the value it rejects."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
+        many = kind.startswith("tuple[") and kind.endswith(", ...]")
+        kind = kind[6:-6] if many else kind
+        if not (many or kind in _TYPES) or (value is None and f.type.endswith(" | None")):
+            continue
+        noun, plural, classes, convert = _TYPES.get(kind, _ENTRY)
+        if many and not isinstance(value, (list, tuple)):  # a text is no list of its letters
+            raise error(f"{f.name} must be a list of {plural}, got {value!r}")
+        out = []
+        for v in value if many else (value,):
+            if isinstance(v, classes) and (classes is bool or not isinstance(v, bool)):
+                try:
+                    out.append(convert(v))
+                    continue
+                except OverflowError:  # an int too large for a float
+                    pass
+            raise error(f"{f.name}{' entry' if many else ''} must be {noun}, got {v!r}")
+        object.__setattr__(obj, f.name, tuple(out) if many else out[0])
 
 
 @dataclass(frozen=True)
@@ -102,15 +123,11 @@ class GaussianComponent:
     count: int
 
     def __post_init__(self):
-        if integer("count", self.count, DatasetError) < 1:
+        typed(self, DatasetError)
+        if self.count < 1:
             raise DatasetError("component count must be >= 1")
-        if not number("stddev", self.stddev, DatasetError) > 0:
+        if not self.stddev > 0:
             raise DatasetError("component stddev must be > 0")
-        if not isinstance(self.mean, (list, tuple)):  # tuple("12") would read as (1.0, 2.0)
-            raise DatasetError(f"mean must be a list of numbers, got {self.mean!r}")
-        object.__setattr__(self, "mean", tuple(number("mean entry", v, DatasetError)
-                                               for v in self.mean))
-        object.__setattr__(self, "stddev", float(self.stddev))
 
 
 @dataclass(frozen=True)
@@ -122,18 +139,17 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        comps = tuple(self.majority_components)
-        if integer("seed", self.seed, DatasetError) < 0:
+        typed(self, DatasetError)
+        if self.seed < 0:
             raise DatasetError(f"seed must be >= 0, got {self.seed}")
-        if not comps:
+        if not self.majority_components:
             raise DatasetError("at least one majority component required")
         dim = len(self.minority.mean)
-        for c in comps:
+        for c in self.majority_components:
             if len(c.mean) != dim:
                 raise DatasetError(
                     f"component dimension {len(c.mean)} != minority dimension {dim}"
                 )
-        object.__setattr__(self, "majority_components", comps)
 
 
 def mixture_from_dict(d: dict) -> MixtureSpec:

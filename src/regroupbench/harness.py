@@ -30,12 +30,11 @@ from .dataset import (
     GaussianComponent,
     MixtureSpec,
     generate_imbalanced_mixture,
-    integer,
     load_csv_dataset,
     mixture_from_dict,
-    number,
     standardize,
     stratified_split,
+    typed,
 )
 from .losses import COUNTED_KINDS, LossSpec
 from .metrics import confusion_table, per_class_ap, summary_metrics
@@ -71,15 +70,15 @@ class MethodKind:
     k_override: int | None = None  # forced K, binary sources only
 
     def __post_init__(self):
+        typed(self, HarnessError)
         if self.name not in METHODS:
             raise HarnessError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
         unused = [f.name for f in fields(self)[1:] if f.name not in METHODS[self.name][2]
                   and getattr(self, f.name) != f.default]
         if unused:  # a typo'd pairing would otherwise be silent and change config_hash
             raise HarnessError(f"method {self.name} does not use {', '.join(unused)}")
-        k = self.k_override
-        if k is not None and integer("k_override", k, HarnessError) < 1:
-            raise HarnessError(f"k_override must be >= 1, got {k}")
+        if self.k_override is not None and self.k_override < 1:
+            raise HarnessError(f"k_override must be >= 1, got {self.k_override}")
         self.loss_spec((1,))  # the specs' own checks reject a bad hyperparameter here
         if METHODS[self.name][1] in TARGET:
             ResampleSpec(METHODS[self.name][1], k_neighbors=self.k_neighbors)
@@ -96,7 +95,7 @@ class MethodKind:
 class ExperimentConfig:
     dataset: dict                       # {"builtin": ...} | {"csv": ...} | {"mixture": ...}
     methods: tuple[MethodKind, ...]     # or plain dicts, as a JSON config holds them
-    seeds: tuple[int, ...]              # or a comma-separated string, as --seeds gives it
+    seeds: tuple[int, ...]
     test_fraction: float = 0.2
     standardize: bool = True
     hidden_dims: tuple[int, ...] = (32,)
@@ -104,42 +103,40 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if not self.methods or not self.seeds:
-            raise HarnessError("need at least one method and one seed")
-        try:  # int() reads the --seeds text only; a list takes integers
-            seeds = (tuple(map(int, self.seeds.split(","))) if isinstance(self.seeds, str)
-                     else tuple(integer("seeds", s, HarnessError) for s in self.seeds))
-        except (TypeError, ValueError):
-            raise HarnessError(f"seeds must be integers, got {self.seeds!r}") from None
+        typed(self, HarnessError)
+        seeds = self.seeds
+        if not self.methods or not seeds:
+            raise HarnessError("need at least one entry in methods and in seeds")
         if min(seeds) < 0:
             raise HarnessError(f"seeds must be >= 0, got {min(seeds)}")
         if len(set(seeds)) < len(seeds):  # a repeated seed would count twice in the aggregates
             raise HarnessError(f"seed {max(seeds, key=seeds.count)} is listed more than once")
         object.__setattr__(self, "methods", tuple(
-            m if isinstance(m, MethodKind) else MethodKind(**m) for m in self.methods))
-        object.__setattr__(self, "seeds", seeds)
-        if not isinstance(self.train, TrainConfig):
-            object.__setattr__(self, "train", TrainConfig(**self.train))
+            _from_object(MethodKind, m, "methods entry") for m in self.methods))
+        object.__setattr__(self, "train", _from_object(TrainConfig, self.train, "train"))
         if self.train.shuffle_seed:
             raise HarnessError("a config cannot set train.shuffle_seed; each grid seed sets it")
         names = [m.name for m in self.methods]  # rows and summary lines are keyed by name
         if len(set(names)) < len(names):
             raise HarnessError(f"method {max(names, key=names.count)} is listed more than once")
-        if not isinstance(self.hidden_dims, (list, tuple)):
-            raise HarnessError(f"hidden_dims must be a list of integers, got {self.hidden_dims!r}")
-        object.__setattr__(self, "hidden_dims", tuple(
-            integer("hidden_dims entry", d, HarnessError) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        object.__setattr__(self, "test_fraction",
-                           number("test_fraction", self.test_fraction, HarnessError))
         if not 0.0 < self.test_fraction < 1.0:
             raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if not isinstance(self.standardize, bool):
-            raise HarnessError(f"standardize must be true or false, got {self.standardize!r}")
-        if not isinstance(self.output_dir, (str, os.PathLike)):  # else the grid's work is lost
-            raise HarnessError(f"output_dir must be a text, got {self.output_dir!r}")
         _source_mixture(self.dataset)
+
+
+def _from_object(cls, value, name: str):
+    """`value` if it is a `cls`, else a `cls` built from a JSON object's keys;
+    HarnessError naming `name` for anything else, a missing key or an unknown key."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise HarnessError(f"{name} must be an object, got {value!r}")
+    try:
+        return cls(**value)
+    except TypeError as exc:  # a missing or unknown key
+        raise HarnessError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,7 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, train_ds, tes
     """Resample or regroup one cell's train split."""
     start = time.perf_counter()
     counts, transform = train_ds.class_counts, METHODS[method.name][1]
-    loss, fit_ds, plan, k_groups = method.loss_spec(counts), train_ds, None, None
+    fit_ds, plan, k_groups = train_ds, None, None
     if transform == "regroup":
         if method.k_override is not None and len(counts) != 2:
             raise HarnessError(f"k_override needs a binary source, got {len(counts)} classes")
@@ -301,6 +298,8 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, train_ds, tes
 
     spec = MlpSpec(train_ds.dim, fit_ds.num_classes, cfg.hidden_dims, init_seed=seed)
     train_cfg = replace(cfg.train, shuffle_seed=seed + 1)
+    # a counted loss weighs the classes the model fits: a regrouped split's pseudo-classes
+    loss = method.loss_spec(fit_ds.class_counts)
     return _Cell(seed, fit_ds, test_ds, spec, loss, train_cfg, plan, k_groups,
                  time.perf_counter() - start)
 

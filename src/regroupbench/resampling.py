@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import k_nearest
-from .dataset import Dataset, integer
+from .dataset import Dataset, typed
 
 TARGET = {"ros": max, "rus": min, "smote": max}  # kind -> each class's count after, of the counts
 
@@ -22,9 +22,10 @@ class ResampleSpec:
     k_neighbors: int = 5  # smote only
 
     def __post_init__(self):
+        typed(self, ResampleError)
         if self.kind not in TARGET:
             raise ResampleError(f"unknown resampling kind {self.kind!r}")
-        if self.kind == "smote" and integer("k_neighbors", self.k_neighbors, ResampleError) < 1:
+        if self.kind == "smote" and self.k_neighbors < 1:
             raise ResampleError("k_neighbors must be >= 1")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, integer
+from .dataset import Dataset, typed
 from .losses import COUNTED_KINDS, LossError, LossSpec, loss_and_grad, softmax
 
 _LOGIT_LIMIT = 2.0**1000  # a `_logit_bound` below this clears the exact epoch-end pass
@@ -37,10 +37,9 @@ class MlpSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(integer("hidden_dims entry", d, TrainingError) for d in self.hidden_dims)
-        if self.input_dim < 1 or self.output_dim < 2 or any(d < 1 for d in dims):
-            raise TrainingError(f"invalid layer dims: {self.input_dim}, {dims}, {self.output_dim}")
-        object.__setattr__(self, "hidden_dims", dims)
+        typed(self, TrainingError)
+        if self.input_dim < 1 or self.output_dim < 2 or any(d < 1 for d in self.hidden_dims):
+            raise TrainingError(f"invalid layer dims: {self.layer_dims}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -58,9 +57,10 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
+        typed(self, TrainingError)
         if not (self.lr_max >= self.lr_min >= 0):
             raise TrainingError("need lr_max >= lr_min >= 0")
-        if any(integer(k, getattr(self, k), TrainingError) < 1 for k in ("epochs", "batch_size")):
+        if self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.momentum) and math.isfinite(self.weight_decay)):
             raise TrainingError("momentum and weight_decay must be finite")

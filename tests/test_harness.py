@@ -96,6 +96,18 @@ class TestRunExperiment:
         assert 0.0 <= row.macro_ap <= 1.0
 
 
+def test_regrouped_counted_losses_weigh_the_pseudo_classes(monkeypatch):
+    monkeypatch.setitem(harness.METHODS, "RG+LDAM", ("ldam", "regroup", ("k_override",)))
+    monkeypatch.setitem(harness.METHODS, "RG+WCE", ("wce", "regroup", ("k_override",)))
+    cfg = tiny_cfg(["RG+LDAM", "RG+WCE"], seeds=(0, 1), dataset={"builtin": "overlap"})
+    for method in cfg.methods:
+        cell = harness._prepare(cfg, method, 0, *harness._split_sources(cfg, (0,))[0])
+        assert cell.loss.class_counts == cell.fit_ds.class_counts and cell.k_groups > 1
+    rows, _ = run_grid(cfg)
+    assert [(r.method, r.error) for r in rows] == [(m, "") for m in ("RG+LDAM",) * 2
+                                                   + ("RG+WCE",) * 2]
+
+
 class TestMajorityByCount:
     """Regrouping splits the larger class, whichever id it has, and the
     aggregates' minority is the smaller class."""
@@ -531,6 +543,22 @@ OPTIONAL_KEYS = (  # paths into EVERY_SETTING of the keys a config may leave out
 )
 
 
+def json_paths(doc, path=()):
+    """The path to every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+ODD_VALUES = [None, True, False, 0, 1, -1, 2.0, 0.5, "x", "1", [], [1], {}, {"a": 1}, float("nan")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return path
@@ -597,6 +625,27 @@ class TestConfigIO:
             expected = default if dropped else given_value
             assert getattr(owner, key) == (tuple(expected) if key == "hidden_dims" else expected)
 
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(list(json_paths(EVERY_SETTING))),
+           value=st.sampled_from(ODD_VALUES) | JSON_VALUES)
+    def test_every_single_value_mutation_loads_or_names_its_key(self, tmp_path_factory, path,
+                                                                value):
+        doc = json.loads(json.dumps(EVERY_SETTING))
+        *parents, key = path
+        owner = doc
+        for k in parents:
+            owner = owner[k]
+        owner[key] = value
+        name = next(k for k in reversed(path) if isinstance(k, str))
+        # a method's name is named by "method" ("unknown method 'x'"), a repeated seed by "seed"
+        names = {name, {"name": "method", "seeds": "seed"}.get(name, name)}
+        try:
+            load_config(write_config(tmp_path_factory.getbasetemp() / "mutated.json", doc))
+        except HarnessError as exc:
+            assert any(n in str(exc) for n in names), (path, value, str(exc))
+        else:  # only standardize takes true or false
+            assert not isinstance(value, bool) or path == ("standardize",), path
+
     def test_unknown_method_rejected(self):
         with pytest.raises(HarnessError):
             MethodKind("GAN")
@@ -634,6 +683,16 @@ class TestConfigIO:
         a = tiny_cfg(["CE"])
         b = tiny_cfg(["CE"], test_fraction=0.3)
         assert config_hash(a) != config_hash(b)
+
+    def test_float_field_written_as_an_integer_hashes_as_its_float_twin(self):
+        def chash(gamma, lr_max):
+            cfg = ExperimentConfig({"builtin": "overlap"}, [{"name": "Focal", "gamma": gamma}],
+                                   [0], train={"lr_max": lr_max})
+            assert type(cfg.methods[0].gamma) is type(cfg.train.lr_max) is float
+            return config_hash(cfg)
+
+        assert chash(2, 0.01) == chash(2.0, 0.01) != chash(1.0, 0.01)
+        assert chash(2.0, 1) == chash(2.0, 1.0) != chash(2.0, 0.01)
 
     def test_seed_offsets_synthetic_draw(self):
         cfg = tiny_cfg(["CE"], seeds=(0, 1), standardize=False)
@@ -748,7 +807,7 @@ class TestCli:
             ({"dataset": {"mixture": {"majority_components": []}}}, "missing key 'minority'"),
             ({"dataset": {"parquet": "x"}}, "must have csv, builtin, or mixture key"),
             ({"hiden_dims": [8]}, "unknown keys ['hiden_dims']"),
-            ({"seeds": ["a"]}, "seeds must be integers"),
+            ({"seeds": ["a"]}, "seeds entry must be an integer, got 'a'"),
             ({"hidden_dims": [8, 0]}, "hidden_dims entries must be >= 1, got [8, 0]"),
             ({"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
             ({"test_fraction": 0}, "test_fraction must be in (0, 1), got 0.0"),
@@ -774,7 +833,7 @@ class TestCli:
              "method RG+CE is listed more than once"),
             ({"hidden_dims": "32"}, "hidden_dims must be a list of integers, got '32'"),
             ({"hidden_dims": [8.7]}, "hidden_dims entry must be an integer, got 8.7"),
-            ({"seeds": [0.5]}, "seeds must be integers, got [0.5]"),
+            ({"seeds": [0.5]}, "seeds entry must be an integer, got 0.5"),
             ({"train": {"epochs": 1.0}}, "epochs must be an integer, got 1.0"),
             ({"train": {"epochs": 1, "batch_size": 64.0}}, "batch_size must be an integer, got 64.0"),
             ({"methods": [{"name": "RG+CE", "k_override": 2.0}]},
@@ -793,8 +852,8 @@ class TestCli:
             ({"dataset": {"builtin": "overlap", "csv": "d.csv"}},
              "takes one of csv, builtin or mixture"),
             ({"dataset": "d.csv"}, "must have csv, builtin, or mixture key"),
-            ({"seeds": [True]}, "seeds must be integers, got [True]"),
-            ({"seeds": ["1"]}, "seeds must be integers, got ['1']"),
+            ({"seeds": [True]}, "seeds entry must be an integer, got True"),
+            ({"seeds": ["1"]}, "seeds entry must be an integer, got '1'"),
             ({"train": {"epochs": True}}, "epochs must be an integer, got True"),
             ({"methods": [{"name": "RG+CE", "k_override": True}]},
              "k_override must be an integer, got True"),
@@ -833,6 +892,20 @@ class TestCli:
             ({"dataset": {"csv": ["d.csv"]}}, "csv must be a path text, got ['d.csv']"),
             ({"output_dir": 5}, "output_dir must be a text, got 5"),
             ({"output_dir": ["o"]}, "output_dir must be a text, got ['o']"),
+            ({"methods": "CE"}, "methods must be a list of objects, got 'CE'"),
+            ({"methods": [["CE"]]}, "methods entry must be an object, got ['CE']"),
+            ({"methods": {"name": "CE"}}, "methods must be a list of objects, got {'name': 'CE'}"),
+            ({"methods": [{"gamma": 1.0}]}, "methods entry: MethodKind.__init__() missing"),
+            ({"train": []}, "train must be an object, got []"),
+            ({"train": {"lr": 0.1}}, "train: TrainConfig.__init__() got an unexpected keyword"),
+            ({"methods": [{"name": []}]}, "name must be a text, got []"),
+            ({"methods": [{"name": "Focal", "gamma": True}]}, "gamma must be a number, got True"),
+            ({"methods": [{"name": "Focal", "gamma": "x"}]}, "gamma must be a number, got 'x'"),
+            ({"train": {"epochs": 1, "lr_max": True}}, "lr_max must be a number, got True"),
+            ({"train": {"epochs": 1, "momentum": True}}, "momentum must be a number, got True"),
+            ({"train": {"epochs": 1, "momentum": "a"}}, "momentum must be a number, got 'a'"),
+            ({"methods": [{"name": "Focal", "gamma": 10**400}]}, "gamma must be a number, got 1000"),
+            ({"methods": []}, "need at least one entry in methods and in seeds"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
