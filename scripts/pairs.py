@@ -3,11 +3,14 @@
     python scripts/pairs.py BASE_REV TOPIC [--out BENCH_<topic>.json]
 
 BASE_REV is any git revision. It is checked out, with no network, into a
-detached `git worktree` under `.pairs_work/`, and its `src/` is the base
-side; the head side is this checkout's `src/`. The topic's input files are
-written once into `.pairs_work/` as well, so both sides read the same paths
-(a grid's `config_hash` covers its CSV path). The worktree and the work
-directory are removed at the end, also when a side fails.
+detached `git worktree` at `.pairs_work/base`, and its `src/` is the base
+side; the head side is a copy of this checkout's `src/`, without
+`__pycache__`, at `.pairs_work/head/src`. The two paths have one length, as
+the length of the path a side runs from moves its peak RSS by megabytes. The
+topic's input files are written once into `.pairs_work/` as well, so both
+sides read the same paths (a grid's `config_hash` covers its CSV path). The
+worktree and the work directory are removed at the end, also when a side
+fails.
 
 For each of the topic's inputs, each of ROUNDS rounds runs one fresh
 interpreter per side, alternating which side goes first. An interpreter
@@ -344,9 +347,11 @@ def record(base_rev: str, topic: str, out: str) -> int:
     try:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
                         str(base), base_rev], check=True)
+        shutil.copytree(ROOT / "src", WORK / "head" / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         (WORK / "inputs").mkdir()
         description, jobs = TOPICS[topic].inputs(WORK / "inputs")
-        srcs = {"base": str(base / "src"), "head": str(ROOT / "src")}
+        srcs = {"base": str(base / "src"), "head": str(WORK / "head" / "src")}
         pairs = []
         for i, job in enumerate(jobs):
             for r in range(ROUNDS):

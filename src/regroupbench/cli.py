@@ -5,19 +5,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
     DatasetError,
+    MixtureSpec,
+    from_object,
     generate_imbalanced_mixture,
-    mixture_from_dict,
     read_csv_columns,
     save_csv_dataset,
 )
-from .harness import HarnessError, builtin_mixture, load_config, run_grid, write_results
+from .harness import HarnessError, Source, load_config, run_grid, write_results
 from .metrics import MetricError, confusion_table, per_class_ap, summary_metrics
 from .trainer import FULL_RECIPE
 
@@ -38,6 +39,11 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, output_dir=args.out)
     if args.paper_recipe:
         cfg = replace(cfg, train=FULL_RECIPE)
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output_dir {cfg.output_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     rows, aggregates = run_grid(cfg)
     results, summary = write_results(rows, aggregates, cfg.output_dir)
     print(summary.read_text(encoding="utf-8"), end="")
@@ -72,20 +78,29 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _BuiltinSpec:  # synth's built-in form: a family by name, at a mixture seed
+    builtin: str
+    seed: int = 0
+
+
 def _cmd_synth(args) -> int:
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if "builtin" in doc:
-            spec = builtin_mixture(doc["builtin"])
-            if "seed" in doc:
-                spec = replace(spec, seed=doc["seed"])
+        if isinstance(doc, dict) and "builtin" in doc:
+            form = from_object(_BuiltinSpec, doc, "spec", HarnessError)
+            spec = replace(Source(builtin=form.builtin).mixture_spec(), seed=form.seed)
         else:
-            spec = mixture_from_dict(doc)
-    except (OSError, TypeError, ValueError) as exc:  # HarnessError, DatasetError: ValueErrors
+            spec = from_object(MixtureSpec, doc, "spec", DatasetError)
+    except (OSError, ValueError) as exc:  # HarnessError, DatasetError: ValueErrors
         print(f"spec {args.spec}: {exc}", file=sys.stderr)
         return 2
     ds = generate_imbalanced_mixture(spec)
-    save_csv_dataset(ds, args.out)
+    try:
+        save_csv_dataset(ds, args.out)
+    except OSError as exc:
+        print(f"out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}: n={ds.n}, D={ds.dim}, class_counts={list(ds.class_counts)}")
     return 0
 

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,22 +25,47 @@ _TYPES = {  # annotation: (noun, plural, classes, conversion); a bool is no int 
     "bool": ("true or false", "booleans", bool, bool),
     "str": ("a text", "texts", str, str),
 }
-_ENTRY = ("an object", "objects", object, lambda v: v)  # in a tuple of any other annotation
+
+
+def from_object(cls, value, name: str, error: type[ValueError]):
+    """`value` if it is a `cls`, else the dataclass `cls` built from the keys of `value`, a
+    JSON object. `error` names `name` and the key for a value that is not an object, an
+    unknown key or a missing key (a field without a default)."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise error(f"{name} must be an object, got {value!r}")
+    known = [f.name for f in fields(cls)]
+    unknown = [k for k in value if k not in known]
+    if unknown:
+        raise error(f"{name} has unknown keys {unknown}; expected some of {known}")
+    for f in fields(cls):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{name} is missing key {f.name!r}")
+    return cls(**value)
 
 
 def typed(obj, error: type[ValueError]) -> None:
     """Convert each field of the dataclass `obj` in place by its annotation: `int` (no bool
-    or float), `float` (an int becomes a float), `bool`, `str`, and `tuple[X, ...]` from a
-    list or tuple, its entries converted as X (for any other X, kept if not a bool); each
-    of these also with `| None`. A field of any other annotation is left as given.
-    `error` names the field, or "<field> entry", and the value it rejects."""
+    or float), `float` (an int becomes a float), `bool`, `str`, a dataclass of `obj`'s
+    module (built from a JSON object by `from_object`), and `tuple[X, ...]` from a list or
+    tuple, its entries converted as X; each of these also with `| None`. A field of any
+    other annotation is left as given. `error` names the field, or "<field> entry", and
+    the value it rejects."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
-        many = kind.startswith("tuple[") and kind.endswith(", ...]")
-        kind = kind[6:-6] if many else kind
-        if not (many or kind in _TYPES) or (value is None and f.type.endswith(" | None")):
+        if value is None and kind != f.type:
             continue
-        noun, plural, classes, convert = _TYPES.get(kind, _ENTRY)
+        many = kind.startswith("tuple[") and kind.endswith(", ...]")
+        kind, name = (kind[6:-6], f"{f.name} entry") if many else (kind, f.name)
+        row = _TYPES.get(kind)
+        if row is None:  # past the table: a dataclass of obj's module, or left as given
+            cls = vars(sys.modules[type(obj).__module__]).get(kind)
+            if not is_dataclass(cls):
+                continue
+            convert = partial(from_object, cls, name=name, error=error)
+            row = "an object", "objects", (cls, dict), convert
+        noun, plural, classes, convert = row
         if many and not isinstance(value, (list, tuple)):  # a text is no list of its letters
             raise error(f"{f.name} must be a list of {plural}, got {value!r}")
         out = []
@@ -49,7 +76,7 @@ def typed(obj, error: type[ValueError]) -> None:
                     continue
                 except OverflowError:  # an int too large for a float
                     pass
-            raise error(f"{f.name}{' entry' if many else ''} must be {noun}, got {v!r}")
+            raise error(f"{name} must be {noun}, got {v!r}")
         object.__setattr__(obj, f.name, tuple(out) if many else out[0])
 
 
@@ -143,33 +170,12 @@ class MixtureSpec:
         if self.seed < 0:
             raise DatasetError(f"seed must be >= 0, got {self.seed}")
         if not self.majority_components:
-            raise DatasetError("at least one majority component required")
+            raise DatasetError("majority_components needs at least one component")
         dim = len(self.minority.mean)
         for c in self.majority_components:
             if len(c.mean) != dim:
-                raise DatasetError(
-                    f"component dimension {len(c.mean)} != minority dimension {dim}"
-                )
-
-
-def mixture_from_dict(d: dict) -> MixtureSpec:
-    """Parse a JSON mixture spec: {"minority": component,
-    "majority_components": [component, ...], "seed": int (optional)}, each
-    component {"mean": [...], "stddev": s, "count": n}. DatasetError names
-    a missing key or a malformed value."""
-    def comp(c):
-        return GaussianComponent(c["mean"], c["stddev"], c["count"])
-
-    try:
-        return MixtureSpec(
-            comp(d["minority"]),
-            tuple(comp(c) for c in d["majority_components"]),
-            seed=d.get("seed", 0),
-        )
-    except KeyError as exc:
-        raise DatasetError(f"mixture spec is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"malformed mixture spec: {exc}") from None
+                raise DatasetError(f"majority_components mean dimension {len(c.mean)} "
+                                   f"!= minority mean dimension {dim}")
 
 
 def generate_imbalanced_mixture(spec: MixtureSpec) -> Dataset:

@@ -29,9 +29,9 @@ from .dataset import (
     Dataset,
     GaussianComponent,
     MixtureSpec,
+    from_object,
     generate_imbalanced_mixture,
     load_csv_dataset,
-    mixture_from_dict,
     standardize,
     stratified_split,
     typed,
@@ -93,13 +93,13 @@ class MethodKind:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict                       # {"builtin": ...} | {"csv": ...} | {"mixture": ...}
-    methods: tuple[MethodKind, ...]     # or plain dicts, as a JSON config holds them
+    dataset: dict  # a Source's keys, kept as written: config_hash hashes them
+    methods: tuple[MethodKind, ...]
     seeds: tuple[int, ...]
     test_fraction: float = 0.2
     standardize: bool = True
     hidden_dims: tuple[int, ...] = (32,)
-    train: TrainConfig = field(default_factory=TrainConfig)  # or a plain dict
+    train: TrainConfig = field(default_factory=TrainConfig)
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -111,9 +111,6 @@ class ExperimentConfig:
             raise HarnessError(f"seeds must be >= 0, got {min(seeds)}")
         if len(set(seeds)) < len(seeds):  # a repeated seed would count twice in the aggregates
             raise HarnessError(f"seed {max(seeds, key=seeds.count)} is listed more than once")
-        object.__setattr__(self, "methods", tuple(
-            _from_object(MethodKind, m, "methods entry") for m in self.methods))
-        object.__setattr__(self, "train", _from_object(TrainConfig, self.train, "train"))
         if self.train.shuffle_seed:
             raise HarnessError("a config cannot set train.shuffle_seed; each grid seed sets it")
         names = [m.name for m in self.methods]  # rows and summary lines are keyed by name
@@ -123,20 +120,7 @@ class ExperimentConfig:
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if not 0.0 < self.test_fraction < 1.0:
             raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        _source_mixture(self.dataset)
-
-
-def _from_object(cls, value, name: str):
-    """`value` if it is a `cls`, else a `cls` built from a JSON object's keys;
-    HarnessError naming `name` for anything else, a missing key or an unknown key."""
-    if isinstance(value, cls):
-        return value
-    if not isinstance(value, dict):
-        raise HarnessError(f"{name} must be an object, got {value!r}")
-    try:
-        return cls(**value)
-    except TypeError as exc:  # a missing or unknown key
-        raise HarnessError(f"{name}: {exc}") from None
+        from_object(Source, self.dataset, "dataset", HarnessError)
 
 
 @dataclass(frozen=True)
@@ -192,48 +176,49 @@ def overlap_mixture(seed: int = 0) -> MixtureSpec:
 BUILTIN_FAMILIES = {"rg-favorable": rg_favorable_mixture, "overlap": overlap_mixture}
 
 
-def builtin_mixture(name: str) -> MixtureSpec:
-    """The named built-in family's mixture; HarnessError for an unknown name."""
-    if name not in BUILTIN_FAMILIES:
-        raise HarnessError(
-            f"unknown builtin family {name!r}; expected one of {sorted(BUILTIN_FAMILIES)}"
-        )
-    return BUILTIN_FAMILIES[name]()
+@dataclass(frozen=True)
+class Source:
+    """Where a grid's data comes from: exactly one of a CSV file, with its label column
+    (a header name or a column index; "label" when not given), a built-in family, or an
+    inline mixture spec."""
 
+    csv: str | None = None
+    label_column: str | int | None = None  # a text or an index: typed leaves it as given
+    builtin: str | None = None
+    mixture: MixtureSpec | None = None
 
-def _source_mixture(source: dict) -> MixtureSpec | None:
-    """The mixture a synthetic source samples, or None for a CSV source.
-    Raises HarnessError or DatasetError for a source that does not name
-    exactly one dataset, has a key its kind does not use, a csv that is not a
-    text, a label_column that is neither a text nor an integer >= 0, or a bad spec."""
-    kinds = [k for k in ("csv", "builtin", "mixture") if isinstance(source, dict) and k in source]
-    if not kinds:
-        raise HarnessError(f"dataset source must have csv, builtin, or mixture key: {source}")
-    if set(source) - ({"csv", "label_column"} if kinds == ["csv"] else {kinds[0]}):
-        raise HarnessError(f"dataset source takes one of csv, builtin or mixture, and "
-                           f"label_column only beside csv; got keys {sorted(source)}")
-    if kinds == ["csv"]:
-        column = source.get("label_column", "label")
-        if not isinstance(source["csv"], str):
-            raise HarnessError(f"csv must be a path text, got {source['csv']!r}")
-        if isinstance(column, bool) or not isinstance(column, (str, int)):
+    def __post_init__(self):
+        typed(self, HarnessError)
+        kinds = [k for k in ("csv", "builtin", "mixture") if getattr(self, k) is not None]
+        if len(kinds) != 1:
+            raise HarnessError(f"dataset takes one of csv, builtin or mixture, got "
+                               f"{', '.join(kinds) or 'none'}")
+        column = self.label_column
+        if column is not None and self.csv is None:
+            raise HarnessError(f"dataset takes label_column only beside csv, not {kinds[0]}")
+        if isinstance(column, bool) or not isinstance(column, (str, int, type(None))):
             raise HarnessError(f"label_column must be a column name or index, got {column!r}")
         if isinstance(column, int) and column < 0:
             raise HarnessError(f"label_column index must be >= 0, got {column}")
-        return None
-    if "builtin" in source:
-        return builtin_mixture(source["builtin"])
-    return mixture_from_dict(source["mixture"])
+        if self.builtin is not None and self.builtin not in BUILTIN_FAMILIES:
+            raise HarnessError(f"unknown builtin family {self.builtin!r}; "
+                               f"expected one of {sorted(BUILTIN_FAMILIES)}")
+
+    def mixture_spec(self) -> MixtureSpec | None:
+        """The mixture a synthetic source samples; None for a CSV."""
+        return BUILTIN_FAMILIES[self.builtin]() if self.builtin else self.mixture
 
 
 def _split_sources(cfg: ExperimentConfig, seeds) -> dict:
     """Each seed's (train, test) split, standardized with the train statistics when
     cfg says so, or the exception that stopped it. A CSV is parsed once for all seeds;
     a synthetic source's grid seed offsets its mixture seed, so each seed draws anew."""
-    spec, source, csv = _source_mixture(cfg.dataset), cfg.dataset, None
+    source = from_object(Source, cfg.dataset, "dataset", HarnessError)
+    spec, csv = source.mixture_spec(), None
     if spec is None:
+        column = "label" if source.label_column is None else source.label_column
         try:
-            csv = load_csv_dataset(source["csv"], source.get("label_column", "label"))
+            csv = load_csv_dataset(source.csv, column)
         except Exception as exc:  # every cell reports it
             return dict.fromkeys(seeds, exc)
     splits = {}
@@ -531,24 +516,14 @@ def write_results(rows, aggregates, out_dir) -> tuple[Path, Path]:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an experiment config from JSON with keys matching
-    ExperimentConfig fields. HarnessError names the first problem found: an
-    unreadable file, a missing or unknown key, or any problem
-    ExperimentConfig finds."""
+    """Read an experiment config from a JSON object with keys matching ExperimentConfig
+    fields. HarnessError names the first problem found: an unreadable file, or any
+    problem `from_object` or ExperimentConfig finds."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise HarnessError(f"cannot read config: {exc}") from None
-    if not isinstance(doc, dict):
-        raise HarnessError("config must be a JSON object")
-    known = fields(ExperimentConfig)
-    unknown = sorted(set(doc) - {f.name for f in known})
-    if unknown:
-        raise HarnessError(f"unknown keys {unknown}; expected some of {[f.name for f in known]}")
-    missing = [f.name for f in known if f.name not in doc and f.default is f.default_factory]
-    if missing:  # no default: default and default_factory are both MISSING
-        raise HarnessError(f"missing key {missing[0]!r}")
     try:
-        return ExperimentConfig(**doc)
+        return from_object(ExperimentConfig, doc, "config", HarnessError)
     except (TypeError, ValueError) as exc:  # HarnessError, DatasetError, TrainingError, ...
         raise HarnessError(str(exc)) from None

@@ -11,9 +11,9 @@ from regroupbench.dataset import (
     DatasetError,
     GaussianComponent,
     MixtureSpec,
+    from_object,
     generate_imbalanced_mixture,
     load_csv_dataset,
-    mixture_from_dict,
     read_csv_columns,
     save_csv_dataset,
     standardize,
@@ -205,23 +205,35 @@ class TestMixture:
             GaussianComponent((0.0,), 1.0, 0)
 
     def test_from_dict(self):
+        def spec(doc):
+            return from_object(MixtureSpec, doc, "mixture", DatasetError)
+
         comp = {"mean": [0.0, 1.0], "stddev": 0.5, "count": 3}
-        spec = mixture_from_dict({"minority": comp, "majority_components": [comp, comp], "seed": 4})
-        assert spec.minority == GaussianComponent((0.0, 1.0), 0.5, 3)
-        assert len(spec.majority_components) == 2 and spec.seed == 4
-        with pytest.raises(DatasetError, match="missing key 'minority'"):
-            mixture_from_dict({"majority_components": [comp]})
-        with pytest.raises(DatasetError, match="missing key 'stddev'"):
-            mixture_from_dict({"minority": {"mean": [0.0], "count": 3}, "majority_components": []})
+        built = spec({"minority": comp, "majority_components": [comp, comp], "seed": 4})
+        assert built.minority == GaussianComponent((0.0, 1.0), 0.5, 3)
+        assert built.majority_components == (built.minority,) * 2 and built.seed == 4
+        assert spec(built) is built
+        with pytest.raises(DatasetError, match="mixture is missing key 'minority'"):
+            spec({"majority_components": [comp]})
+        with pytest.raises(DatasetError, match="minority is missing key 'stddev'"):
+            spec({"minority": {"mean": [0.0], "count": 3}, "majority_components": []})
+        with pytest.raises(DatasetError, match=r"mixture has unknown keys \['sed'\]"):
+            spec({"minority": comp, "majority_components": [comp], "sed": 3})
+        with pytest.raises(DatasetError, match="majority_components entry must be an object"):
+            spec({"minority": comp, "majority_components": [5]})
+        with pytest.raises(DatasetError, match="majority_components must be a list of objects"):
+            spec({"minority": comp, "majority_components": 5})
+        with pytest.raises(DatasetError, match="majority_components needs at least one"):
+            spec({"minority": comp, "majority_components": []})
         for bad, problem in [({"count": 20.9}, "count must be an integer, got 20.9"),
                              ({"count": True}, "count must be an integer, got True")]:
             with pytest.raises(DatasetError, match=problem):
-                mixture_from_dict({"minority": {**comp, **bad}, "majority_components": [comp]})
+                spec({"minority": {**comp, **bad}, "majority_components": [comp]})
         for seed in (4.0, "4", False):
             with pytest.raises(DatasetError, match=f"seed must be an integer, got {seed!r}"):
-                mixture_from_dict({"minority": comp, "majority_components": [comp], "seed": seed})
+                spec({"minority": comp, "majority_components": [comp], "seed": seed})
         with pytest.raises(DatasetError, match="seed must be >= 0, got -5"):
-            mixture_from_dict({"minority": comp, "majority_components": [comp], "seed": -5})
+            spec({"minority": comp, "majority_components": [comp], "seed": -5})
 
 
 class TestSplit:

@@ -543,6 +543,17 @@ OPTIONAL_KEYS = (  # paths into EVERY_SETTING of the keys a config may leave out
 )
 
 
+MIXTURE_SETTING = {  # a config whose source is an inline two-component mixture
+    "dataset": {"mixture": {
+        "minority": {"mean": [0.0, 0.5], "stddev": 0.7, "count": 30},
+        "majority_components": [{"mean": [2.0, 0.0], "stddev": 0.5, "count": 60},
+                                {"mean": [-2.0, 1.0], "stddev": 0.9, "count": 90}],
+        "seed": 3}},
+    "methods": [{"name": "CE"}],
+    "seeds": [0],
+}
+
+
 def json_paths(doc, path=()):
     """The path to every value inside a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
@@ -625,12 +636,15 @@ class TestConfigIO:
             expected = default if dropped else given_value
             assert getattr(owner, key) == (tuple(expected) if key == "hidden_dims" else expected)
 
-    @settings(max_examples=400, deadline=None)
-    @given(path=st.sampled_from(list(json_paths(EVERY_SETTING))),
+    @settings(max_examples=700, deadline=None)
+    @given(mutated=st.sampled_from(  # every path of EVERY_SETTING and of MIXTURE_SETTING's source
+        [(EVERY_SETTING, p) for p in json_paths(EVERY_SETTING)]
+        + [(MIXTURE_SETTING, p) for p in json_paths(MIXTURE_SETTING) if p[0] == "dataset"]),
            value=st.sampled_from(ODD_VALUES) | JSON_VALUES)
-    def test_every_single_value_mutation_loads_or_names_its_key(self, tmp_path_factory, path,
+    def test_every_single_value_mutation_loads_or_names_its_key(self, tmp_path_factory, mutated,
                                                                 value):
-        doc = json.loads(json.dumps(EVERY_SETTING))
+        setting, path = mutated
+        doc = json.loads(json.dumps(setting))
         *parents, key = path
         owner = doc
         for k in parents:
@@ -661,17 +675,34 @@ class TestConfigIO:
         assert run_experiment(cfg, MethodKind("RG+CE"), 0).k_groups != 3
 
     def test_bad_source_rejected(self):
-        with pytest.raises(HarnessError):
-            harness._source_mixture({"parquet": "x"})
-        with pytest.raises(HarnessError, match="must have csv, builtin, or mixture key"):
+        with pytest.raises(HarnessError, match=r"dataset has unknown keys \['parquet'\]"):
             tiny_cfg(["CE"], dataset={"parquet": "x"})  # at construction, as from a file
+        with pytest.raises(HarnessError, match="takes one of csv, builtin or mixture, got none"):
+            harness.Source()
+        with pytest.raises(HarnessError, match="got csv, builtin"):
+            harness.Source(csv="d.csv", builtin="overlap")
         with pytest.raises(HarnessError, match="unknown builtin family 'nope'"):
             tiny_cfg(["CE"], dataset={"builtin": "nope"})
-        with pytest.raises(HarnessError, match="csv must be a path text, got 5"):
-            harness._source_mixture({"csv": 5})
+        with pytest.raises(HarnessError, match=r"builtin must be a text, got \['overlap'\]"):
+            tiny_cfg(["CE"], dataset={"builtin": ["overlap"]})
+        with pytest.raises(HarnessError, match="csv must be a text, got 5"):
+            harness.Source(csv=5)
         with pytest.raises(HarnessError, match="label_column index must be >= 0, got -1"):
-            harness._source_mixture({"csv": "d.csv", "label_column": -1})
-        assert harness._source_mixture({"csv": "d.csv", "label_column": 0}) is None
+            harness.Source(csv="d.csv", label_column=-1)
+        with pytest.raises(HarnessError, match="label_column only beside csv, not builtin"):
+            harness.Source(builtin="overlap", label_column="label")
+        assert harness.Source(csv="d.csv", label_column=0).mixture_spec() is None
+        assert harness.Source(builtin="overlap").mixture_spec() == harness.overlap_mixture()
+
+    @pytest.mark.parametrize("source", [{}, {"label_column": "y"}, {"label_column": 0}])
+    def test_csv_source_reads_its_label_column(self, tmp_path, source):
+        header = "label,f0,f1" if not source else "y,f0,f1"
+        rows = [f"{int(i < 5)},{i}.0,{i % 3}.0" for i in range(20)]
+        (tmp_path / "d.csv").write_text("\n".join([header, *rows]) + "\n")
+        cfg = tiny_cfg(["CE"], dataset={"csv": str(tmp_path / "d.csv"), **source},
+                       standardize=False)
+        train_ds, test_ds = harness._split_sources(cfg, cfg.seeds)[0]
+        assert np.add(train_ds.class_counts, test_ds.class_counts).tolist() == [15, 5]
 
     def test_plain_dicts_build_the_same_config(self):
         source = {"builtin": "overlap"}
@@ -800,12 +831,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "change,problem",
         [
-            ({"methods": [{"name": "CE", "gama": 1.0}]}, "unexpected keyword argument 'gama'"),
+            ({"methods": [{"name": "CE", "gama": 1.0}]}, "methods entry has unknown keys ['gama']"),
             ({"train": {"epochs": 0}}, "epochs and batch_size must be >= 1"),
             ({"methods": None}, "missing key 'methods'"),
             ({"dataset": {"builtin": "nope"}}, "unknown builtin family 'nope'"),
             ({"dataset": {"mixture": {"majority_components": []}}}, "missing key 'minority'"),
-            ({"dataset": {"parquet": "x"}}, "must have csv, builtin, or mixture key"),
+            ({"dataset": {"parquet": "x"}}, "dataset has unknown keys ['parquet']"),
             ({"hiden_dims": [8]}, "unknown keys ['hiden_dims']"),
             ({"seeds": ["a"]}, "seeds entry must be an integer, got 'a'"),
             ({"hidden_dims": [8, 0]}, "hidden_dims entries must be >= 1, got [8, 0]"),
@@ -846,12 +877,13 @@ class TestCli:
              "momentum and weight_decay must be finite"),
             ({"train": {"epochs": 1, "shuffle_seed": 99}},
              "a config cannot set train.shuffle_seed; each grid seed sets it"),
-            ({"dataset": {"csv": "d.csv", "label_col": "y"}}, "got keys ['csv', 'label_col']"),
+            ({"dataset": {"csv": "d.csv", "label_col": "y"}},
+             "dataset has unknown keys ['label_col']"),
             ({"dataset": {"builtin": "overlap", "label_column": "y"}},
-             "label_column only beside csv; got keys ['builtin', 'label_column']"),
+             "label_column only beside csv"),
             ({"dataset": {"builtin": "overlap", "csv": "d.csv"}},
              "takes one of csv, builtin or mixture"),
-            ({"dataset": "d.csv"}, "must have csv, builtin, or mixture key"),
+            ({"dataset": "d.csv"}, "dataset must be an object, got 'd.csv'"),
             ({"seeds": [True]}, "seeds entry must be an integer, got True"),
             ({"seeds": ["1"]}, "seeds entry must be an integer, got '1'"),
             ({"train": {"epochs": True}}, "epochs must be an integer, got True"),
@@ -888,16 +920,16 @@ class TestCli:
              "label_column must be a column name or index, got 1.0"),
             ({"dataset": {"csv": "d.csv", "label_column": -1}},
              "label_column index must be >= 0, got -1"),
-            ({"dataset": {"csv": 5}}, "csv must be a path text, got 5"),
-            ({"dataset": {"csv": ["d.csv"]}}, "csv must be a path text, got ['d.csv']"),
+            ({"dataset": {"csv": 5}}, "csv must be a text, got 5"),
+            ({"dataset": {"csv": ["d.csv"]}}, "csv must be a text, got ['d.csv']"),
             ({"output_dir": 5}, "output_dir must be a text, got 5"),
             ({"output_dir": ["o"]}, "output_dir must be a text, got ['o']"),
             ({"methods": "CE"}, "methods must be a list of objects, got 'CE'"),
             ({"methods": [["CE"]]}, "methods entry must be an object, got ['CE']"),
             ({"methods": {"name": "CE"}}, "methods must be a list of objects, got {'name': 'CE'}"),
-            ({"methods": [{"gamma": 1.0}]}, "methods entry: MethodKind.__init__() missing"),
+            ({"methods": [{"gamma": 1.0}]}, "methods entry is missing key 'name'"),
             ({"train": []}, "train must be an object, got []"),
-            ({"train": {"lr": 0.1}}, "train: TrainConfig.__init__() got an unexpected keyword"),
+            ({"train": {"lr": 0.1}}, "train has unknown keys ['lr']"),
             ({"methods": [{"name": []}]}, "name must be a text, got []"),
             ({"methods": [{"name": "Focal", "gamma": True}]}, "gamma must be a number, got True"),
             ({"methods": [{"name": "Focal", "gamma": "x"}]}, "gamma must be a number, got 'x'"),
@@ -922,6 +954,74 @@ class TestCli:
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
         assert captured.err.startswith(f"config {cfg_path}: ") and problem in captured.err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,path,owner", [
+        pytest.param("run", (), "config", id="config"),
+        pytest.param("run", ("methods", 0), "methods entry", id="methods-entry"),
+        pytest.param("run", ("train",), "train", id="train"),
+        pytest.param("run", ("dataset",), "dataset", id="dataset"),
+        pytest.param("run", ("dataset", "mixture"), "mixture", id="mixture"),
+        pytest.param("run", ("dataset", "mixture", "minority"), "minority", id="minority"),
+        pytest.param("run", ("dataset", "mixture", "majority_components", 1),
+                     "majority_components entry", id="majority-component"),
+        pytest.param("synth-builtin", (), "spec", id="synth-builtin-spec"),
+        pytest.param("synth-mixture", (), "spec", id="synth-mixture-spec"),
+    ])
+    def test_stray_key_is_named_with_its_object(self, tmp_path, capsys, command, path, owner):
+        from regroupbench.cli import main
+
+        doc = json.loads(json.dumps({
+            "run": {**MIXTURE_SETTING, "train": {"epochs": 1}, "output_dir": str(tmp_path / "o")},
+            "synth-builtin": {"builtin": "overlap", "seed": 3},
+            "synth-mixture": MIXTURE_SETTING["dataset"]["mixture"],
+        }[command]))
+        owner_doc = doc
+        for k in path:
+            owner_doc = owner_doc[k]
+        owner_doc["stray"] = 1
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps(doc))
+        argv = (["run", "--config", str(spec)] if command == "run"
+                else ["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+        assert f"{owner} has unknown keys ['stray']" in captured.err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "x.csv").exists()
+
+    def test_synth_spec_that_is_no_object_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text("5")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"spec {spec}: spec must be an object, got 5\n"
+
+    @pytest.mark.parametrize("out", ["file", "file/o"])
+    def test_run_output_dir_that_cannot_be_made_fails_before_the_grid(self, tmp_path, capsys,
+                                                                      monkeypatch, out):
+        from regroupbench import cli
+
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": {"builtin": "rg-favorable"},
+                                        "methods": [{"name": "CE"}], "seeds": [0]}))
+        monkeypatch.setattr(cli, "run_grid", lambda cfg: pytest.fail("the grid ran"))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(f"output_dir {tmp_path / out}: ")
+
+    def test_synth_out_in_a_missing_directory_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"builtin": "overlap"}))
+        out = tmp_path / "nope" / "x.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"out {out}: No such file or directory\n"
 
     def test_run_missing_config_file_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main

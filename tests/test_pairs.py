@@ -65,13 +65,22 @@ def test_failed_side_leaves_no_worktree_or_work_directory(tmp_path, monkeypatch)
     work = tmp_path / "work"
     monkeypatch.setattr(pairs, "WORK", work)
 
-    def failing_side(topic, src, job):
+    srcs = []
+
+    def failing_side(topic, src, job):  # fails at the second side of the first round
         assert Path(src, "regroupbench").is_dir()
-        raise SystemExit("side failed")
+        assert not any(Path(src).rglob("__pycache__"))
+        srcs.append(src)
+        if len(srcs) == 2:
+            raise SystemExit("side failed")
+        return {"points": {}, "digests": {}}
 
     monkeypatch.setattr(pairs, "side", failing_side)
     with pytest.raises(SystemExit, match="side failed"):
         pairs.record("HEAD", "knn", str(tmp_path / "out.json"))
+    # the sides run from paths of one length, as path length moves peak RSS
+    assert srcs == [str(work / "base" / "src"), str(work / "head" / "src")]
+    assert len(srcs[0]) == len(srcs[1])
     assert not work.exists() and not (tmp_path / "out.json").exists()
     trees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list", "--porcelain"],
                            capture_output=True, text=True, check=True).stdout
