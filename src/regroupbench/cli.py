@@ -26,7 +26,7 @@ from .trainer import FULL_RECIPE
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        if args.seeds:
+        if args.seeds is not None:  # "" is an override too, and fails below
             try:  # int() reads the --seeds text; a config's list goes through typed
                 seeds = [int(s) for s in args.seeds.split(",")]
             except ValueError:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +93,7 @@ class MethodKind:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict  # a Source's keys, kept as written: config_hash hashes them
+    dataset: Source
     methods: tuple[MethodKind, ...]
     seeds: tuple[int, ...]
     test_fraction: float = 0.2
@@ -120,7 +120,6 @@ class ExperimentConfig:
             raise HarnessError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if not 0.0 < self.test_fraction < 1.0:
             raise HarnessError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        from_object(Source, self.dataset, "dataset", HarnessError)
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,8 @@ BUILTIN_FAMILIES = {"rg-favorable": rg_favorable_mixture, "overlap": overlap_mix
 @dataclass(frozen=True)
 class Source:
     """Where a grid's data comes from: exactly one of a CSV file, with its label column
-    (a header name or a column index; "label" when not given), a built-in family, or an
-    inline mixture spec."""
+    (a header name or a column index; "label" when not given, and stored as not given),
+    a built-in family, or an inline mixture spec."""
 
     csv: str | None = None
     label_column: str | int | None = None  # a text or an index: typed leaves it as given
@@ -203,6 +202,8 @@ class Source:
         if self.builtin is not None and self.builtin not in BUILTIN_FAMILIES:
             raise HarnessError(f"unknown builtin family {self.builtin!r}; "
                                f"expected one of {sorted(BUILTIN_FAMILIES)}")
+        if column == "label":  # the default written out: one source, one config_hash
+            object.__setattr__(self, "label_column", None)
 
     def mixture_spec(self) -> MixtureSpec | None:
         """The mixture a synthetic source samples; None for a CSV."""
@@ -213,12 +214,11 @@ def _split_sources(cfg: ExperimentConfig, seeds) -> dict:
     """Each seed's (train, test) split, standardized with the train statistics when
     cfg says so, or the exception that stopped it. A CSV is parsed once for all seeds;
     a synthetic source's grid seed offsets its mixture seed, so each seed draws anew."""
-    source = from_object(Source, cfg.dataset, "dataset", HarnessError)
-    spec, csv = source.mixture_spec(), None
+    spec, csv = cfg.dataset.mixture_spec(), None
     if spec is None:
-        column = "label" if source.label_column is None else source.label_column
+        column = "label" if cfg.dataset.label_column is None else cfg.dataset.label_column
         try:
-            csv = load_csv_dataset(source.csv, column)
+            csv = load_csv_dataset(cfg.dataset.csv, column)
         except Exception as exc:  # every cell reports it
             return dict.fromkeys(seeds, exc)
     splits = {}
@@ -236,15 +236,11 @@ def _split_sources(cfg: ExperimentConfig, seeds) -> dict:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    doc = {
-        "dataset": cfg.dataset,
-        "methods": [vars(m) for m in cfg.methods],
-        "seeds": list(cfg.seeds),
-        "test_fraction": cfg.test_fraction,
-        "standardize": cfg.standardize,
-        "hidden_dims": list(cfg.hidden_dims),
-        "train": vars(cfg.train),
-    }
+    """16 hex digits of the built config's SHA-256, output_dir and the source keys the
+    source does not set left out: a default written out hashes as if left out."""
+    doc = asdict(cfg)
+    del doc["output_dir"]
+    doc["dataset"] = {k: v for k, v in doc["dataset"].items() if v is not None}
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

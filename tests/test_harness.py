@@ -300,6 +300,58 @@ def force_pool(monkeypatch):
     monkeypatch.setattr(harness, "_POOL_MIN_WORK", 0.0)
 
 
+@st.composite
+def small_grids(draw):
+    """A grid of 1-8 distinct methods and 1-4 distinct seeds on either built-in family,
+    trained for 1-3 epochs with one hidden layer of 8."""
+    methods = draw(st.lists(st.sampled_from(list(harness.METHODS)), min_size=1, max_size=8,
+                            unique=True))
+    return ExperimentConfig(
+        {"builtin": draw(st.sampled_from(sorted(harness.BUILTIN_FAMILIES)))},
+        [{"name": m} for m in methods],
+        draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)),
+        hidden_dims=(8,), train={"epochs": draw(st.integers(1, 3))})
+
+
+def cell_rows(cfg, pooled):
+    """run_grid's row of each (method, seed) cell, config_hash and wall_time_s blanked;
+    `pooled` forces the fork pool on a grid of two or more methods."""
+    with pytest.MonkeyPatch.context() as mp:
+        if pooled:
+            mp.setattr(harness, "_POOL_MIN_WORK", 0.0)
+        rows, _ = run_grid(cfg)
+    return {(r.method, r.seed): replace(r, config_hash="", wall_time_s=0.0) for r in rows}
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+class TestGridProperties:
+    """A cell's row depends only on its own method and seed: not on the other methods
+    and seeds of its grid, nor on their order."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=small_grids(), data=st.data())
+    def test_method_subset_gives_its_rows_from_the_full_grid(self, pooled, cfg, data):
+        methods = data.draw(st.lists(st.sampled_from(cfg.methods), min_size=1, unique=True))
+        full = cell_rows(cfg, pooled)
+        names = {m.name for m in methods}
+        assert cell_rows(replace(cfg, methods=methods), pooled) == {
+            cell: row for cell, row in full.items() if cell[0] in names}
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=small_grids(), data=st.data())
+    def test_seed_subset_gives_its_rows_from_the_full_grid(self, pooled, cfg, data):
+        seeds = data.draw(st.lists(st.sampled_from(cfg.seeds), min_size=1, unique=True))
+        full = cell_rows(cfg, pooled)
+        assert cell_rows(replace(cfg, seeds=seeds), pooled) == {
+            cell: row for cell, row in full.items() if cell[1] in seeds}
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=small_grids(), data=st.data())
+    def test_seed_order_leaves_each_seeds_rows(self, pooled, cfg, data):
+        seeds = data.draw(st.permutations(cfg.seeds))
+        assert cell_rows(replace(cfg, seeds=seeds), pooled) == cell_rows(cfg, pooled)
+
+
 class TestParallelColumns:
     @pytest.mark.parametrize("case", ["clean", "failed cell", "diverged slice", "unreadable csv"])
     def test_pooled_rows_equal_serial_rows(self, tmp_path, monkeypatch, case):
@@ -570,6 +622,31 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+@st.composite
+def source_spellings(draw):
+    """A source with its defaults left out, and the same source with some of them drawn
+    written out: label_column as "label" or null, a mixture's seed as 0, a float mean entry
+    or stddev as its integer twin."""
+    if draw(st.booleans()):
+        written = draw(st.sampled_from([{}, {"label_column": "label"}, {"label_column": None}]))
+        return {"csv": "d.csv"}, {"csv": "d.csv", **written}
+
+    def number(value):
+        return draw(st.sampled_from([value, float(value)]))
+
+    left_out, written = [], []
+    for _ in range(draw(st.integers(2, 3))):  # the minority, then 1-2 majority components
+        mean = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+        stddev, count = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+        left_out.append({"mean": [float(m) for m in mean], "stddev": float(stddev),
+                         "count": count})
+        written.append({"mean": [number(m) for m in mean], "stddev": number(stddev),
+                        "count": count})
+    seed = draw(st.sampled_from([{}, {"seed": 0}]))
+    return ({"mixture": {"minority": left_out[0], "majority_components": left_out[1:]}},
+            {"mixture": {"minority": written[0], "majority_components": written[1:], **seed}})
+
+
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return path
@@ -705,15 +782,28 @@ class TestConfigIO:
         assert np.add(train_ds.class_counts, test_ds.class_counts).tolist() == [15, 5]
 
     def test_plain_dicts_build_the_same_config(self):
-        source = {"builtin": "overlap"}
-        assert ExperimentConfig(source, [{"name": "Focal", "gamma": 1.0}], [0],
-                                train={"epochs": 3}) == ExperimentConfig(
-            source, (MethodKind("Focal", gamma=1.0),), (0,), train=TrainConfig(epochs=3))
+        written = ExperimentConfig({"builtin": "overlap"}, [{"name": "Focal", "gamma": 1.0}],
+                                   [0], train={"epochs": 3})
+        built = ExperimentConfig(harness.Source(builtin="overlap"),
+                                 (MethodKind("Focal", gamma=1.0),), (0,),
+                                 train=TrainConfig(epochs=3))
+        assert built == written and config_hash(built) == config_hash(written)
+        rows = [[replace(r, wall_time_s=0.0) for r in run_grid(c)[0]] for c in (built, written)]
+        assert rows[0] == rows[1] and not rows[0][0].error
+
+    @settings(max_examples=60, deadline=None)
+    @given(spellings=source_spellings())
+    def test_a_source_default_written_out_hashes_as_left_out(self, spellings):
+        left_out, written = (ExperimentConfig(s, [{"name": "CE"}], [0]) for s in spellings)
+        assert left_out == written and config_hash(left_out) == config_hash(written)
 
     def test_hash_sensitive_to_config(self):
         a = tiny_cfg(["CE"])
         b = tiny_cfg(["CE"], test_fraction=0.3)
         assert config_hash(a) != config_hash(b)
+        c, d, e = (tiny_cfg(["CE"], dataset={"csv": "d.csv", **source})
+                   for source in ({}, {"label_column": "y"}, {"label_column": 0}))
+        assert len({config_hash(cfg) for cfg in (a, c, d, e)}) == 4
 
     def test_float_field_written_as_an_integer_hashes_as_its_float_twin(self):
         def chash(gamma, lr_max):
@@ -1032,7 +1122,7 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"config {path}: cannot read config") and "No such file" in err
 
-    @pytest.mark.parametrize("seeds", ["1,,2", "1,x", ",", "3,3", "2,-1"])
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,x", ",", "", "3,3", "2,-1"])
     def test_run_bad_seed_override_is_named_error(self, tmp_path, capsys, seeds):
         from regroupbench.cli import main
 
