@@ -35,7 +35,7 @@ def _cmd_run(args) -> int:
     except HarnessError as exc:
         print(f"config {args.config}: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    if args.out is not None:  # "" is the working directory, as in a config
         cfg = replace(cfg, output_dir=args.out)
     if args.paper_recipe:
         cfg = replace(cfg, train=FULL_RECIPE)
@@ -45,7 +45,11 @@ def _cmd_run(args) -> int:
         print(f"output_dir {cfg.output_dir}: {exc.strerror}", file=sys.stderr)
         return 2
     rows, aggregates = run_grid(cfg)
-    results, summary = write_results(rows, aggregates, cfg.output_dir)
+    try:
+        results, summary = write_results(rows, aggregates, cfg.output_dir)
+    except OSError as exc:
+        print(f"cannot write {exc.filename or cfg.output_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(summary.read_text(encoding="utf-8"), end="")
     print(f"wrote {results} and {summary}")
     failed = [r for r in rows if r.error]

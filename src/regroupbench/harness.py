@@ -6,9 +6,9 @@ split -> standardize with train statistics. Per cell: method-specific
 transform (resample or regroup) -> train -> predict on test -> metrics.
 Test data never influences any fitted statistic before final evaluation.
 
-A method's cells are prepared for every seed first; those that agree on
-train size, layer dims and loss are trained as one seed stack (one `train`
-call), with per-seed results bit-identical to training them one by one.
+A method's cells are prepared for every seed first, then trained in one
+`train` call, which stacks the seeds it can, with per-seed results
+bit-identical to training them one by one.
 A CSV is parsed once per grid; method columns run in parallel.
 """
 from __future__ import annotations
@@ -314,8 +314,8 @@ def _evaluate(method: MethodKind, cell: _Cell, model, chash: str, train_s: float
 
 def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, splits: dict) -> list:
     """One method over the given seeds, in order: a ResultRow or the
-    exception each cell failed with. Prepared cells that agree on train size,
-    layer dims and loss train together as one stack."""
+    exception each cell failed with. The prepared cells train in one `train`
+    call, and each takes an equal share of its time."""
     chash = config_hash(cfg)
     out: list = [None] * len(seeds)
     cells = {}
@@ -327,26 +327,22 @@ def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, splits: dict) 
             cells[i] = _prepare(cfg, method, seed, *splits[seed])
         except Exception as exc:  # record and continue
             out[i] = exc
-    stacks: dict = {}
-    for i, cell in cells.items():
-        stacks.setdefault((cell.fit_ds.n, cell.spec.layer_dims, cell.loss), []).append(i)
-    for members in stacks.values():
-        group = [cells[i] for i in members]
-        start = time.perf_counter()
+    group = list(cells.values())
+    start = time.perf_counter()
+    try:
+        fitted = train([c.fit_ds for c in group], [c.spec for c in group],
+                       [c.loss for c in group], [c.train_cfg for c in group])
+    except Exception as exc:
+        fitted = [exc] * len(group)
+    train_s = (time.perf_counter() - start) / max(len(group), 1)
+    for (i, cell), result in zip(cells.items(), fitted):
+        if isinstance(result, Exception):
+            out[i] = result
+            continue
         try:
-            fitted = train([c.fit_ds for c in group], [c.spec for c in group], group[0].loss,
-                           [c.train_cfg for c in group])
+            out[i] = _evaluate(method, cell, result[0], chash, train_s)
         except Exception as exc:
-            fitted = [exc] * len(group)
-        train_s = (time.perf_counter() - start) / len(group)
-        for i, cell, result in zip(members, group, fitted):
-            if isinstance(result, Exception):
-                out[i] = result
-                continue
-            try:
-                out[i] = _evaluate(method, cell, result[0], chash, train_s)
-            except Exception as exc:
-                out[i] = exc
+            out[i] = exc
     return out
 
 

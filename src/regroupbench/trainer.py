@@ -2,9 +2,9 @@
 trained by mini-batch SGD with momentum and a cosine-annealed learning rate.
 
 Training is single-threaded and fully deterministic: identical inputs and
-seeds produce bit-identical models. `train` fits one model or a stack of S
-same-shape models in one loop (batched matmul over (S, fan_in, fan_out)
-weights); each stacked model's bits equal those of its own one-model call.
+seeds produce bit-identical models. `train` fits one model, or many in
+stacks of S same-shape models, each in one loop (batched matmul over (S,
+fan_in, fan_out) weights); each model's bits equal its one-model call's.
 After every epoch an O(P) bound on the logits (`_logit_bound`) screens each
 model for divergence; only models the bound cannot clear run the exact pass.
 """
@@ -182,20 +182,20 @@ class _Stack:
     """The live slices of a stacked fit: parameters and velocities in (S, P)
     buffers with per-layer views, plus each slice's dataset, max |x|, shuffle
     RNG, step-loss sum and shuffled (n, D) inputs and (n,) labels in (S, ...)
-    buffers. slots[row] is the input slice that stack row holds."""
+    buffers. slots[row] is the index in `train`'s input of that row's model."""
 
-    def __init__(self, datasets, specs, cfgs):
-        self.slots = list(range(len(specs)))
-        self.dims = specs[0].layer_dims
-        self.datasets = list(datasets)
+    def __init__(self, datasets, specs, cfgs, slots):
+        self.slots = list(slots)
+        self.dims = specs[slots[0]].layer_dims
+        self.datasets = [datasets[i] for i in slots]
         self.x_max = np.array([np.abs(ds.features).max() for ds in self.datasets])
         self.theta = np.stack([
-            np.concatenate([p.ravel() for layer in init_params(spec) for p in layer])
-            for spec in specs
+            np.concatenate([p.ravel() for layer in init_params(specs[i]) for p in layer])
+            for i in slots
         ])
         self.vel = np.zeros_like(self.theta)
-        self.rngs = [np.random.default_rng(cfg.shuffle_seed) for cfg in cfgs]
-        S, (n, D) = len(specs), self.datasets[0].features.shape
+        self.rngs = {i: np.random.default_rng(cfgs[i].shuffle_seed) for i in slots}
+        S, (n, D) = len(slots), self.datasets[0].features.shape
         self.X, self.y = np.empty((S, n, D)), np.empty((S, n), dtype=np.int64)
         self._bind()
 
@@ -241,24 +241,7 @@ def _full_pass(st: _Stack, epoch: int, rows: np.ndarray) -> dict:
     return errors
 
 
-def _check_stack(datasets, specs, loss: LossSpec, cfgs):
-    if not len(datasets) == len(specs) == len(cfgs) >= 1:
-        raise TrainingError("need one dataset, spec and config per stacked model")
-    for ds, spec in zip(datasets, specs):
-        if ds.dim != spec.input_dim:
-            raise TrainingError(f"dataset dim {ds.dim} != spec input_dim {spec.input_dim}")
-        if ds.num_classes > spec.output_dim:
-            raise TrainingError(f"{ds.num_classes} classes exceed {spec.output_dim} output heads")
-        if loss.kind in COUNTED_KINDS and len(loss.class_counts) != spec.output_dim:
-            raise TrainingError(f"{loss.kind} needs one class count per output head")
-    if (len({ds.n for ds in datasets}) > 1 or len({s.layer_dims for s in specs}) > 1
-            or len({replace(c, shuffle_seed=0) for c in cfgs}) > 1):
-        raise TrainingError(
-            "stacked models must agree on n, layer dims and every config field but shuffle_seed"
-        )
-
-
-def train(train_ds, spec, loss: LossSpec, cfg):
+def train(train_ds, spec, loss, cfg):
     """Mini-batch SGD with momentum; lr fixed within an epoch from the
     cosine schedule; last partial batch kept and averaged over its size.
 
@@ -266,12 +249,12 @@ def train(train_ds, spec, loss: LossSpec, cfg):
     offending epoch/batch if the logits, loss or weights go non-finite, or
     with the epoch if the logits over the whole training set do at its end.
 
-    Stacked form: with equal-length sequences of datasets, specs and configs
-    that agree on n, layer dims and every config field but shuffle_seed, all
-    S models train in one loop as an (S, fan_in, fan_out) stack, and the
-    result is a list holding, per slice, (TrainedModel, TrainHistory) or the
-    TrainingDiverged that stopped it. A diverged slice leaves the stack and
-    the others go on; every slice's bits equal those of its own one-model call.
+    Stacked form: with equal-length sequences of datasets, specs, losses (or
+    one LossSpec for all) and configs, the models that agree on n, layer dims,
+    loss and every config field but shuffle_seed train in one loop as an (S,
+    fan_in, fan_out) stack, stacks in order of first appearance. The result
+    lists, in input order, (TrainedModel, TrainHistory) or the TrainingDiverged
+    that stopped the model: it leaves its stack and the others go on.
     """
     if isinstance(train_ds, Dataset):
         (result,) = train([train_ds], [spec], loss, [cfg])
@@ -279,14 +262,31 @@ def train(train_ds, spec, loss: LossSpec, cfg):
             raise result
         return result
     datasets, specs, cfgs = list(train_ds), list(spec), list(cfg)
-    _check_stack(datasets, specs, loss, cfgs)
+    losses = [loss] * len(specs) if isinstance(loss, LossSpec) else list(loss)
+    if not len(datasets) == len(specs) == len(losses) == len(cfgs):
+        raise TrainingError("need one dataset, spec, loss and config per model")
+    stacks: dict = {}  # the one rule for which models share a stack
+    for i, (ds, spec, loss, cfg) in enumerate(zip(datasets, specs, losses, cfgs)):
+        if ds.dim != spec.input_dim:
+            raise TrainingError(f"dataset dim {ds.dim} != spec input_dim {spec.input_dim}")
+        if ds.num_classes > spec.output_dim:
+            raise TrainingError(f"{ds.num_classes} classes exceed {spec.output_dim} output heads")
+        if loss.kind in COUNTED_KINDS and len(loss.class_counts) != spec.output_dim:
+            raise TrainingError(f"{loss.kind} needs one class count per output head")
+        stacks.setdefault((ds.n, spec.layer_dims, loss, replace(cfg, shuffle_seed=0)), []).append(i)
     # Dataset guarantees finite features and labels < num_classes <= output_dim.
-    cfg = cfgs[0]
-    n, size = datasets[0].n, cfg.batch_size
-    n_weights = sum(i * o for i, o in zip(specs[0].layer_dims[:-1], specs[0].layer_dims[1:]))
-    st = _Stack(datasets, specs, cfgs)
     results = [None] * len(specs)
-    steps = [[] for _ in specs]  # per-epoch step losses
+    for (_, _, loss, cfg), slots in stacks.items():
+        _train_stack(_Stack(datasets, specs, cfgs, slots), specs, loss, cfg, results)
+    return results
+
+
+def _train_stack(st: _Stack, specs, loss: LossSpec, cfg: TrainConfig, results: list) -> None:
+    """Fit one stack; store each slot's (TrainedModel, TrainHistory) or
+    TrainingDiverged in results."""
+    n, size = st.datasets[0].n, cfg.batch_size
+    n_weights = sum(i * o for i, o in zip(st.dims[:-1], st.dims[1:]))
+    steps = {slot: [] for slot in st.slots}  # per-epoch step losses
 
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
@@ -317,12 +317,12 @@ def train(train_ds, spec, loss: LossSpec, cfg):
                         errors.setdefault(row, TrainingDiverged(
                             f"{what} at epoch {epoch}, batch {start // size}{detail}"))
                 if errors and not st.drop(errors, results):  # a sum can overflow: errors may be {}
-                    return results
+                    return
             bound = _logit_bound(st.x_max, st.weights, st.biases)
             rows = np.flatnonzero(~(bound < _LOGIT_LIMIT))  # a NaN bound fails too
             errors = _full_pass(st, epoch, rows) if rows.size else {}
             if errors and not st.drop(errors, results):
-                return results
+                return
             for slot, total in zip(st.slots, st.step_sum.tolist()):
                 steps[slot].append(total / n)
 
@@ -331,7 +331,6 @@ def train(train_ds, spec, loss: LossSpec, cfg):
         model = TrainedModel(specs[slot], tuple(w[row].copy() for w in st.weights),
                              tuple(b[row, 0].copy() for b in st.biases))
         results[slot] = (model, TrainHistory(lrs, tuple(steps[slot])))
-    return results
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:

@@ -230,22 +230,21 @@ class TestSeedStacking:
                 assert row.wall_time_s > 0.0
 
     def test_cells_stack_by_train_size_layer_dims_and_loss(self, tmp_path, monkeypatch):
-        import regroupbench.harness as harness
+        calls, stacks = [], []
+        real_train, real_stack = harness.train, trainer._Stack
+        monkeypatch.setattr(harness, "train", lambda *args: calls.append(args) or real_train(*args))
 
-        stacks = []
-        real_train = harness.train
+        def spy(datasets, specs, cfgs, slots):
+            stacks.append(sorted(specs[i].output_dim for i in slots))
+            return real_stack(datasets, specs, cfgs, slots)
 
-        def spy(datasets, specs, loss, cfgs, **kwargs):
-            stacks.append(sorted(spec.output_dim for spec in specs))
-            return real_train(datasets, specs, loss, cfgs, **kwargs)
-
-        monkeypatch.setattr(harness, "train", spy)
+        monkeypatch.setattr(trainer, "_Stack", spy)
         cfg = tiny_cfg([MethodKind("RG+CE", k_override=4)], seeds=tuple(range(6)),
                        dataset=clamp_csv(tmp_path / "clamp.csv"), test_fraction=0.25)
         rows, _ = run_grid(cfg)
         assert all(r.error == "" for r in rows)
-        # clamped seeds train 4 heads, the others 5: two stacks covering all six
-        assert sorted(stacks) == [[4, 4, 4], [5, 5, 5]]
+        # clamped seeds train 4 heads, the others 5: one call, two stacks covering all six
+        assert len(calls) == 1 and sorted(stacks) == [[4, 4, 4], [5, 5, 5]]
 
     def test_csv_parsed_once_per_grid(self, tmp_path, monkeypatch):
         import regroupbench.harness as harness
@@ -350,6 +349,35 @@ class TestGridProperties:
     def test_seed_order_leaves_each_seeds_rows(self, pooled, cfg, data):
         seeds = data.draw(st.permutations(cfg.seeds))
         assert cell_rows(replace(cfg, seeds=seeds), pooled) == cell_rows(cfg, pooled)
+
+
+class TestCsvSourceProperties:
+    """A CSV source gives the rows of the data it holds: not of how it got there, nor of
+    the texts that name its classes."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(cfg=small_grids(), data=st.data())
+    def test_saved_builtin_draw_gives_the_builtin_rows(self, tmp_path_factory, cfg, data):
+        seed = data.draw(st.sampled_from(cfg.seeds))
+        cfg = replace(cfg, seeds=[seed])  # a synthetic source draws anew per seed
+        path = tmp_path_factory.mktemp("draw") / "draw.csv"
+        family = harness.BUILTIN_FAMILIES[cfg.dataset.builtin]
+        save_csv_dataset(generate_imbalanced_mixture(family(seed)), path)
+        assert cell_rows(replace(cfg, dataset={"csv": str(path)}), False) == cell_rows(cfg, False)
+
+    @settings(max_examples=8, deadline=None)
+    @given(cfg=small_grids(), names=st.permutations(["sick", "well", "ill", "fine"]))
+    def test_renaming_text_labels_leaves_the_rows(self, tmp_path_factory, cfg, names):
+        # text labels take class ids by first appearance, whatever they read; integer
+        # labels 0..C-1 keep their values as ids, so swapping 0 and 1 is not a renaming
+        ds = generate_imbalanced_mixture(harness.BUILTIN_FAMILIES[cfg.dataset.builtin]())
+        work = tmp_path_factory.mktemp("labels")
+        rows = []
+        for pair in (("sick", "well"), tuple(names[:2])):
+            path = work / f"{'-'.join(pair)}.csv"
+            save_csv_dataset(ds.with_labels(ds.labels, pair), path)
+            rows.append(cell_rows(replace(cfg, dataset={"csv": str(path)}), False))
+        assert rows[0] == rows[1]
 
 
 class TestParallelColumns:
@@ -1101,6 +1129,45 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
         assert captured.err.startswith(f"output_dir {tmp_path / out}: ")
+
+    def test_run_empty_out_writes_to_the_working_directory(self, tmp_path, monkeypatch):
+        from regroupbench.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({
+            "dataset": {"builtin": "rg-favorable"}, "methods": [{"name": "CE"}], "seeds": [0],
+            "hidden_dims": [], "train": {"epochs": 1}, "output_dir": "cfgout"}))
+        assert main(["run", "--config", "cfg.json", "--out", ""]) == 0
+        assert Path("results.csv").is_file() and not Path("cfgout").exists()
+
+    def test_run_results_that_cannot_be_written_are_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"builtin": "rg-favorable"}, "methods": [{"name": "CE"}], "seeds": [0],
+            "hidden_dims": [], "train": {"epochs": 1}}))
+        (tmp_path / "o" / "results.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot write {tmp_path / 'o' / 'results.csv'}: Is a directory\n"
+
+    def test_paper_recipe_replaces_the_whole_train_object(self, tmp_path):
+        from regroupbench.cli import main
+
+        def results(name, train, *flags):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps({
+                "dataset": {"builtin": "rg-favorable"}, "methods": [{"name": "CE"},
+                {"name": "RG+CE"}], "seeds": [0], "hidden_dims": [8], "train": train}))
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+            return strip_timing((out / "results.csv").read_text())
+
+        # the config's momentum is dropped: FULL_RECIPE leaves it at its default
+        assert results("recipe", {"momentum": 0.5}, "--paper-recipe") == results(
+            "written", {"lr_max": 0.01, "epochs": 300, "batch_size": 256})
 
     def test_synth_out_in_a_missing_directory_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main

@@ -477,20 +477,34 @@ def test_slices_the_logit_bound_clears_have_finite_logits(data):
     assert np.isfinite(logits[cleared]).all()
 
 
-def test_stack_must_agree_on_shapes_and_schedule():
+def test_models_that_differ_train_in_separate_stacks():
     ds = separable_dataset()
-    small = separable_dataset(n_per=50)
     cfg = TrainConfig(epochs=1)
-    loss = LossSpec("ce")
-    with pytest.raises(TrainingError, match="must agree"):
-        train([ds, small], [MlpSpec(2, 2), MlpSpec(2, 2)], loss, [cfg, cfg])
-    with pytest.raises(TrainingError, match="must agree"):
-        train([ds, ds], [MlpSpec(2, 2), MlpSpec(2, 2, (4,))], loss, [cfg, cfg])
-    with pytest.raises(TrainingError, match="must agree"):
-        train([ds, ds], [MlpSpec(2, 2), MlpSpec(2, 2)], loss, [cfg, TrainConfig(epochs=2)])
-    with pytest.raises(TrainingError, match="one dataset, spec and config"):
-        train([ds, ds], [MlpSpec(2, 2)], loss, [cfg, cfg])
-    # configs may differ in shuffle_seed, specs in init_seed
-    out = train([ds, ds], [MlpSpec(2, 2, init_seed=1), MlpSpec(2, 2, init_seed=2)], loss,
-                [cfg, TrainConfig(epochs=1, shuffle_seed=9)])
-    assert len(out) == 2 and not any(isinstance(r, Exception) for r in out)
+    ce = LossSpec("ce")
+    models = [  # (dataset, spec, loss, config)
+        (ds, MlpSpec(2, 2, init_seed=1), ce, cfg),
+        (separable_dataset(n_per=50), MlpSpec(2, 2), ce, cfg),  # n
+        (ds, MlpSpec(2, 2, (4,)), ce, cfg),  # layer dims
+        (ds, MlpSpec(2, 2), ce, TrainConfig(epochs=2)),  # config
+        (ds, MlpSpec(2, 2), LossSpec("focal"), cfg),  # loss
+        # specs may differ in init_seed and configs in shuffle_seed: the first stack
+        (ds, MlpSpec(2, 2, init_seed=2), ce, TrainConfig(epochs=1, shuffle_seed=9)),
+    ]
+    stacks = []
+    real_stack = trainer._Stack
+
+    def spy(datasets, specs, cfgs, slots):
+        stacks.append(list(slots))
+        return real_stack(datasets, specs, cfgs, slots)
+
+    with mock.patch.object(trainer, "_Stack", spy):
+        out = train(*map(list, zip(*models)))
+    assert stacks == [[0, 5], [1], [2], [3], [4]]
+    for (model, history), args in zip(out, models):
+        alone, alone_history = train(*args)
+        assert history == alone_history
+        assert model_bytes(model) == model_bytes(alone)
+    with pytest.raises(TrainingError, match="one dataset, spec, loss and config"):
+        train([ds, ds], [MlpSpec(2, 2)], ce, [cfg, cfg])
+    with pytest.raises(TrainingError, match="one dataset, spec, loss and config"):
+        train([ds, ds], [MlpSpec(2, 2)] * 2, [ce], [cfg, cfg])
