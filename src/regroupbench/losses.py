@@ -1,9 +1,10 @@
 """Multiclass training losses with analytic gradients: CE, inverse-frequency
 weighted CE, focal, and LDAM (margin) loss.
 
-loss_and_grad computes a batch's losses and logit gradients from one softmax;
-batch_loss_values the losses alone from the same log-softmax, with checked
-inputs, and the one-sample functions wrap these two.
+`_shifted_exp` is the one softmax: loss_and_grad takes a batch's losses and
+logit gradients from it, batch_loss_values the losses alone, with checked
+inputs, and softmax (trainer.predict_proba's) the probabilities. The
+one-sample functions wrap the two loss routines.
 """
 from __future__ import annotations
 
@@ -65,16 +66,6 @@ class LossSpec:
         return self.margin_scale * raw / raw.max()
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
-    if np.any(np.isnan(z)):
-        raise LossError("NaN logits")
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def _row_reduce(op, A: np.ndarray, initial: float) -> np.ndarray:
     """op.reduce(A, axis=1) for op np.maximum or np.add, bytes equal (np.maximum
     may keep another NaN of a row whose NaNs differ in sign). Below _CHAIN_C
@@ -88,16 +79,30 @@ def _row_reduce(op, A: np.ndarray, initial: float) -> np.ndarray:
     return out
 
 
+def _shifted_exp(Z: np.ndarray):
+    """The one softmax, unnormalized: (n, C) logits max-shifted, their exp, its row sums."""
+    zs = Z - _row_reduce(np.maximum, Z, -np.inf)[:, None]
+    e = np.exp(zs)
+    return zs, e, _row_reduce(np.add, e, 0.0)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis: `_shifted_exp` over its row sums."""
+    z = np.asarray(logits, dtype=np.float64)
+    if np.any(np.isnan(z)):
+        raise LossError("NaN logits")
+    _, e, s = _shifted_exp(z.reshape(-1, z.shape[-1]))
+    return (e / s[:, None]).reshape(z.shape)
+
+
 def _softmax_values(Z: np.ndarray, y: np.ndarray, rows: np.ndarray, spec: LossSpec):
-    """The prefix both loss routines share: exp of the max-shifted (LDAM:
-    margin-shifted and scaled) logits, their row sums, and the losses."""
+    """The prefix both loss routines share: the exp and row sums of `_shifted_exp`
+    of the (LDAM: margin-shifted and scaled) logits, and the losses."""
     if spec.kind == "ldam":
         Z = Z.copy()
         Z[rows, y] -= spec._per_class[y]
         Z *= spec.logit_scale
-    zs = Z - _row_reduce(np.maximum, Z, -np.inf)[:, None]
-    e = np.exp(zs)
-    s = _row_reduce(np.add, e, 0.0)
+    zs, e, s = _shifted_exp(Z)
     logp = zs[rows, y] - np.log(s)
     if spec.kind == "wce":
         return e, s, -spec._per_class[y] * logp

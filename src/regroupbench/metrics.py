@@ -35,14 +35,6 @@ class ConfusionTable:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def num_classes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.matrix.sum())
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -83,12 +75,12 @@ def summary_metrics(ct: ConfusionTable) -> MetricReport:
     classes present in y_true; per-class precision/recall/F1 with undefined
     values flagged as None (undefined precision counts as 0 inside F1)."""
     m = ct.matrix
-    n = ct.total
+    n = int(m.sum())
     if n == 0:
         raise MetricError("empty confusion table")
     accuracy = float(np.trace(m)) / n
     precision, recall, f1 = [], [], []
-    for c in range(ct.num_classes):
+    for c in range(len(m)):
         col = int(m[:, c].sum())
         row = int(m[c, :].sum())
         tp = int(m[c, c])

@@ -1202,6 +1202,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and problem in err
 
+    def test_metrics_on_a_cells_scores_reproduces_its_row(self, tmp_path, monkeypatch, capsys):
+        """`regroupbench metrics` on a cell's test truth and collapsed scores, written at
+        17 significant digits, scores as the grid did: the AP fields bit for bit for every
+        method, accuracy and balanced accuracy for every method but RG+CE, which predicts
+        by the argmax over pseudo-classes instead."""
+        from regroupbench.cli import main
+
+        cell, scored = [], {}
+        real_evaluate, real_ap = harness._evaluate, harness.per_class_ap
+
+        def evaluate(method, c, *args):
+            cell[:] = [(method.name, c.seed)]
+            return real_evaluate(method, c, *args)
+
+        def per_class_ap(y_true, scores):
+            scored[cell[0]] = y_true, scores
+            return real_ap(y_true, scores)
+
+        monkeypatch.setattr(harness, "_POOL_MIN_WORK", float("inf"))  # the spies see every cell
+        monkeypatch.setattr(harness, "_evaluate", evaluate)
+        monkeypatch.setattr(harness, "per_class_ap", per_class_ap)
+        rows, _ = run_grid(tiny_cfg(list(harness.METHODS), seeds=(0, 1),
+                                    dataset={"builtin": "overlap"}))
+        assert not any(r.error for r in rows)
+        assert sorted((r.method, r.seed) for r in rows) == sorted(scored) and len(rows) == 16
+        pred = tmp_path / "pred.csv"
+        for row in rows:
+            y, scores = scored[row.method, row.seed]
+            C = scores.shape[1]
+            np.savetxt(pred, np.c_[scores, y], fmt=["%.17g"] * C + ["%d"], delimiter=",",
+                       header=",".join([f"s{c}" for c in range(C)] + ["truth"]), comments="")
+            assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["ap_per_class"], doc["macro_ap"]) == (list(row.ap_per_class), row.macro_ap)
+            if row.method != "RG+CE":
+                assert (doc["accuracy"], doc["balanced_accuracy"]) == (row.accuracy,
+                                                                       row.balanced_accuracy)
+
     def test_metrics_missing_file_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def random_specs():
     ]
 
 
+def reference_softmax(logits):
+    """The softmax formula on numpy's axis reductions: softmax must reproduce
+    its bits, and the loss reference uses it, not the package's."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def reference_loss_and_grad(Z, y, spec):
     """Per-sample losses and gradients written out separately, each with its
     own softmax: loss_and_grad must reproduce these bits exactly."""
@@ -48,9 +58,9 @@ def reference_loss_and_grad(Z, y, spec):
         Zadj = Z.copy()
         Zadj[rows, y] -= spec.margins()[y]
         Zs = spec.logit_scale * Zadj
-        return -log_softmax(Zs)[rows, y], spec.logit_scale * (softmax(Zs) - onehot)
+        return -log_softmax(Zs)[rows, y], spec.logit_scale * (reference_softmax(Zs) - onehot)
     logp = log_softmax(Z)[rows, y]
-    P = softmax(Z)
+    P = reference_softmax(Z)
     if spec.kind == "ce":
         return -logp, P - onehot
     if spec.kind == "wce":
@@ -225,10 +235,16 @@ class TestGradients:
 
     @pytest.mark.parametrize("spec", random_specs(), ids=lambda s: f"{s.kind}-{s.gamma}")
     def test_loss_and_grad_bits_match_reference(self, spec):
+        for C in (2, 3, 10, 47):  # both sides of _CHAIN_C
+            counts = (COUNTS * 16)[:C] if spec.class_counts else None
+            self.check_bits_match_reference(replace(spec, class_counts=counts), C)
+
+    @staticmethod
+    def check_bits_match_reference(spec, C):
         rng = np.random.default_rng(9)
         # wide logits push some probabilities to exactly 0 and 1
-        Z = np.vstack([rng.standard_normal((40, 3)) * 3, rng.standard_normal((8, 3)) * 400])
-        y = rng.integers(3, size=len(Z))
+        Z = np.vstack([rng.standard_normal((40, C)) * 3, rng.standard_normal((8, C)) * 400])
+        y = rng.integers(C, size=len(Z))
         with np.errstate(all="ignore"):  # the reference gives focal nan rows at p_y = 0
             vals, grads = loss_and_grad(Z, y, spec)
             ref_vals, ref_grads = reference_loss_and_grad(Z, y, spec)
@@ -239,7 +255,7 @@ class TestGradients:
         # (test_focal_gradient_where_p_y_is_one_is_zero); all others keep their bits
         at_limit = np.zeros(len(y), dtype=bool)
         if spec.kind == "focal" and spec.gamma > 0:
-            py = softmax(Z)[np.arange(len(y)), y]
+            py = reference_softmax(Z)[np.arange(len(y)), y]
             at_limit = py < np.finfo(np.float64).tiny
             assert at_limit.any()
             if spec.gamma < 1:
@@ -367,3 +383,14 @@ def test_loss_values_bits_equal_loss_and_grad(kind, C, n, scale, zeros, gamma, s
         assert values.tobytes() == loss_and_grad(Z, y, spec)[0].tobytes()
         # and both equal the reference's axis-reduction softmax
         assert values.tobytes() == reference_loss_and_grad(Z, y, spec)[0].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.sampled_from([*range(1, 13), 47]).flatmap(lambda C: arrays(
+    np.float64, st.one_of(st.tuples(st.integers(1, 20), st.just(C)), st.just((C,))),
+    elements=st.one_of(st.sampled_from([s for s in SPECIAL if not np.isnan(s)]),
+                       st.floats(width=64, allow_nan=False)))))
+def test_softmax_bytes_equal_the_reference_formula(A):
+    with np.errstate(all="ignore"):  # a row holding +inf gives inf - inf
+        P, ref = softmax(A), reference_softmax(A)
+    assert P.shape == A.shape and P.tobytes() == ref.tobytes()
