@@ -44,9 +44,13 @@ and prints its samples and output digests as JSON. The topics:
   of 32, batch 64, CE on one Gaussian blob per class). `step_S{1,8}_C{2,10}`
   is µs per model-step: the wall time of one `train` call of S stacked models
   over TRAINER_EPOCHS epochs, epoch-end divergence checks included, over
-  S x steps. `loss_and_grad_512x{2,10}` is one `losses.loss_and_grad` call on
-  512 rows of logits, in µs. The outputs are the trained weights, biases,
-  learning rates and step losses, and the loss values and gradients.
+  S x steps. `step_S8_C2_one_stops` is the same S = 8, C = 2 fit with one
+  model's rows scaled by 1e140, so its logits overflow at an early step and
+  it stops while the others train on: the cost of a stack that holds a
+  stopped model. `loss_and_grad_512x{2,10}` is one `losses.loss_and_grad`
+  call on 512 rows of logits, in µs. The outputs are the trained weights,
+  biases, learning rates and step losses (a stopped model's: its message),
+  and the loss values and gradients.
 
 The output file holds `environment`, `input`, `rounds`, `points` and
 `outputs_equal`. Per point: its `unit`; per side its `samples`, each
@@ -236,15 +240,21 @@ def measure_trainer(job: dict) -> dict:
     from regroupbench import losses, trainer
     from regroupbench.dataset import Dataset
 
-    def fit(S, C):
+    def fit(S, C, stops=False):
         datasets = [Dataset(*class_blobs(N, C, s)) for s in range(S)]
+        if stops:  # the first model's logits overflow, and it stops
+            datasets[0] = Dataset(datasets[0].features * 1e140, datasets[0].labels)
         specs = [trainer.MlpSpec(D, C, (HIDDEN,), init_seed=s) for s in range(S)]
         cfgs = [trainer.TrainConfig(epochs=TRAINER_EPOCHS, batch_size=BATCH, shuffle_seed=s)
                 for s in range(S)]
 
         def call():
             out = []
-            for model, history in trainer.train(datasets, specs, losses.LossSpec("ce"), cfgs):
+            for result in trainer.train(datasets, specs, losses.LossSpec("ce"), cfgs):
+                if isinstance(result, trainer.TrainingDiverged):
+                    out.append(str(result).encode())
+                    continue
+                model, history = result
                 out += [a.tobytes() for a in (*model.weights, *model.biases)]
                 out.append(repr((history.learning_rate, history.step_loss)).encode())
             return out
@@ -261,6 +271,9 @@ def measure_trainer(job: dict) -> dict:
         for S in (1, 8):
             calls[f"step_S{S}_C{C}"] = fit(S, C)
             per_call[f"step_S{S}_C{C}"] = S * TRAINER_EPOCHS * -(-N // BATCH)
+        if C == 2:
+            calls["step_S8_C2_one_stops"] = fit(8, 2, stops=True)
+            per_call["step_S8_C2_one_stops"] = per_call["step_S8_C2"]
         calls[f"loss_and_grad_{LOSS_ROWS}x{C}"] = loss_and_grad(C)
         per_call[f"loss_and_grad_{LOSS_ROWS}x{C}"] = 1
     points, digests = {}, {}

@@ -67,7 +67,7 @@ class LossSpec:
 
 
 def _row_reduce(op, A: np.ndarray, initial: float) -> np.ndarray:
-    """op.reduce(A, axis=1) for op np.maximum or np.add, bytes equal (np.maximum
+    """op.reduce(A, axis=1) for op np.maximum or np.add, bytes equal (either op
     may keep another NaN of a row whose NaNs differ in sign). Below _CHAIN_C
     columns numpy folds each row left to right (a sum from +0.0), and this
     column chain does the same several times faster."""

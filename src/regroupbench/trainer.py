@@ -4,7 +4,8 @@ trained by mini-batch SGD with momentum and a cosine-annealed learning rate.
 Training is single-threaded and fully deterministic: identical inputs and
 seeds produce bit-identical models. `train` fits one model, or many in
 stacks of S same-shape models, each in one loop (batched matmul over (S,
-fan_in, fan_out) weights); each model's bits equal its one-model call's.
+fan_in, fan_out) weights); each model's bits equal its one-model call's. A
+model that diverges keeps its row, held at zero, until its stack ends.
 After every epoch an O(P) bound on the logits (`_logit_bound`) screens each
 model for divergence; only models the bound cannot clear run the exact pass.
 """
@@ -178,65 +179,15 @@ def _non_finite_rows(a: np.ndarray) -> np.ndarray:
     return ~np.isfinite(a).reshape(len(a), -1).all(axis=1)
 
 
-class _Stack:
-    """The live slices of a stacked fit: parameters and velocities in (S, P)
-    buffers with per-layer views, plus each slice's dataset, max |x|, shuffle
-    RNG, step-loss sum and shuffled (n, D) inputs and (n,) labels in (S, ...)
-    buffers. slots[row] is the index in `train`'s input of that row's model."""
-
-    def __init__(self, datasets, specs, cfgs, slots):
-        self.slots = list(slots)
-        self.dims = specs[slots[0]].layer_dims
-        self.datasets = [datasets[i] for i in slots]
-        self.x_max = np.array([np.abs(ds.features).max() for ds in self.datasets])
-        self.theta = np.stack([
-            np.concatenate([p.ravel() for layer in init_params(specs[i]) for p in layer])
-            for i in slots
-        ])
-        self.vel = np.zeros_like(self.theta)
-        self.rngs = {i: np.random.default_rng(cfgs[i].shuffle_seed) for i in slots}
-        S, (n, D) = len(slots), self.datasets[0].features.shape
-        self.X, self.y = np.empty((S, n, D)), np.empty((S, n), dtype=np.int64)
-        self._bind()
-
-    def _bind(self):
-        self.grad = np.empty_like(self.theta)
-        self.weights, self.biases = _layer_views(self.theta, self.dims)
-        self.grad_w, self.grad_b = _layer_views(self.grad, self.dims)
-
-    def shuffle(self):
-        """Gather each slice's rows in its own order for the next epoch into
-        X and y, in place; zero the step-loss sums."""
-        self.step_sum = np.zeros(len(self.slots))
-        for row, (slot, ds) in enumerate(zip(self.slots, self.datasets)):
-            order = self.rngs[slot].permutation(ds.n)
-            np.take(ds.features, order, axis=0, out=self.X[row])
-            np.take(ds.labels, order, out=self.y[row])
-
-    def drop(self, errors: dict, results: list) -> bool:
-        """Store errors {row: TrainingDiverged} as their slices' results and
-        remove those rows from the stack; False if no row is left."""
-        keep = np.ones(len(self.slots), dtype=bool)
-        keep[list(errors)] = False
-        for row, exc in errors.items():
-            results[self.slots[row]] = exc
-        self.slots = [slot for slot, k in zip(self.slots, keep) if k]
-        self.datasets = [ds for ds, k in zip(self.datasets, keep) if k]
-        self.theta, self.vel, self.step_sum, self.x_max, self.X, self.y = (
-            a[keep] for a in (self.theta, self.vel, self.step_sum, self.x_max, self.X, self.y))
-        if self.slots:
-            self._bind()
-        return bool(self.slots)
-
-
-def _full_pass(st: _Stack, epoch: int, rows: np.ndarray) -> dict:
+def _full_pass(datasets, weights, biases, epoch: int, rows) -> dict:
     """Exact epoch-end forward pass over the whole dataset of each given stack
     row, one row at a time, so memory does not grow with S: {row:
     TrainingDiverged} for each row whose logits are non-finite."""
     errors = {}
     for row in rows:
-        weights, biases = [w[row] for w in st.weights], [b[row] for b in st.biases]
-        if not np.isfinite(_forward(st.datasets[row].features, weights, biases)[0]).all():
+        logits = _forward(datasets[row].features, [w[row] for w in weights],
+                          [b[row] for b in biases])[0]
+        if not np.isfinite(logits).all():
             errors[row] = TrainingDiverged(f"non-finite full-pass logits at epoch {epoch}")
     return errors
 
@@ -254,7 +205,7 @@ def train(train_ds, spec, loss, cfg):
     loss and every config field but shuffle_seed train in one loop as an (S,
     fan_in, fan_out) stack, stacks in order of first appearance. The result
     lists, in input order, (TrainedModel, TrainHistory) or the TrainingDiverged
-    that stopped the model: it leaves its stack and the others go on.
+    that stopped the model: its row is held at zero and the others go on.
     """
     if isinstance(train_ds, Dataset):
         (result,) = train([train_ds], [spec], loss, [cfg])
@@ -277,60 +228,85 @@ def train(train_ds, spec, loss, cfg):
     # Dataset guarantees finite features and labels < num_classes <= output_dim.
     results = [None] * len(specs)
     for (_, _, loss, cfg), slots in stacks.items():
-        _train_stack(_Stack(datasets, specs, cfgs, slots), specs, loss, cfg, results)
+        fits = _train_stack([datasets[i] for i in slots], [specs[i] for i in slots],
+                            [cfgs[i].shuffle_seed for i in slots], loss, cfg)
+        for slot, result in zip(slots, fits):
+            results[slot] = result
     return results
 
 
-def _train_stack(st: _Stack, specs, loss: LossSpec, cfg: TrainConfig, results: list) -> None:
-    """Fit one stack; store each slot's (TrainedModel, TrainHistory) or
-    TrainingDiverged in results."""
-    n, size = st.datasets[0].n, cfg.batch_size
-    n_weights = sum(i * o for i, o in zip(st.dims[:-1], st.dims[1:]))
-    steps = {slot: [] for slot in st.slots}  # per-epoch step losses
+def _train_stack(datasets, specs, seeds, loss: LossSpec, cfg: TrainConfig) -> list:
+    """Fit one stack of S models; each one's (TrainedModel, TrainHistory), or the
+    TrainingDiverged that first stopped it, in order. The stack keeps its S rows:
+    a stopped model's parameters and velocity are zeroed, and its gradients after
+    every later step, so its logits stay 0 and clear every check."""
+    S, (n, D), size = len(specs), datasets[0].features.shape, cfg.batch_size
+    dims = specs[0].layer_dims
+    n_weights = sum(i * o for i, o in zip(dims[:-1], dims[1:]))
+    theta = np.stack([np.concatenate([p.ravel() for layer in init_params(spec) for p in layer])
+                      for spec in specs])  # (S, P): one row per model, viewed per layer
+    vel, grad = np.zeros_like(theta), np.empty_like(theta)
+    (weights, biases), (grad_w, grad_b) = _layer_views(theta, dims), _layer_views(grad, dims)
+    x_max = np.array([np.abs(ds.features).max() for ds in datasets])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    X_all, y_all = np.empty((S, n, D)), np.empty((S, n), dtype=np.int64)  # each epoch's order
+    step_sum = np.zeros((cfg.epochs, S))  # each epoch's summed step losses
+    stopped: dict = {}  # row: its first TrainingDiverged
+
+    def hold(errors: dict):
+        for row, exc in errors.items():
+            stopped.setdefault(row, exc)
+        theta[list(stopped)] = vel[list(stopped)] = 0.0
 
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
+            if len(stopped) == S:
+                break
             lr = cosine_lr(epoch, cfg.epochs, cfg.lr_max, cfg.lr_min)
-            st.shuffle()
+            for row, (rng, ds) in enumerate(zip(rngs, datasets)):
+                order = rng.permutation(n)
+                np.take(ds.features, order, axis=0, out=X_all[row])
+                np.take(ds.labels, order, out=y_all[row])
             for start in range(0, n, size):
-                X, y = st.X[:, start:start + size], st.y[:, start:start + size].ravel()
-                logits, values = _backprop(X, y, st.weights, st.biases, loss, st.grad_w, st.grad_b)
+                X, y = X_all[:, start:start + size], y_all[:, start:start + size].ravel()
+                logits, values = _backprop(X, y, weights, biases, loss, grad_w, grad_b)
+                if stopped:
+                    grad[list(stopped)] = 0.0
                 if cfg.weight_decay:
-                    st.grad[:, :n_weights] += cfg.weight_decay * st.theta[:, :n_weights]
-                st.vel *= cfg.momentum
-                st.vel += st.grad
-                st.theta -= lr * st.vel
+                    grad[:, :n_weights] += cfg.weight_decay * theta[:, :n_weights]
+                vel *= cfg.momentum
+                vel += grad
+                theta -= lr * vel
                 # A sum is finite only if every term is, so one finite sum clears
                 # all three checks; the loss check is each slice's own sum.
-                loss_sums = values.reshape(len(X), -1).sum(axis=1)
-                st.step_sum += loss_sums
-                if np.isfinite(logits.sum() + loss_sums.sum() + st.theta[:, :n_weights].sum()):
+                loss_sums = values.reshape(S, -1).sum(axis=1)
+                step_sum[epoch] += loss_sums
+                if np.isfinite(logits.sum() + loss_sums.sum() + theta[:, :n_weights].sum()):
                     continue
                 checks = (
                     ("non-finite forward pass", ": non-finite logits", _non_finite_rows(logits)),
                     ("non-finite loss", "", ~np.isfinite(loss_sums)),
-                    ("non-finite parameters", "", _non_finite_rows(st.theta[:, :n_weights])),
+                    ("non-finite parameters", "", _non_finite_rows(theta[:, :n_weights])),
                 )
-                errors = {}
+                errors = {}  # a sum can overflow: errors may be {}
                 for what, detail, bad in checks:
                     for row in np.flatnonzero(bad):
                         errors.setdefault(row, TrainingDiverged(
                             f"{what} at epoch {epoch}, batch {start // size}{detail}"))
-                if errors and not st.drop(errors, results):  # a sum can overflow: errors may be {}
-                    return
-            bound = _logit_bound(st.x_max, st.weights, st.biases)
+                hold(errors)
+                if len(stopped) == S:
+                    break
+            bound = _logit_bound(x_max, weights, biases)
             rows = np.flatnonzero(~(bound < _LOGIT_LIMIT))  # a NaN bound fails too
-            errors = _full_pass(st, epoch, rows) if rows.size else {}
-            if errors and not st.drop(errors, results):
-                return
-            for slot, total in zip(st.slots, st.step_sum.tolist()):
-                steps[slot].append(total / n)
+            if rows.size:
+                hold(_full_pass(datasets, weights, biases, epoch, rows))
 
     lrs = tuple(cosine_lr(t, cfg.epochs, cfg.lr_max, cfg.lr_min) for t in range(cfg.epochs))
-    for row, slot in enumerate(st.slots):
-        model = TrainedModel(specs[slot], tuple(w[row].copy() for w in st.weights),
-                             tuple(b[row, 0].copy() for b in st.biases))
-        results[slot] = (model, TrainHistory(lrs, tuple(steps[slot])))
+    return [stopped[row] if row in stopped else (
+        TrainedModel(specs[row], tuple(w[row].copy() for w in weights),
+                     tuple(b[row, 0].copy() for b in biases)),
+        TrainHistory(lrs, tuple((step_sum[:, row] / n).tolist())))
+        for row in range(S)]
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:

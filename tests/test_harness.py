@@ -231,14 +231,14 @@ class TestSeedStacking:
 
     def test_cells_stack_by_train_size_layer_dims_and_loss(self, tmp_path, monkeypatch):
         calls, stacks = [], []
-        real_train, real_stack = harness.train, trainer._Stack
+        real_train, real_train_stack = harness.train, trainer._train_stack
         monkeypatch.setattr(harness, "train", lambda *args: calls.append(args) or real_train(*args))
 
-        def spy(datasets, specs, cfgs, slots):
-            stacks.append(sorted(specs[i].output_dim for i in slots))
-            return real_stack(datasets, specs, cfgs, slots)
+        def spy(datasets, specs, seeds, loss, cfg):
+            stacks.append(sorted(spec.output_dim for spec in specs))
+            return real_train_stack(datasets, specs, seeds, loss, cfg)
 
-        monkeypatch.setattr(trainer, "_Stack", spy)
+        monkeypatch.setattr(trainer, "_train_stack", spy)
         cfg = tiny_cfg([MethodKind("RG+CE", k_override=4)], seeds=tuple(range(6)),
                        dataset=clamp_csv(tmp_path / "clamp.csv"), test_fraction=0.25)
         rows, _ = run_grid(cfg)
@@ -574,9 +574,9 @@ class TestEpochEndScreen:
         calls = []
         real_full_pass = trainer._full_pass
 
-        def spy(st, epoch, rows):
+        def spy(datasets, weights, biases, epoch, rows):
             calls.append((epoch, list(rows)))
-            return real_full_pass(st, epoch, rows)
+            return real_full_pass(datasets, weights, biases, epoch, rows)
 
         monkeypatch.setattr(trainer, "_full_pass", spy)
         return calls

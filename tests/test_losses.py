@@ -347,17 +347,20 @@ SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, NEG_NAN, 5e-324, -5e-324,
 # a max of zeros of both signs at C = 9: numpy's own reduction keeps -0.0 there,
 # where a column chain keeps +0.0
 @example(A=np.array([[-0.0, -1.0, -1.0, -0.0, -0.0, -np.inf, -1.0, -np.inf, 0.0]]))
+# NaNs of both signs: the column chain keeps the second's sign, numpy's sum the first's
+@example(A=np.array([[np.nan, NEG_NAN]]))
 def test_row_reduce_equals_numpy_axis_reductions(A):
     """The loss's row max and row sum: bytes equal to numpy's axis-1
     reductions for every C, which pins the column-chain threshold."""
     with np.errstate(all="ignore"):
-        assert _row_reduce(np.add, A, 0.0).tobytes() == A.sum(axis=1).tobytes()
-        top, ref = _row_reduce(np.maximum, A, -np.inf), A.max(axis=1)
-    # numpy's reduction and its elementwise maximum keep different NaNs of a
-    # row that holds both signs; a NaN logit fails the step either way
-    nan = np.isnan(ref)
-    assert np.array_equal(np.isnan(top), nan)
-    assert top[~nan].tobytes() == ref[~nan].tobytes()
+        for op, initial, ref in ((np.add, 0.0, A.sum(axis=1)),
+                                 (np.maximum, -np.inf, A.max(axis=1))):
+            out = _row_reduce(op, A, initial)
+            # either reduction may keep another NaN of a row that holds both
+            # signs; a NaN logit or row sum fails the step either way
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(out), nan)
+            assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -344,6 +344,13 @@ def check_against_separate_calls(datasets, specs, cfgs, exact=False):
     error messages of the diverged slices."""
     with mock.patch.object(trainer, "_LOGIT_LIMIT", 0.0 if exact else trainer._LOGIT_LIMIT):
         results = train(datasets, specs, LossSpec("ce"), cfgs)
+    return check_each_alone(results, datasets, specs, cfgs)
+
+
+def check_each_alone(results, datasets, specs, cfgs):
+    """Each survivor of a stacked call must match its one-model call bit for
+    bit, and each diverged model carry the error its own call raises. Returns
+    the error messages of the diverged models."""
     messages = []
     for result, ds, spec, cfg in zip(results, datasets, specs, cfgs):
         try:
@@ -378,6 +385,41 @@ def test_diverged_slice_leaves_the_stack_and_others_keep_their_bits():
     for exact in (True, False):
         messages = check_against_separate_calls(datasets, specs, cfgs, exact)
         assert messages == ["non-finite full-pass logits at epoch 0"]
+
+
+def test_a_stopped_model_is_held_at_zero_in_its_row():
+    # one call, two stacks over four epochs, each with survivors: a hidden-layer
+    # model whose logits overflow at a step (rows x 1e140), and a linear model
+    # whose step stays finite but whose epoch-end pass overflows (rows x 1e200)
+    rng = np.random.default_rng(5)
+    y = np.repeat([0, 1], (20, 33))
+    datasets = [Dataset(rng.standard_normal((53, 2)) * scale, y) for scale in (1, 1e140, 1)]
+    datasets += [Dataset(np.array([[v, v], [-v, -v]]), [0, 1]) for v in (1.0, 1e200, 2.0)]
+    specs = [MlpSpec(2, 2, (4,), init_seed=s) for s in range(3)] + [MlpSpec(2, 2, (), 1)] * 3
+    cfgs = [TrainConfig(lr_max=0.1, epochs=4, batch_size=16, shuffle_seed=s) for s in range(6)]
+    rows_checked, full_passes = [], []
+    real_rows, real_pass = trainer._non_finite_rows, trainer._full_pass
+
+    def spy_rows(a):
+        rows_checked.append(len(a))
+        return real_rows(a)
+
+    def spy_pass(datasets, weights, biases, epoch, rows):
+        full_passes.append((epoch, list(rows)))
+        return real_pass(datasets, weights, biases, epoch, rows)
+
+    with (mock.patch.object(trainer, "_non_finite_rows", spy_rows),
+          mock.patch.object(trainer, "_full_pass", spy_pass)):
+        results = train(datasets, specs, LossSpec("ce"), cfgs)
+    assert check_each_alone(results, datasets, specs, cfgs) == [
+        "non-finite forward pass at epoch 0, batch 1: non-finite logits",
+        "non-finite full-pass logits at epoch 0",
+    ]
+    # a held row's logits stay 0: the per-row checks run at the one step where
+    # a model stops (logits, then parameters), and the exact pass only at the
+    # epoch end where the linear model stops, never again for a held row
+    assert rows_checked == [3, 3]
+    assert full_passes == [(0, [1])]
 
 
 def test_slices_diverging_at_one_batch_keep_their_own_messages():
@@ -491,13 +533,13 @@ def test_models_that_differ_train_in_separate_stacks():
         (ds, MlpSpec(2, 2, init_seed=2), ce, TrainConfig(epochs=1, shuffle_seed=9)),
     ]
     stacks = []
-    real_stack = trainer._Stack
+    real_train_stack = trainer._train_stack
 
-    def spy(datasets, specs, cfgs, slots):
-        stacks.append(list(slots))
-        return real_stack(datasets, specs, cfgs, slots)
+    def spy(datasets, specs, seeds, loss, cfg):  # each stack's models, by input index
+        stacks.append([next(i for i, m in enumerate(models) if m[1] is s) for s in specs])
+        return real_train_stack(datasets, specs, seeds, loss, cfg)
 
-    with mock.patch.object(trainer, "_Stack", spy):
+    with mock.patch.object(trainer, "_train_stack", spy):
         out = train(*map(list, zip(*models)))
     assert stacks == [[0, 5], [1], [2], [3], [4]]
     for (model, history), args in zip(out, models):
