@@ -248,7 +248,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 @dataclass(frozen=True)
 class _Cell:
     """A grid cell prepared for training: its fit and test data, model
-    spec, loss and train config, the regroup plan (RG+CE), and the seconds
+    spec, loss and train config, the plan its test probabilities collapse
+    through (one group per class unless RG+CE regroups), and the seconds
     spent preparing it."""
 
     seed: int
@@ -257,7 +258,7 @@ class _Cell:
     spec: MlpSpec
     loss: LossSpec
     train_cfg: TrainConfig
-    plan: RegroupPlan | None
+    plan: RegroupPlan
     k_groups: int | None
     seconds: float
 
@@ -266,7 +267,7 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, train_ds, tes
     """Resample or regroup one cell's train split."""
     start = time.perf_counter()
     counts, transform = train_ds.class_counts, METHODS[method.name][1]
-    fit_ds, plan, k_groups = train_ds, None, None
+    fit_ds, plan, k_groups = train_ds, RegroupPlan((1,) * len(counts)), None
     if transform == "regroup":
         if method.k_override is not None and len(counts) != 2:
             raise HarnessError(f"k_override needs a binary source, got {len(counts)} classes")
@@ -286,15 +287,11 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, train_ds, tes
 
 
 def _evaluate(method: MethodKind, cell: _Cell, model, chash: str, train_s: float) -> ResultRow:
-    """Score a trained cell on its test split; train_s is its share of training time."""
+    """Score a trained cell on its test split; train_s is its share of training time.
+    Every cell predicts the argmax of its plan's collapsed test probabilities."""
     start = time.perf_counter()
     test_ds = cell.test_ds
-    proba = predict_proba(model, test_ds.features)
-    if cell.plan is not None:
-        pred, scores = collapse_proba_matrix(proba, cell.plan)
-    else:
-        pred, scores = np.argmax(proba, axis=1), proba
-
+    pred, scores = collapse_proba_matrix(predict_proba(model, test_ds.features), cell.plan)
     ct = confusion_table(test_ds.labels, pred, num_classes=test_ds.num_classes)
     report = summary_metrics(ct)
     aps, macro = per_class_ap(test_ds.labels, scores)

@@ -113,13 +113,11 @@ def average_precision(y_true, scores) -> float:
     if n_pos == 0:
         raise MetricError("no positive samples")
 
-    order = np.argsort(-s)  # tp and pp are read at block ends, so order within a block is moot
-    s_sorted, y_sorted = s[order], y[order]
-    block_end = np.flatnonzero(np.r_[s_sorted[:-1] != s_sorted[1:], True])
-    tp = np.cumsum(y_sorted)[block_end]
-    pp = block_end + 1
+    s_sorted = np.sort(s)  # each block's tp and pp count the scores >= its score
+    start = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])[::-1]  # highest first
+    tp = n_pos - np.searchsorted(np.sort(s[y == 1]), s_sorted[start])
     delta_tp = np.diff(np.r_[0, tp])
-    return float(np.sum((delta_tp / n_pos) * (tp / pp)))
+    return float(np.sum((delta_tp / n_pos) * (tp / (s.size - start))))
 
 
 def per_class_ap(y_true, proba) -> tuple[tuple[float | None, ...], float]:

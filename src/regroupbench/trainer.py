@@ -59,12 +59,12 @@ class TrainConfig:
 
     def __post_init__(self):
         typed(self, TrainingError)
-        if not (self.lr_max >= self.lr_min >= 0):
+        if not all(map(math.isfinite, (self.lr_max, self.momentum, self.weight_decay))):
+            raise TrainingError("lr_max, momentum and weight_decay must be finite")
+        if not (self.lr_max >= self.lr_min >= 0):  # a finite lr_max bounds lr_min
             raise TrainingError("need lr_max >= lr_min >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("epochs and batch_size must be >= 1")
-        if not (math.isfinite(self.momentum) and math.isfinite(self.weight_decay)):
-            raise TrainingError("momentum and weight_decay must be finite")
 
 
 FULL_RECIPE = TrainConfig(lr_max=0.01, epochs=300, batch_size=256)

@@ -1056,6 +1056,10 @@ class TestCli:
             ({"train": {"epochs": 1, "momentum": "a"}}, "momentum must be a number, got 'a'"),
             ({"methods": [{"name": "Focal", "gamma": 10**400}]}, "gamma must be a number, got 1000"),
             ({"methods": []}, "need at least one entry in methods and in seeds"),
+            ({"train": {"epochs": 1, "lr_max": 1e999}},
+             "lr_max, momentum and weight_decay must be finite"),
+            ({"train": {"epochs": 1, "lr_max": 1e999, "lr_min": 1e999}},
+             "lr_max, momentum and weight_decay must be finite"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):

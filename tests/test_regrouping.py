@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regroupbench import regrouping
 from regroupbench.dataset import Dataset, generate_imbalanced_mixture
@@ -173,11 +174,17 @@ class TestCollapse:
         assert pred[0] == 0
         np.testing.assert_allclose(scores, [[0.4, 0.6]])
 
-    def test_identity_when_one_group_each(self):
-        plan = RegroupPlan((1, 1, 1))
-        pred, scores = collapse_proba_matrix([[0.2, 0.5, 0.3]], plan)
-        assert pred[0] == 1
-        np.testing.assert_array_equal(scores, [[0.2, 0.5, 0.3]])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 200), C=st.integers(2, 12), levels=st.integers(1, 4))
+    def test_identity_when_one_group_each(self, data, n, C, levels):
+        # what every cell that does not regroup predicts through: few weight levels
+        # give tied entries, tied rows and exact zeros
+        w = data.draw(arrays(np.int64, (n, C), elements=st.integers(0, levels)))
+        w[w.sum(axis=1) == 0] = 1
+        P = w / w.sum(axis=1, keepdims=True)
+        pred, scores = collapse_proba_matrix(P, RegroupPlan((1,) * C))
+        assert scores.tobytes() == P.tobytes()
+        np.testing.assert_array_equal(pred, np.argmax(P, axis=1))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scores_sum_to_one(self, seed):
