@@ -52,8 +52,11 @@ and prints its samples and output digests as JSON. The topics:
   biases, learning rates and step losses (a stopped model's: its message),
   and the loss values and gradients.
 
-The output file holds `environment`, `input`, `rounds`, `points` and
-`outputs_equal`. Per point: its `unit`; per side its `samples`, each
+The output file holds `environment`, `revisions`, `input`, `rounds`,
+`points` and `outputs_equal`. `revisions` holds `base`, the commit BASE_REV
+resolves to; `head`, this checkout's HEAD commit; and `src_changed`, whether
+this checkout's `src/` differs from HEAD (the head side measures it as it
+stands). Per point: its `unit`; per side its `samples`, each
 interpreter's median (`rounds`) and the median and quartiles of the samples;
 `head_wins`, the rounds whose head median is below the base median (ties
 count for neither side); and `median_speedup`, the median over rounds of
@@ -352,14 +355,22 @@ def summarize(pairs: list[dict]) -> dict:
     return {"points": points, "outputs_equal": all(len(d) == 1 for d in digests.values())}
 
 
+def git(*args: str) -> str:
+    """The output of one git command in this checkout, stripped."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], stdout=subprocess.PIPE, text=True,
+                          check=True).stdout.strip()
+
+
 def record(base_rev: str, topic: str, out: str) -> int:
     """Write the pairs of `topic` between `base_rev` and this checkout to `out`;
     1 if the two sides' outputs differ."""
+    revisions = {"base": git("rev-parse", "--verify", f"{base_rev}^{{commit}}"),
+                 "head": git("rev-parse", "HEAD"),
+                 "src_changed": git("status", "--porcelain", "--", "src") != ""}
     base = WORK / "base"
     WORK.mkdir()  # refuses to run over another recorder's work directory
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(base), base_rev], check=True)
+        git("worktree", "add", "--quiet", "--detach", str(base), revisions["base"])
         shutil.copytree(ROOT / "src", WORK / "head" / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
         (WORK / "inputs").mkdir()
@@ -375,8 +386,8 @@ def record(base_rev: str, topic: str, out: str) -> int:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
                        capture_output=True)
         shutil.rmtree(WORK, ignore_errors=True)
-    report = {"environment": environment(), "input": description, "rounds": ROUNDS,
-              **summarize(pairs)}
+    report = {"environment": environment(), "revisions": revisions, "input": description,
+              "rounds": ROUNDS, **summarize(pairs)}
     Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for point, entry in report["points"].items():
         print(f"{point}: base {entry['base']['median']} -> head {entry['head']['median']} "

@@ -137,9 +137,6 @@ class Dataset:
         """Row subset keeping the given order (all classes must survive)."""
         return Dataset(self.features[idx], self.labels[idx], self.class_names)
 
-    def with_labels(self, labels: np.ndarray, class_names=None) -> "Dataset":
-        return Dataset(self.features, labels, class_names)
-
 
 @dataclass(frozen=True)
 class GaussianComponent:
@@ -153,8 +150,10 @@ class GaussianComponent:
         typed(self, DatasetError)
         if self.count < 1:
             raise DatasetError("component count must be >= 1")
-        if not self.stddev > 0:
-            raise DatasetError("component stddev must be > 0")
+        if not self.mean or not np.isfinite(self.mean).all():
+            raise DatasetError(f"component mean must be finite and nonempty, got {list(self.mean)}")
+        if not 0 < self.stddev < np.inf:
+            raise DatasetError(f"component stddev must be finite and > 0, got {self.stddev}")
 
 
 @dataclass(frozen=True)

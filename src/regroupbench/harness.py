@@ -269,12 +269,9 @@ def _prepare(cfg: ExperimentConfig, method: MethodKind, seed: int, train_ds, tes
     counts, transform = train_ds.class_counts, METHODS[method.name][1]
     fit_ds, plan, k_groups = train_ds, RegroupPlan((1,) * len(counts)), None
     if transform == "regroup":
-        if method.k_override is not None and len(counts) != 2:
-            raise HarnessError(f"k_override needs a binary source, got {len(counts)} classes")
         fit_ds, plan = regroup_multiclass(train_ds, seed + 2, method.k_override)
-        # K: the requested majority groups of a binary source, else all pseudo-classes
-        k_groups = (max(group_counts(counts, method.k_override)) if len(counts) == 2
-                    else plan.pseudo_num_classes)
+        # K as trained, clamps applied: the larger class's groups if binary, else all pseudo-classes
+        k_groups = max(plan.group_counts) if len(counts) == 2 else plan.pseudo_num_classes
     elif transform:
         fit_ds = resample(train_ds, ResampleSpec(transform, seed + 2, method.k_neighbors))
 

@@ -110,7 +110,7 @@ def regroup_multiclass(train: Dataset, seed: int,
             pseudo[idx] = offset
         groups.append(g)
     plan = RegroupPlan(tuple(groups), models, tuple(warnings))
-    return train.with_labels(pseudo), plan
+    return Dataset(train.features, pseudo), plan
 
 
 def regroup_binary(train: Dataset, K: int, seed: int) -> tuple[Dataset, RegroupPlan]:

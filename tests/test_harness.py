@@ -2,6 +2,7 @@ import ctypes
 import json
 import os
 import threading
+import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -246,6 +247,17 @@ class TestSeedStacking:
         # clamped seeds train 4 heads, the others 5: one call, two stacks covering all six
         assert len(calls) == 1 and sorted(stacks) == [[4, 4, 4], [5, 5, 5]]
 
+    def test_k_is_the_majority_groups_each_cell_trained(self, tmp_path):
+        method = MethodKind("RG+CE", k_override=4)
+        cfg = tiny_cfg([method], seeds=tuple(range(6)),
+                       dataset=clamp_csv(tmp_path / "clamp.csv"), test_fraction=0.25)
+        rows, _ = run_grid(cfg)
+        splits = harness._split_sources(cfg, cfg.seeds)
+        heads = [harness._prepare(cfg, method, s, *splits[s]).spec.output_dim for s in cfg.seeds]
+        # the minority keeps one head; a clamped seed trains 3 majority groups, not 4
+        assert [r.k_groups for r in rows] == [h - 1 for h in heads]
+        assert sorted(set(heads)) == [4, 5]
+
     def test_csv_parsed_once_per_grid(self, tmp_path, monkeypatch):
         import regroupbench.harness as harness
 
@@ -375,7 +387,7 @@ class TestCsvSourceProperties:
         rows = []
         for pair in (("sick", "well"), tuple(names[:2])):
             path = work / f"{'-'.join(pair)}.csv"
-            save_csv_dataset(ds.with_labels(ds.labels, pair), path)
+            save_csv_dataset(Dataset(ds.features, ds.labels, pair), path)
             rows.append(cell_rows(replace(cfg, dataset={"csv": str(path)}), False))
         assert rows[0] == rows[1]
 
@@ -549,8 +561,9 @@ class TestParallelColumns:
         rows = [line.split(",") for line in
                 (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[6], r[-1]) for r in rows] == [("CE", "", "")] * 2 + [
-            ("RG+CE", "", "HarnessError: k_override needs a binary source; got 3 classes")] * 2
-        assert "FAILED RG+CE seed=1: HarnessError: k_override" in capsys.readouterr().err
+            ("RG+CE", "", "RegroupError: k_override needs 2 classes; got 3")] * 2
+        err = capsys.readouterr().err
+        assert "FAILED RG+CE seed=1: RegroupError: k_override needs 2 classes, got 3" in err
 
 
 def huge_csv(path):
@@ -1060,6 +1073,26 @@ class TestCli:
              "lr_max, momentum and weight_decay must be finite"),
             ({"train": {"epochs": 1, "lr_max": 1e999, "lr_min": 1e999}},
              "lr_max, momentum and weight_decay must be finite"),
+            ({"dataset": {"mixture": {"minority": {"mean": [], "stddev": 1.0, "count": 5},
+                                      "majority_components": [
+                                          {"mean": [], "stddev": 1.0, "count": 9}]}}},
+             "component mean must be finite and nonempty, got []"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1.0, "count": 5},
+                                      "majority_components": [
+                                          {"mean": [float("nan")], "stddev": 1.0, "count": 9}]}}},
+             "component mean must be finite and nonempty, got [nan]"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1.0, "count": 5},
+                                      "majority_components": [
+                                          {"mean": [1e999], "stddev": 1.0, "count": 9}]}}},
+             "component mean must be finite and nonempty, got [inf]"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1e999, "count": 5},
+                                      "majority_components": [
+                                          {"mean": [1.0], "stddev": 1.0, "count": 9}]}}},
+             "component stddev must be finite and > 0, got inf"),
+            ({"dataset": {"mixture": {"minority": {"mean": [0.0], "stddev": 1.0, "count": 5},
+                                      "majority_components": [
+                                          {"mean": [1.0], "stddev": float("nan"), "count": 9}]}}},
+             "component stddev must be finite and > 0, got nan"),
         ],
     )
     def test_run_bad_config_is_named_error(self, tmp_path, capsys, change, problem):
@@ -1110,6 +1143,29 @@ class TestCli:
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
         assert f"{owner} has unknown keys ['stray']" in captured.err
         assert not (tmp_path / "o").exists() and not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("components,problem", [
+        ([{"mean": [], "stddev": 1.0, "count": 5}] * 2,
+         "component mean must be finite and nonempty, got []"),
+        ([{"mean": [0.0], "stddev": float("nan"), "count": 5},
+          {"mean": [1.0], "stddev": 1.0, "count": 9}],
+         "component stddev must be finite and > 0, got nan"),
+        # finite, but the draw overflows: the dataset's own check names the row
+        ([{"mean": [1e308], "stddev": 1e308, "count": 50}] * 2, "non-finite feature value at row"),
+    ])
+    def test_synth_spec_that_cannot_be_drawn_is_named_error(self, tmp_path, capsys,
+                                                            components, problem):
+        from regroupbench.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"minority": components[0],
+                                    "majority_components": components[1:]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would be a second line
+            assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec {spec}: ") and problem in err
+        assert len(err.strip().splitlines()) == 1 and not (tmp_path / "x.csv").exists()
 
     def test_synth_spec_that_is_no_object_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main

@@ -3,6 +3,7 @@ hand-made samples and its clean-up. Nothing here is timed.
 
 Importing the recorder imports the names it uses from `perfbench/workloads.py`,
 so a renamed workload helper fails here first."""
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -58,10 +59,28 @@ def test_outputs_differ_between_sides_or_rounds(round_, side):
     assert pairs.summarize(rounds)["outputs_equal"] is False
 
 
-def test_failed_side_leaves_no_worktree_or_work_directory(tmp_path, monkeypatch):
-    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
-                      capture_output=True).returncode != 0:
+def git_head() -> str:
+    """This checkout's HEAD commit; the test skips outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
         pytest.skip("not a git checkout")
+    return proc.stdout.strip()
+
+
+def test_report_records_its_revisions(tmp_path, monkeypatch):
+    head = git_head()
+    monkeypatch.setattr(pairs, "WORK", tmp_path / "work")
+    monkeypatch.setattr(pairs, "side", lambda topic, src, job: {"points": {}, "digests": {}})
+    assert pairs.record("HEAD", "knn", str(tmp_path / "out.json")) == 0
+    report = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    changed = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--", "src"],
+                             capture_output=True, text=True, check=True).stdout.strip() != ""
+    assert report["revisions"] == {"base": head, "head": head, "src_changed": changed}
+
+
+def test_failed_side_leaves_no_worktree_or_work_directory(tmp_path, monkeypatch):
+    git_head()
     work = tmp_path / "work"
     monkeypatch.setattr(pairs, "WORK", work)
 
