@@ -96,8 +96,7 @@ def _cmd_synth(args) -> int:
             spec = replace(Source(builtin=form.builtin).mixture_spec(), seed=form.seed)
         else:
             spec = from_object(MixtureSpec, doc, "spec", DatasetError)
-        with np.errstate(over="ignore"):  # Dataset's finiteness check reports an overflow
-            ds = generate_imbalanced_mixture(spec)
+        ds = generate_imbalanced_mixture(spec)
     except (OSError, ValueError) as exc:  # HarnessError, DatasetError: ValueErrors
         print(f"spec {args.spec}: {exc}", file=sys.stderr)
         return 2

@@ -185,7 +185,8 @@ def generate_imbalanced_mixture(spec: MixtureSpec) -> Dataset:
     dim = len(spec.minority.mean)
     blocks, labels = [], []
     for label, comp in [(0, spec.minority)] + [(1, c) for c in spec.majority_components]:
-        pts = np.asarray(comp.mean) + comp.stddev * rng.standard_normal((comp.count, dim))
+        with np.errstate(over="ignore"):  # Dataset's finiteness check reports an overflow
+            pts = np.asarray(comp.mean) + comp.stddev * rng.standard_normal((comp.count, dim))
         blocks.append(pts)
         labels.append(np.full(comp.count, label, dtype=np.int64))
     return Dataset(np.vstack(blocks), np.concatenate(labels))
@@ -265,7 +266,13 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{path}: no such file")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise DatasetError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror}") from None
     head = _NOT_SPACE.search(text)  # the header is the first line that is not blank
     start = text.rfind("\n", 0, head.start()) + 1 if head else 0
     end = text.find("\n", start)

@@ -1,10 +1,10 @@
 """Multiclass training losses with analytic gradients: CE, inverse-frequency
 weighted CE, focal, and LDAM (margin) loss.
 
-`_shifted_exp` is the one softmax: loss_and_grad takes a batch's losses and
-logit gradients from it, batch_loss_values the losses alone, with checked
-inputs, and softmax (trainer.predict_proba's) the probabilities. The
-one-sample functions wrap the two loss routines.
+`_shifted_exp` is the one softmax: loss_and_grad, the one loss routine,
+takes a batch's losses and logit gradients from it, and softmax
+(trainer.predict_proba's) the probabilities. The checked helpers
+(batch_loss_values, loss_value, loss_gradient) read loss_and_grad.
 """
 from __future__ import annotations
 
@@ -95,35 +95,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return (e / s[:, None]).reshape(z.shape)
 
 
-def _softmax_values(Z: np.ndarray, y: np.ndarray, rows: np.ndarray, spec: LossSpec):
-    """The prefix both loss routines share: the exp and row sums of `_shifted_exp`
-    of the (LDAM: margin-shifted and scaled) logits, and the losses."""
+def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
+    """Per-sample losses (n,) and d loss / d logits (n, C) for (n, C) logits Z
+    and labels y, from one shared softmax of the (LDAM: margin-shifted and
+    scaled) logits. Unchecked: y must lie in 0..C-1 and Z must be finite float64."""
+    rows = np.arange(len(y))
     if spec.kind == "ldam":
         Z = Z.copy()
         Z[rows, y] -= spec._per_class[y]
         Z *= spec.logit_scale
     zs, e, s = _shifted_exp(Z)
     logp = zs[rows, y] - np.log(s)
-    if spec.kind == "wce":
-        return e, s, -spec._per_class[y] * logp
-    if spec.kind == "focal":
-        return e, s, -((1.0 - np.exp(logp)) ** spec.gamma) * logp
-    return e, s, -logp
-
-
-def loss_and_grad(Z: np.ndarray, y: np.ndarray, spec: LossSpec):
-    """Per-sample losses (n,) and d loss / d logits (n, C) for (n, C) logits Z
-    and labels y, from one shared softmax. Unchecked: y must lie in 0..C-1
-    and Z must be finite float64."""
-    rows = np.arange(len(y))
-    e, s, values = _softmax_values(Z, y, rows, spec)
     P = e / s[:, None]
     P[rows, y] -= 1.0  # P - onehot, the CE gradient
     if spec.kind == "wce":
-        return values, spec._per_class[y][:, None] * P
+        w = spec._per_class[y]
+        return -w * logp, w[:, None] * P
     if spec.kind == "ldam":
-        return values, spec.logit_scale * P
-    if spec.kind == "ce" or spec.gamma == 0:  # focal at gamma 0 is CE; avoids 0 * inf at p_y = 1
+        return -logp, spec.logit_scale * P
+    if spec.kind == "ce":
+        return -logp, P
+    values = -((1.0 - np.exp(logp)) ** spec.gamma) * logp
+    if spec.gamma == 0:  # focal at gamma 0 is CE; avoids 0 * inf at p_y = 1
         return values, P
     # dL/dp_y * dp_y/dz, with dp_y/dz_j = p_y (1{j=y} - p_j)
     py = e[rows, y] / s
@@ -164,9 +157,8 @@ def _checked(logits, labels):
 
 
 def batch_loss_values(logits: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Per-sample loss values for an (n, C) logit matrix: loss_and_grad's,
-    bytes equal, without the gradient."""
-    return _softmax_values(*_checked(logits, labels), np.arange(np.size(labels)), spec)[2]
+    """Per-sample loss values for an (n, C) logit matrix: loss_and_grad's."""
+    return loss_and_grad(*_checked(logits, labels), spec)[0]
 
 
 def loss_value(logits, label: int, spec: LossSpec) -> float:

@@ -125,6 +125,7 @@ def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):
     """
     P = np.asarray(pseudo_proba, dtype=np.float64)
     pred = plan._original_of[np.argmax(P, axis=1)]
+    # a fancy-index copy: a slice view or np.add.reduceat sums in another order and moves AP bits
     scores = np.column_stack(
         [P[:, list(plan.pseudo_ids_of(c))].sum(axis=1) for c in range(plan.original_num_classes)]
     )

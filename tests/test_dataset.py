@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -84,6 +85,18 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="no such file"):
             load_csv_dataset(tmp_path / "nope.csv")
+
+    def test_non_utf8_or_unreadable_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"f0,label\n0.5,0\n\n0.7,caf\xe9\n")  # Latin-1 on physical line 4
+        with pytest.raises(DatasetError) as err:
+            load_csv_dataset(p)
+        assert str(err.value) == f"{p}, line 4: not UTF-8 (invalid continuation byte)"
+        denied = PermissionError(13, "Permission denied")
+        monkeypatch.setattr(Path, "read_text", mock.Mock(side_effect=denied))
+        with pytest.raises(DatasetError) as err:
+            load_csv_dataset(p)
+        assert str(err.value) == f"{p}: Permission denied"
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"

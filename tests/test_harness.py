@@ -946,13 +946,14 @@ class TestCli:
             ("s0,s1,truth\n0.9,0.1,0\n\n0.2,0.8,1\n0.3,bad,1\n",
              "line 5: could not convert string to float: 'bad' in column 's1'"),
             ("truth\n0\n1\n", "no column besides 'truth'"),
+            (b"s0,s1,truth\n0.9,0.1,0\n0.2,caf\xe9,1\n", "line 3: not UTF-8"),  # Latin-1
         ],
     )
     def test_metrics_bad_prediction_csv_is_named_error(self, tmp_path, capsys, text, problem):
         from regroupbench.cli import main
 
         pred = tmp_path / "pred.csv"
-        pred.write_text(text)
+        pred.write_bytes(text) if isinstance(text, bytes) else pred.write_text(text)
         assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1166,6 +1167,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"spec {spec}: ") and problem in err
         assert len(err.strip().splitlines()) == 1 and not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("source,problem", [
+        # finite, but the draw overflows: a mixture is drawn per seed, after the config check
+        ({"mixture": {"minority": {"mean": [1e308], "stddev": 1e308, "count": 50},
+                      "majority_components": [{"mean": [0.0], "stddev": 1.0, "count": 90}]}},
+         "DatasetError: non-finite feature value"),
+        ({"csv": "latin1.csv"}, "DatasetError: latin1.csv, line 3: not UTF-8"),
+    ])
+    def test_run_source_that_cannot_be_read_fails_every_cell(self, tmp_path, capsys, monkeypatch,
+                                                              source, problem):
+        from regroupbench.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.csv").write_bytes(b"f0,label\n0.5,0\n0.7,caf\xe9\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "dataset": source, "methods": [{"name": "CE"}], "seeds": [0, 1],
+            "hidden_dims": [], "train": {"epochs": 1}, "output_dir": "o"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would be the rows' error
+            assert main(["run", "--config", "cfg.json"]) == 1
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(r[-1].startswith(problem.replace(",", ";")) for r in rows)
+        err = capsys.readouterr().err.splitlines()  # no numpy warning line besides the rows
+        assert len(err) == 2 and all(line.startswith(f"FAILED CE seed={s}: {problem}")
+                                     for s, line in zip((0, 1), err))
 
     def test_synth_spec_that_is_no_object_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main
