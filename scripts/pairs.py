@@ -59,9 +59,14 @@ this checkout's `src/` differs from HEAD (the head side measures it as it
 stands). Per point: its `unit`; per side its `samples`, each
 interpreter's median (`rounds`) and the median and quartiles of the samples;
 `head_wins`, the rounds whose head median is below the base median (ties
-count for neither side); and `median_speedup`, the median over rounds of
-base / head. `outputs_equal` says whether every interpreter of both sides
-gave the same outputs; the run exits 1 if not.
+count for neither side); `median_speedup`, the median over rounds of
+base / head; and `verdict`, whether the difference counts by the rule a
+claimed gain must meet: `faster` when head is lower in at least nine tenths
+of the rounds and the median of the base round medians exceeds that of
+head's by more than their interquartile range (q3 - q1 of the base round
+medians), `slower` when the same holds with the sides swapped, and
+`unresolved` otherwise. `outputs_equal` says whether every interpreter of
+both sides gave the same outputs; the run exits 1 if not.
 """
 from __future__ import annotations
 
@@ -330,6 +335,18 @@ def quartiles(values: list) -> dict:
     return {"median": round(float(med), 4), "q1": round(float(q1), 4), "q3": round(float(q3), 4)}
 
 
+def verdict(base: list, head: list) -> str:
+    """`faster`, `slower` or `unresolved`: head against base by the win and spread rule of
+    the module docstring, given each side's per-round medians."""
+    q1, mid, q3 = np.percentile(base, [25, 50, 75])
+    gap = float(mid - np.median(head))
+    for name, wins, sign in (("faster", sum(h < b for b, h in zip(base, head)), 1),
+                             ("slower", sum(h > b for b, h in zip(base, head)), -1)):
+        if wins >= 0.9 * len(base) and sign * gap > q3 - q1:
+            return name
+    return "unresolved"
+
+
 def summarize(pairs: list[dict]) -> dict:
     """The report's `points` and `outputs_equal` from `pairs`, one
     {side: measure output} per round and input."""
@@ -348,6 +365,7 @@ def summarize(pairs: list[dict]) -> dict:
         entry["head_wins"] = sum(h < b for b, h in zip(base, head))
         entry["median_speedup"] = (round(float(np.median(np.divide(base, head))), 4)
                                    if all(head) else None)  # no ratio to a reading of 0
+        entry["verdict"] = verdict(base, head)
         for name in ("base", "head"):
             entry[name] = {"samples": [round(x, 4) for x in entry[name]["samples"]],
                            "rounds": [round(x, 4) for x in entry[name]["rounds"]],
@@ -392,7 +410,7 @@ def record(base_rev: str, topic: str, out: str) -> int:
     for point, entry in report["points"].items():
         print(f"{point}: base {entry['base']['median']} -> head {entry['head']['median']} "
               f"{entry['unit']}; head lower in {entry['head_wins']}/{ROUNDS} rounds, "
-              f"median speedup {entry['median_speedup']}")
+              f"median speedup {entry['median_speedup']}, {entry['verdict']}")
     print(f"outputs equal: {report['outputs_equal']}")
     return 0 if report["outputs_equal"] else 1
 

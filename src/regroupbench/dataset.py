@@ -82,7 +82,7 @@ def typed(obj, error: type[ValueError]) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An (n, D) float64 feature matrix plus length-n integer labels.
+    """An (n, D) float64 feature matrix plus length-n class ids (no class names).
 
     Invariants (checked at construction): n >= 1, D >= 1, all features
     finite, labels in 0..C-1 with every class present at least once.
@@ -91,7 +91,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -109,8 +108,6 @@ class Dataset:
         if np.any(counts == 0):
             missing = int(np.argmin(counts))
             raise DatasetError(f"class {missing} has no samples")
-        if self.class_names is not None and len(self.class_names) != len(counts):
-            raise DatasetError("class_names length does not match number of classes")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", X)
@@ -132,10 +129,6 @@ class Dataset:
     @property
     def class_counts(self) -> tuple[int, ...]:
         return self._class_counts
-
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        """Row subset keeping the given order (all classes must survive)."""
-        return Dataset(self.features[idx], self.labels[idx], self.class_names)
 
 
 @dataclass(frozen=True)
@@ -210,9 +203,7 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int):
         idx = np.flatnonzero(ds.labels == c)
         chosen = rng.permutation(idx)[:n_test]
         test_mask[chosen] = True
-    train = ds.subset(np.flatnonzero(~test_mask))
-    test = ds.subset(np.flatnonzero(test_mask))
-    return train, test
+    return tuple(Dataset(ds.features[mask], ds.labels[mask]) for mask in (~test_mask, test_mask))
 
 
 def standardize(train: Dataset, others: list[Dataset] = ()):
@@ -228,21 +219,20 @@ def standardize(train: Dataset, others: list[Dataset] = ()):
     def apply(ds: Dataset) -> Dataset:
         X = ds.features - mean  # one allocation: the same bits as (features - mean) / scale
         X /= scale
-        return Dataset(X, ds.labels, ds.class_names)
+        return Dataset(X, ds.labels)
 
     return apply(train), [apply(ds) for ds in others], mean, std
 
 
 def save_csv_dataset(ds: Dataset, path):
     """Write the dataset as UTF-8 CSV: header f0..f{D-1},label; features with
-    17 significant digits (exact float64 round-trip)."""
+    17 significant digits (exact float64 round-trip), labels as class ids."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([f"f{j}" for j in range(ds.dim)] + ["label"]) + "\n")
         for row, y in zip(ds.features, ds.labels):
-            name = ds.class_names[y] if ds.class_names is not None else str(int(y))
             fh.write(",".join(np.format_float_scientific(v, precision=16) for v in row))
-            fh.write(f",{name}\n")
+            fh.write(f",{y}\n")
 
 
 _NOT_SPACE = re.compile(r"\S")  # \s: what str.isspace() and str.strip() take as whitespace
@@ -294,8 +284,9 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
     fields = [(f"c{j}", label_field if j == label_idx else float) for j in range(len(header))]
     try:
         if not any(c in text for c in "\x1c\x1d\x1e\x1f") and (text.isascii() or not typed):
+            # a second read of the file, yet faster than loadtxt on StringIO(text) or its lines
             table = np.loadtxt(path, delimiter=",", comments=None, skiprows=first + 1,
-                               encoding="utf-8", dtype=fields, ndmin=1)  # no list of lines
+                               encoding="utf-8", dtype=fields, ndmin=1)
             labels = table[f"c{label_idx}"].tolist()
             if typed:  # every field is 8 bytes: the rows are one (n, columns) float64 block
                 block = table.view(np.float64).reshape(len(table), -1)
@@ -332,20 +323,16 @@ def load_csv_dataset(path, label_column: str | int = "label") -> Dataset:
 
     Integer label values forming a contiguous 0-based range are kept
     verbatim (so integer-labeled datasets round-trip exactly); any other
-    labels get class ids by first appearance, recorded in class_names.
+    labels get class ids by first appearance, and their texts are dropped.
     """
     features, raw_labels = read_csv_columns(path, label_column)
     distinct = list(dict.fromkeys(raw_labels))
+    ids = range(len(distinct))  # by first appearance
     try:
         as_int = [int(s) for s in distinct]
-        contiguous = sorted(as_int) == list(range(len(as_int)))
+        if sorted(as_int) == list(ids):
+            ids = as_int
     except ValueError:
-        contiguous = False
-    if contiguous:
-        labels = np.array([int(s) for s in raw_labels], dtype=np.int64)
-        names = tuple(str(c) for c in range(len(distinct)))
-    else:
-        mapping = {s: c for c, s in enumerate(distinct)}
-        labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
-        names = tuple(distinct)
-    return Dataset(features, labels, class_names=names)
+        pass
+    mapping = dict(zip(distinct, ids))
+    return Dataset(features, np.array([mapping[s] for s in raw_labels], dtype=np.int64))

@@ -61,8 +61,7 @@ def confusion_table(y_true, y_pred, num_classes: int | None = None) -> Confusion
         raise MetricError(f"length mismatch: {t.shape} vs {p.shape}")
     if t.size == 0:
         raise MetricError("empty label vectors")
-    C = num_classes if num_classes is not None else int(max(t.max(), p.max())) + 1
-    C = max(C, 2)
+    C = num_classes if num_classes is not None else max(int(max(t.max(), p.max())) + 1, 2)
     if t.min() < 0 or p.min() < 0 or t.max() >= C or p.max() >= C:
         raise MetricError(f"labels outside 0..{C - 1}")
     m = np.zeros((C, C), dtype=np.int64)

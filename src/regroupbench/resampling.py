@@ -68,4 +68,4 @@ def resample(train: Dataset, spec: ResampleSpec) -> Dataset:
                 parts.append(rows[base] + u[:, None] * (rows[pick] - rows[base]))
             feat_parts.append(np.vstack(parts))
         label_parts.append(np.full(len(feat_parts[-1]), c, dtype=np.int64))
-    return Dataset(np.vstack(feat_parts), np.concatenate(label_parts), train.class_names)
+    return Dataset(np.vstack(feat_parts), np.concatenate(label_parts))

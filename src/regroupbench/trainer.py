@@ -264,9 +264,9 @@ def _train_stack(datasets, specs, seeds, loss: LossSpec, cfg: TrainConfig) -> li
                 break
             lr = cosine_lr(epoch, cfg.epochs, cfg.lr_max, cfg.lr_min)
             for row, (rng, ds) in enumerate(zip(rngs, datasets)):
-                order = rng.permutation(n)
-                np.take(ds.features, order, axis=0, out=X_all[row])
-                np.take(ds.labels, order, out=y_all[row])
+                order = rng.permutation(n)  # clips no index; "raise" would buffer the out= copy
+                np.take(ds.features, order, axis=0, out=X_all[row], mode="clip")
+                np.take(ds.labels, order, out=y_all[row], mode="clip")
             for start in range(0, n, size):
                 X, y = X_all[:, start:start + size], y_all[:, start:start + size].ravel()
                 logits, values = _backprop(X, y, weights, biases, loss, grad_w, grad_b)

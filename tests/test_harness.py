@@ -387,7 +387,9 @@ class TestCsvSourceProperties:
         rows = []
         for pair in (("sick", "well"), tuple(names[:2])):
             path = work / f"{'-'.join(pair)}.csv"
-            save_csv_dataset(Dataset(ds.features, ds.labels, pair), path)
+            text = "".join(f"{x0!r},{x1!r},{pair[y]}\n"
+                           for (x0, x1), y in zip(ds.features.tolist(), ds.labels))
+            path.write_text("f0,f1,label\n" + text)
             rows.append(cell_rows(replace(cfg, dataset={"csv": str(path)}), False))
         assert rows[0] == rows[1]
 
@@ -947,6 +949,8 @@ class TestCli:
              "line 5: could not convert string to float: 'bad' in column 's1'"),
             ("truth\n0\n1\n", "no column besides 'truth'"),
             (b"s0,s1,truth\n0.9,0.1,0\n0.2,caf\xe9,1\n", "line 3: not UTF-8"),  # Latin-1
+            ("s0,truth\n0.9,0\n0.2,1\n", "labels outside 0..0"),  # one score column, one class
+            ("s0,truth\n0.9,0\n0.2,0\n", "C >= 2, got (1, 1)"),  # one column, every label 0
         ],
     )
     def test_metrics_bad_prediction_csv_is_named_error(self, tmp_path, capsys, text, problem):

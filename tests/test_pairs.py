@@ -46,6 +46,24 @@ def test_summary_of_hand_made_samples():
                                                                      "q3": 2.0}
 
 
+BASE_ROUNDS = [10.0 + r for r in range(10)]  # median 14.5, q1 12.25, q3 16.75: IQR 4.5
+
+
+@pytest.mark.parametrize("shift,first,expected", [
+    (-5.0, [], "faster"),  # head lower in 10/10 rounds, 5 below past the IQR
+    (-10.0, [0.0], "faster"),  # 9/10: a tie counts for neither side
+    (-1.0, [1.0], "unresolved"),  # 9/10, but the gap is inside the IQR
+    (-10.0, [1.0, 0.0], "unresolved"),  # 8/10
+    (5.0, [], "slower"),  # the mirror of the first case
+])
+def test_verdict_of_hand_made_rounds(shift, first, expected):
+    # head reads base + shift in each round, but base + first[r] in the first rounds
+    head = [b + shift for b in BASE_ROUNDS]
+    head[:len(first)] = [b + d for b, d in zip(BASE_ROUNDS, first)]
+    rounds = [{"base": doc([b]), "head": doc([h])} for b, h in zip(BASE_ROUNDS, head)]
+    assert pairs.summarize(rounds)["points"]["p"]["verdict"] == expected
+
+
 def test_no_speedup_against_a_reading_of_zero():
     # rss_children_mb reads 0 when an interpreter ran its grid without workers
     point = pairs.summarize([{"base": doc([0.0]), "head": doc([0.0])}])["points"]["p"]
