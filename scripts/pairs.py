@@ -17,14 +17,17 @@ interpreter per side, alternating which side goes first. An interpreter
 (`pairs.py --measure TOPIC SRC JOB`) imports the package from SRC, measures
 and prints its samples and output digests as JSON. The topics:
 
-- `grid`: `regroupbench run` through `regroupbench.cli.main` on the
-  benchmark's desk-overlap and csv-scale workloads (`perfbench/workloads.py`,
-  workload seed SEED), one interpreter per workload, GRID_PASSES grids each.
-  Points per workload: `wall_s`, the mean wall time of the passes;
-  `rss_self_mb`, the interpreter's own peak resident memory (`RUSAGE_SELF`,
-  what the benchmark's `peak_rss_mb` counts); `rss_children_mb`, the largest
-  peak of the processes it waited for, that is of the pool workers that ran
-  the columns. The output is `results.csv` without `wall_time_s`.
+- `grid`: the benchmark's desk-overlap, csv-scale and score-csv workloads
+  (`perfbench/workloads.py`, workload seed SEED), one interpreter per
+  workload. A pass hands every op of the workload, in order, to
+  `regroupbench.cli.main` with stdout captured: a `regroupbench run` grid, and
+  for score-csv the `regroupbench metrics` calls after its smoke grid. Each
+  interpreter runs GRID_PASSES passes. Points per workload: `wall_s`, the
+  mean wall time of the passes; `rss_self_mb`, the interpreter's own peak
+  resident memory (`RUSAGE_SELF`, what the benchmark's `peak_rss_mb`
+  counts); `rss_children_mb`, the largest peak of the processes it waited
+  for, that is of the pool workers that ran the columns. The outputs are each
+  run op's `results.csv` without `wall_time_s` and each metrics op's stdout.
 - `grid-serial`: the same with every interpreter pinned to one CPU (as
   `taskset -c 0` does), so `run_grid` runs the columns in-process.
 - `knn`: the nearest-neighbour kernels, in ms, on unit-noise Gaussian blobs
@@ -121,14 +124,14 @@ def sha256(data: bytes) -> str:
 
 def grid_inputs(work: Path) -> tuple[str, list[dict]]:
     jobs, seeds = [], {}
-    for name in ("desk-overlap", "csv-scale"):
+    for name in ("desk-overlap", "csv-scale", "score-csv"):
         (work / name).mkdir()
         workload = WORKLOADS[name](SEED, work / name)
         seeds[name] = workload.info["grid_seeds"]
-        jobs.append({"workload": name, "config": workload.configs[0],
-                     "out": str(work / name / "out")})
-    return (f"perfbench workloads desk-overlap and csv-scale, workload seed {SEED}, grid seeds "
-            f"{seeds}; {GRID_PASSES} grids per interpreter"), jobs
+        jobs.append({"workload": name, "ops": [list(op.argv) for op in workload.ops]})
+    return (f"perfbench workloads desk-overlap, csv-scale and score-csv, workload seed {SEED}, "
+            f"grid seeds {seeds}; every op of the workload per pass, {GRID_PASSES} passes per "
+            "interpreter"), jobs
 
 
 def measure_grid(job: dict) -> dict:
@@ -136,16 +139,24 @@ def measure_grid(job: dict) -> dict:
 
     walls = []
     for _ in range(GRID_PASSES):
+        stdouts = []
         t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", "--config", job["config"], "--out", job["out"]])
+        for argv in job["ops"]:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"regroupbench {argv[0]} exited {code}")
+            stdouts.append(out.getvalue())
         walls.append(time.perf_counter() - t0)
-        if code != 0:
-            raise SystemExit(f"regroupbench run exited {code}")
-    lines = (Path(job["out"]) / "results.csv").read_text(encoding="utf-8").splitlines()
-    col = lines[0].split(",").index("wall_time_s")
-    stripped = "\n".join(",".join(c[:col] + c[col + 1:]) for c in (ln.split(",") for ln in lines))
-    name = job["workload"]
+    name, digests = job["workload"], {}
+    for i, (argv, text) in enumerate(zip(job["ops"], stdouts)):
+        if argv[0] == "run":  # the grid's results.csv, not its stdout
+            results = Path(argv[argv.index("--out") + 1]) / "results.csv"
+            lines = results.read_text(encoding="utf-8").splitlines()
+            col = lines[0].split(",").index("wall_time_s")
+            text = "\n".join(",".join(c[:col] + c[col + 1:])
+                             for c in (ln.split(",") for ln in lines))
+        digests[f"{name} op {i}"] = sha256(text.encode())
     return {
         "points": {
             f"{name} wall_s": ("s", [sum(walls) / len(walls)]),
@@ -154,7 +165,7 @@ def measure_grid(job: dict) -> dict:
             f"{name} rss_children_mb":
                 ("MB", [resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0]),
         },
-        "digests": {name: sha256(stripped.encode())},
+        "digests": digests,
     }
 
 

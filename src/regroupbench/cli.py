@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -68,15 +69,21 @@ def _cmd_metrics(args) -> int:
         return 2
     pred = np.argmax(scores, axis=1)
     try:
+        if scores.shape[1] < 2:
+            raise MetricError(f"need at least 2 score columns, got {scores.shape[1]}")
         try:
             y = np.array(y, dtype=np.int64)
         except OverflowError:  # a label past int64 is outside the score columns too
             raise MetricError(f"labels outside 0..{scores.shape[1] - 1}") from None
         report = summary_metrics(confusion_table(y, pred, num_classes=scores.shape[1]))
-        aps, macro = per_class_ap(y, scores)
+        with warnings.catch_warnings(record=True) as absent:
+            warnings.simplefilter("always")
+            aps, macro = per_class_ap(y, scores)
     except MetricError as exc:
         print(f"prediction CSV {args.pred}: {exc}", file=sys.stderr)
         return 2
+    for note in absent:  # a class with no truth rows: AP null and one stderr line
+        print(f"prediction CSV {args.pred}: {note.message}", file=sys.stderr)
     report = replace(report, ap_per_class=aps, macro_ap=macro)
     print(report.to_json())
     return 0

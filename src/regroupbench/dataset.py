@@ -241,8 +241,8 @@ _NOT_SPACE = re.compile(r"\S")  # \s: what str.isspace() and str.strip() take as
 def read_csv_columns(path, label_column: str | int, label_type=str):
     """Read a headered CSV into ((n, D) float64 features, n labels). The
     label column, named or given by index, is converted with label_type and
-    every other column with float(). Blank lines are skipped; DatasetError
-    names the physical line and the column of a bad cell.
+    every other column with float(). Blank lines and a leading BOM are
+    skipped; DatasetError names the physical line and the column of a bad cell.
     Fast path: np.loadtxt in C on the file, labels as objects (U<n> would
     truncate them) or, for label_type int, as int64. The row scan takes over
     on U+001C..U+001F (loadtxt strips them; float() and int() reject them),
@@ -257,7 +257,7 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
     if not path.is_file():
         raise DatasetError(f"{path}: no such file")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object[:exc.start].count(b"\n") + 1
         raise DatasetError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None

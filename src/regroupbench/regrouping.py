@@ -28,11 +28,10 @@ def compute_k(n_majority: int, n_minority: int) -> int:
 
 @dataclass(frozen=True)
 class RegroupPlan:
-    """Bidirectional map between original classes and pseudo-label ids.
-
-    Original class c owns the contiguous pseudo id block
-    [offset_c, offset_c + group_counts[c]); classes split into more than one
-    group carry the k-means model that produced the split.
+    """One group count per original class. Class c owns the pseudo ids
+    [sum(group_counts[:c]), sum(group_counts[:c + 1])), so the blocks follow
+    class order; classes split into more than one group carry the k-means
+    model that produced the split.
     """
 
     group_counts: tuple[int, ...]
@@ -42,23 +41,13 @@ class RegroupPlan:
     def __post_init__(self):
         if any(g < 1 for g in self.group_counts):
             raise RegroupError("every group count must be >= 1")
-        offsets = np.concatenate([[0], np.cumsum(self.group_counts)])
-        original = np.concatenate(
-            [np.full(g, c, dtype=np.int64) for c, g in enumerate(self.group_counts)]
-        )
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_original_of", original)
-
-    @property
-    def original_num_classes(self) -> int:
-        return len(self.group_counts)
 
     @property
     def pseudo_num_classes(self) -> int:
-        return int(self._offsets[-1])
+        return int(sum(self.group_counts))
 
     def pseudo_ids_of(self, original_class: int) -> range:
-        lo = int(self._offsets[original_class])
+        lo = int(sum(self.group_counts[:original_class]))
         return range(lo, lo + self.group_counts[original_class])
 
 
@@ -124,9 +113,10 @@ def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):
     Returns (predicted original labels, (n, original_C) score matrix).
     """
     P = np.asarray(pseudo_proba, dtype=np.float64)
-    pred = plan._original_of[np.argmax(P, axis=1)]
+    C = len(plan.group_counts)
+    pred = np.repeat(np.arange(C), plan.group_counts)[np.argmax(P, axis=1)]
     # a fancy-index copy: a slice view or np.add.reduceat sums in another order and moves AP bits
     scores = np.column_stack(
-        [P[:, list(plan.pseudo_ids_of(c))].sum(axis=1) for c in range(plan.original_num_classes)]
+        [P[:, list(plan.pseudo_ids_of(c))].sum(axis=1) for c in range(C)]
     )
     return pred, scores

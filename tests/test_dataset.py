@@ -91,6 +91,10 @@ class TestCsv:
         with pytest.raises(DatasetError) as err:
             load_csv_dataset(p)
         assert str(err.value) == f"{p}, line 4: not UTF-8 (invalid continuation byte)"
+        p.write_bytes(b"\xef\xbb\xbff0,label\n0.5,0\n0.7,caf\xe9\n")  # after a byte-order mark
+        with pytest.raises(DatasetError) as err:
+            load_csv_dataset(p)
+        assert str(err.value) == f"{p}, line 3: not UTF-8 (invalid continuation byte)"
         denied = PermissionError(13, "Permission denied")
         monkeypatch.setattr(Path, "read_text", mock.Mock(side_effect=denied))
         with pytest.raises(DatasetError) as err:
@@ -109,6 +113,22 @@ class TestCsv:
         ds = load_csv_dataset(p, label_column=0)
         np.testing.assert_array_equal(ds.labels, [0, 1])
         np.testing.assert_allclose(ds.features[:, 0], [1.5, 2.5])
+
+    @pytest.mark.parametrize("labels,label_type", [(["A", "B", "A"], str), (["0", "1", "1"], int)])
+    def test_byte_order_mark_is_skipped(self, tmp_path, labels, label_type):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF; the label column comes first here
+        text = "label,f0\n" + "".join(f"{y},{i / 3!r}\n" for i, y in enumerate(labels))
+        p, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        p.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        with mock.patch.object(np, "loadtxt", side_effect=np.loadtxt) as loadtxt:
+            features, y = read_csv_columns(marked, "label", label_type)
+        loadtxt.assert_called_once()  # int labels take the C parse only on an ASCII text
+        want_features, want_y = read_csv_columns(p, "label", label_type)
+        assert features.tobytes() == want_features.tobytes() and y == want_y
+        got, want = load_csv_dataset(marked), load_csv_dataset(p)
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip(self, tmp_path, seed):

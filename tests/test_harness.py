@@ -949,8 +949,8 @@ class TestCli:
              "line 5: could not convert string to float: 'bad' in column 's1'"),
             ("truth\n0\n1\n", "no column besides 'truth'"),
             (b"s0,s1,truth\n0.9,0.1,0\n0.2,caf\xe9,1\n", "line 3: not UTF-8"),  # Latin-1
-            ("s0,truth\n0.9,0\n0.2,1\n", "labels outside 0..0"),  # one score column, one class
-            ("s0,truth\n0.9,0\n0.2,0\n", "C >= 2, got (1, 1)"),  # one column, every label 0
+            ("s0,truth\n0.9,0\n0.2,1\n", "need at least 2 score columns, got 1"),
+            ("s0,truth\n0.9,0\n0.2,0\n", "need at least 2 score columns, got 1"),  # every label 0
         ],
     )
     def test_metrics_bad_prediction_csv_is_named_error(self, tmp_path, capsys, text, problem):
@@ -1350,6 +1350,29 @@ class TestCli:
         pred.write_text("s0,s1,truth\n0.9,0.1,0\n\n0.2,0.8,1\n \n0.6,0.4,1\n\n")
         assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
         assert capsys.readouterr().out == plain
+
+    def test_metrics_skips_a_byte_order_mark(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        pred = tmp_path / "pred.csv"
+        pred.write_text("truth,s0,s1\n0,0.9,0.1\n1,0.2,0.8\n")
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
+        plain = capsys.readouterr().out
+        pred.write_bytes(b"\xef\xbb\xbftruth,s0,s1\n0,0.9,0.1\n1,0.2,0.8\n")  # Excel's CSV UTF-8
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_metrics_names_an_absent_class_in_one_line(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        pred = tmp_path / "pred.csv"
+        pred.write_text("s0,s1,s2,truth\n0.9,0.1,0,0\n0.2,0.8,0,1\n")
+        assert main(["metrics", "--pred", str(pred), "--truth-col", "truth"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"prediction CSV {pred}: class 2 absent from y_true; "
+                                "AP undefined, excluded from macro\n")
+        doc = json.loads(captured.out)
+        assert doc["ap_per_class"] == [1.0, 1.0, None] and doc["macro_ap"] == 1.0
 
     def test_synth_mixture_missing_key_is_named_error(self, tmp_path, capsys):
         from regroupbench.cli import main
