@@ -27,7 +27,8 @@ and prints its samples and output digests as JSON. The topics:
   resident memory (`RUSAGE_SELF`, what the benchmark's `peak_rss_mb`
   counts); `rss_children_mb`, the largest peak of the processes it waited
   for, that is of the pool workers that ran the columns. The outputs are each
-  run op's `results.csv` without `wall_time_s` and each metrics op's stdout.
+  run op's `results.csv` without `wall_time_s` and its `summary.txt`, and
+  each metrics op's stdout.
 - `grid-serial`: the same with every interpreter pinned to one CPU (as
   `taskset -c 0` does), so `run_grid` runs the columns in-process.
 - `knn`: the nearest-neighbour kernels, in ms, on unit-noise Gaussian blobs
@@ -150,9 +151,11 @@ def measure_grid(job: dict) -> dict:
         walls.append(time.perf_counter() - t0)
     name, digests = job["workload"], {}
     for i, (argv, text) in enumerate(zip(job["ops"], stdouts)):
-        if argv[0] == "run":  # the grid's results.csv, not its stdout
-            results = Path(argv[argv.index("--out") + 1]) / "results.csv"
-            lines = results.read_text(encoding="utf-8").splitlines()
+        if argv[0] == "run":  # the grid's results.csv and summary.txt, not its stdout
+            grid_out = Path(argv[argv.index("--out") + 1])
+            summary = (grid_out / "summary.txt").read_bytes()
+            digests[f"{name} op {i} summary.txt"] = sha256(summary)
+            lines = (grid_out / "results.csv").read_text(encoding="utf-8").splitlines()
             col = lines[0].split(",").index("wall_time_s")
             text = "\n".join(",".join(c[:col] + c[col + 1:])
                              for c in (ln.split(",") for ln in lines))

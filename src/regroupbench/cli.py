@@ -104,7 +104,7 @@ def _cmd_synth(args) -> int:
         else:
             spec = from_object(MixtureSpec, doc, "spec", DatasetError)
         ds = generate_imbalanced_mixture(spec)
-    except (OSError, ValueError) as exc:  # HarnessError, DatasetError: ValueErrors
+    except (OSError, ValueError, MemoryError) as exc:  # HarnessError, DatasetError: ValueErrors
         print(f"spec {args.spec}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -54,6 +54,7 @@ RESULTS_HEADER = (
     "method,seed,accuracy,balanced_accuracy,macro_ap,ap_per_class,K,train_size,"
     "config_hash,wall_time_s,error"
 )
+SUMMARY_COLUMNS = ("minority AP", "macro AP", "bal. acc", "accuracy")
 
 
 class HarnessError(ValueError):
@@ -414,36 +415,24 @@ def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> Resu
 class AggregateLine:
     method: str
     n_runs: int
-    mean_minority_ap: float
-    std_minority_ap: float
-    mean_macro_ap: float
-    std_macro_ap: float
-    mean_ba: float
-    std_ba: float
-    mean_accuracy: float
-    std_accuracy: float
+    stats: tuple[tuple[float, float], ...]  # (mean, population std) per SUMMARY_COLUMNS entry
 
 
 def aggregate(rows: list[ResultRow], methods: tuple[MethodKind, ...],
               minority: int = 0) -> list[AggregateLine]:
-    """Mean and population std over seeds, per method, config order; minority
-    AP is class `minority`'s. Failed cells are skipped; methods with no
-    successful run are omitted."""
+    """Mean and population std over seeds of each SUMMARY_COLUMNS column, per method,
+    config order; minority AP is class `minority`'s. Failed cells are skipped;
+    methods with no successful run are omitted."""
     lines = []
     for m in methods:
         ok = [r for r in rows if r.method == m.name and not r.error]
         if not ok:
             continue
-
-        def stats(vals):
-            a = np.array(vals, dtype=np.float64)
-            return float(a.mean()), float(a.std())
-
-        min_ap = stats([r.ap_per_class[minority] for r in ok])
-        mac = stats([r.macro_ap for r in ok])
-        ba = stats([r.balanced_accuracy for r in ok])
-        acc = stats([r.accuracy for r in ok])
-        lines.append(AggregateLine(m.name, len(ok), *min_ap, *mac, *ba, *acc))
+        values = [(r.ap_per_class[minority], r.macro_ap, r.balanced_accuracy, r.accuracy)
+                  for r in ok]
+        # one 1-D reduction per column: a 2-D axis=0 mean sums in another order from 8 rows
+        stats = tuple((float(np.mean(c)), float(np.std(c))) for c in zip(*values))
+        lines.append(AggregateLine(m.name, len(ok), stats))
     return lines
 
 
@@ -486,18 +475,11 @@ def write_results(rows, aggregates, out_dir) -> tuple[Path, Path]:
 
     summary = out / "summary.txt"
     with summary.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"{'method':<10} {'runs':>4} {'minority AP':>16} {'macro AP':>16} "
-            f"{'bal. acc':>16} {'accuracy':>16}\n"
-        )
+        fh.write(f"{'method':<10} {'runs':>4}"
+                 + "".join(f" {title:>16}" for title in SUMMARY_COLUMNS) + "\n")
         for a in aggregates:
-            fh.write(
-                f"{a.method:<10} {a.n_runs:>4}"
-                f" {a.mean_minority_ap:.4f} +- {a.std_minority_ap:.4f}"
-                f" {a.mean_macro_ap:.4f} +- {a.std_macro_ap:.4f}"
-                f" {a.mean_ba:.4f} +- {a.std_ba:.4f}"
-                f" {a.mean_accuracy:.4f} +- {a.std_accuracy:.4f}\n"
-            )
+            fh.write(f"{a.method:<10} {a.n_runs:>4}"
+                     + "".join(f" {mean:.4f} +- {std:.4f}" for mean, std in a.stats) + "\n")
     return results, summary
 
 

@@ -126,7 +126,7 @@ class TestMajorityByCount:
         assert [r.k_groups for r in rg] == [9, 9] and not any(r.error for r in rows)
         assert [r.ap_per_class for r in rg] != [r.ap_per_class for r in ce]
         for agg, cells in zip(aggs, (ce, rg)):
-            assert agg.mean_minority_ap == np.mean([r.ap_per_class[1] for r in cells])
+            assert agg.stats[0][0] == np.mean([r.ap_per_class[1] for r in cells])
 
     def test_minority_is_the_sources_smallest_class_not_the_train_splits(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -138,7 +138,7 @@ class TestMajorityByCount:
         assert train_ds.class_counts == (3, 3) and test_ds.class_counts == (4, 3)
         rows, (agg,) = run_grid(cfg)
         assert not any(r.error for r in rows)
-        assert agg.mean_minority_ap == np.mean([r.ap_per_class[1] for r in rows])
+        assert agg.stats[0][0] == np.mean([r.ap_per_class[1] for r in rows])
 
     @settings(max_examples=40, deadline=None)
     @given(counts=st.tuples(st.integers(2, 120), st.integers(2, 120)),
@@ -167,8 +167,12 @@ class TestRunGrid:
         cfg = tiny_cfg(["CE"], seeds=(0, 1, 2))
         rows, aggs = run_grid(cfg)
         vals = np.array([r.macro_ap for r in rows])
-        assert aggs[0].mean_macro_ap == pytest.approx(vals.mean(), abs=1e-12)
-        assert aggs[0].std_macro_ap == pytest.approx(vals.std(), abs=1e-12)
+        assert aggs[0].stats[1][0] == pytest.approx(vals.mean(), abs=1e-12)
+        assert aggs[0].stats[1][1] == pytest.approx(vals.std(), abs=1e-12)
+        columns = [[r.ap_per_class[0] for r in rows], [r.macro_ap for r in rows],
+                   [r.balanced_accuracy for r in rows], [r.accuracy for r in rows]]
+        assert len(harness.SUMMARY_COLUMNS) == len(aggs[0].stats) == len(columns)
+        assert aggs[0].stats == tuple((np.mean(c), np.std(c)) for c in columns)
 
     def test_failed_cell_recorded_and_grid_continues(self):
         # minority train split has a single sample -> SMOTE has no neighbor
@@ -1157,6 +1161,9 @@ class TestCli:
          "component stddev must be finite and > 0, got nan"),
         # finite, but the draw overflows: the dataset's own check names the row
         ([{"mean": [1e308], "stddev": 1e308, "count": 50}] * 2, "non-finite feature value at row"),
+        # 1.39 EiB: past any 64-bit address space, so numpy refuses it without touching memory
+        ([{"mean": [0.0, 0.0], "stddev": 1.0, "count": 10**17},
+          {"mean": [1.0, 1.0], "stddev": 1.0, "count": 9}], "Unable to allocate 1.39 EiB"),
     ])
     def test_synth_spec_that_cannot_be_drawn_is_named_error(self, tmp_path, capsys,
                                                             components, problem):
@@ -1405,10 +1412,11 @@ class TestCli:
 
 
 def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
-    """The results.csv bytes (wall_time_s blanked) of two grids. CE, SMOTE+CE
-    and RG+CE on a 3-class CSV: SMOTE neighbours, multiclass k-means and
-    training feed them. All eight methods on the overlap family: each one's
-    loss, train-set transform and hyperparameters, and the config hash."""
+    """The results.csv bytes (wall_time_s blanked) and the summary.txt bytes
+    of two grids. CE, SMOTE+CE and RG+CE on a 3-class CSV: SMOTE neighbours,
+    multiclass k-means and training feed them. All eight methods on the
+    overlap family: each one's loss, train-set transform and hyperparameters,
+    and the config hash."""
     import hashlib
 
     from regroupbench.cli import main
@@ -1419,7 +1427,8 @@ def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
         rows = [line.split(",") for line in Path("out/results.csv").read_text().splitlines()]
         for cells in rows[1:]:
             cells[-2] = ""  # wall_time_s
-        return hashlib.sha256("\n".join(",".join(cells) for cells in rows).encode()).hexdigest()
+        return (hashlib.sha256("\n".join(",".join(cells) for cells in rows).encode()).hexdigest(),
+                hashlib.sha256(Path("out/summary.txt").read_bytes()).hexdigest())
 
     rng = np.random.default_rng(2024)
     lines = ["f0,f1,f2,f3,f4,f5,f6,f7,label"]
@@ -1433,11 +1442,13 @@ def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
         "dataset": {"csv": "data.csv"},
         "methods": [{"name": "CE"}, {"name": "SMOTE+CE"}, {"name": "RG+CE"}],
         "seeds": [0, 1], "hidden_dims": [8], "train": {"epochs": 2},
-    }) == "f2b2cf4d3022eeac05a9ba7cd08698588523dc2a881c664b4a89ea5cd5a01da0"
+    }) == ("f2b2cf4d3022eeac05a9ba7cd08698588523dc2a881c664b4a89ea5cd5a01da0",
+           "706a661bd9c0595b78a871e628af7a51ce9b3745ed577ac1c0a94d562f75ad66")
     assert digest({
         "dataset": {"builtin": "overlap"},
         "methods": [{"name": m} for m in ("CE", "WCE", "Focal", "LDAM", "ROS+CE", "RUS+CE",
                                           "SMOTE+CE", "RG+CE")],
         "seeds": [0, 1], "hidden_dims": [],
         "train": {"epochs": FAST.epochs, "batch_size": FAST.batch_size},
-    }) == "b388b9d9376c07dd091b294798e0cc93f684b51653a517516cfee63b59499bdd"
+    }) == ("b388b9d9376c07dd091b294798e0cc93f684b51653a517516cfee63b59499bdd",
+           "fbf326697e22bbc08671250970a3df4edbe061ef8d9c419d62830d22ce983408")
