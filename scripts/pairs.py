@@ -1,19 +1,22 @@
-"""Time one topic in a base revision and in this checkout, in alternating pairs.
+"""Time one topic in a base revision and in this checkout, in rotating rounds.
 
     python scripts/pairs.py BASE_REV TOPIC [--out BENCH_<topic>.json]
 
 BASE_REV is any git revision. It is checked out, with no network, into a
 detached `git worktree` at `.pairs_work/base`, and its `src/` is the base
 side; the head side is a copy of this checkout's `src/`, without
-`__pycache__`, at `.pairs_work/head/src`. The two paths have one length, as
-the length of the path a side runs from moves its peak RSS by megabytes. The
-topic's input files are written once into `.pairs_work/` as well, so both
-sides read the same paths (a grid's `config_hash` covers its CSV path). The
-worktree and the work directory are removed at the end, also when a side
-fails.
+`__pycache__`, at `.pairs_work/head/src`; the self side is a copy of the
+base's `src/` at `.pairs_work/self/src`, so base against self is a pair of
+identical code that shows how far the machine alone moves a point. The three
+paths have one length, as the length of the path a side runs from moves its
+peak RSS by megabytes. The topic's input files are written once into
+`.pairs_work/` as well, so every side reads the same paths (a grid's
+`config_hash` covers its CSV path). The worktree and the work directory are
+removed at the end, also when a side fails.
 
 For each of the topic's inputs, each of ROUNDS rounds runs one fresh
-interpreter per side, alternating which side goes first. An interpreter
+interpreter per side, rotating which side goes first (base, head, self; then
+head, self, base; then self, base, head; and so on). An interpreter
 (`pairs.py --measure TOPIC SRC JOB`) imports the package from SRC, measures
 and prints its samples and output digests as JSON. The topics:
 
@@ -37,7 +40,7 @@ and prints its samples and output digests as JSON. The topics:
   centroids after 5 Lloyd steps from k-means++ seeds (csv-scale's largest
   class and its k). `smote_<m>` finds each row's 5 nearest other rows of an
   m-row class. `kmeans_fit_<n>` fits to convergence as regrouping calls it,
-  distinct-row count given, at csv-scale's two class shapes: 8,000 rows with
+  at csv-scale's two class shapes: 8,000 rows with
   k = 40 (12 blobs) and 1,200 rows with k = 6 (3 blobs). The outputs are the
   neighbour ids and the models' centroids, assignments and inertia traces.
 - `metrics_cli`: `read_csv_columns`, `per_class_ap` and one `cli.main`
@@ -64,13 +67,15 @@ stands). Per point: its `unit`; per side its `samples`, each
 interpreter's median (`rounds`) and the median and quartiles of the samples;
 `head_wins`, the rounds whose head median is below the base median (ties
 count for neither side); `median_speedup`, the median over rounds of
-base / head; and `verdict`, whether the difference counts by the rule a
-claimed gain must meet: `faster` when head is lower in at least nine tenths
-of the rounds and the median of the base round medians exceeds that of
-head's by more than their interquartile range (q3 - q1 of the base round
-medians), `slower` when the same holds with the sides swapped, and
-`unresolved` otherwise. `outputs_equal` says whether every interpreter of
-both sides gave the same outputs; the run exits 1 if not.
+base / head; `self_wins` and `self_median_speedup`, the same for the self
+side against the base; and `verdict`, whether the difference counts by the
+rule a claimed gain must meet: `faster` when head is lower in at least nine
+tenths of the rounds and the median of the base round medians exceeds that
+of head's by more than both their interquartile range (q3 - q1 of the base
+round medians) and the self-pair's gap (the base median less the self
+median, either way), `slower` when the same holds with base and head
+swapped, and `unresolved` otherwise. `outputs_equal` says whether every
+interpreter of every side gave the same outputs; the run exits 1 if not.
 """
 from __future__ import annotations
 
@@ -97,7 +102,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import (CSV_CENTRE_SD, CSV_DIM, SCORE_CLASSES, SCORE_ROWS,  # noqa: E402
                        WORKLOADS, score_matrix, write_prediction_csv)
 
-ROUNDS = 10  # fresh-interpreter pairs per input, alternating which side goes first
+ROUNDS = 10  # fresh-interpreter rounds per input, rotating which side goes first
+SIDES = ("base", "head", "self")
 WORK = ROOT / ".pairs_work"
 SEED = 1201  # workload seed of the grids and of the metrics_cli prediction file
 GRID_PASSES = 2  # grids per interpreter, as the benchmark's minimum passes per run
@@ -182,8 +188,8 @@ def knn_inputs(work: Path) -> tuple[str, list[dict]]:
     return (f"Gaussian blobs, D = {CSV_DIM}: k-means assignment of {KMEANS_ROWS} rows "
             f"(12 blobs) to {KMEANS_K} centroids; SMOTE's {SMOTE_K} nearest other rows of an "
             f"m-row class (3 blobs); kmeans_fit to convergence of 8,000 rows (12 blobs, "
-            f"k = {KMEANS_K}) and 1,200 rows (3 blobs, k = 6), seed 0, distinct-row count "
-            f"given; calls per interpreter {KNN_REPEATS}"), [{}]
+            f"k = {KMEANS_K}) and 1,200 rows (3 blobs, k = 6), seed 0; calls per "
+            f"interpreter {KNN_REPEATS}"), [{}]
 
 
 def measure_knn(job: dict) -> dict:
@@ -198,9 +204,7 @@ def measure_knn(job: dict) -> dict:
             rows, rows, SMOTE_K, exclude_self=True)
     fits = (("kmeans_fit_8000", X, KMEANS_K), ("kmeans_fit_1200", knn_blobs(1_200, 3, 1_200), 6))
     for name, rows, k in fits:
-        distinct = np.unique(rows, axis=0).shape[0]
-        calls[name] = lambda rows=rows, k=k, distinct=distinct: clustering.kmeans_fit(
-            rows, k, seed=0, _n_distinct=distinct)
+        calls[name] = lambda rows=rows, k=k: clustering.kmeans_fit(rows, k, seed=0)
     for name in ("kmeans_assign", "smote_1200", "kmeans_fit_1200"):  # warm-ups
         calls[name]()
     points, digests = {}, {}
@@ -349,41 +353,51 @@ def quartiles(values: list) -> dict:
     return {"median": round(float(med), 4), "q1": round(float(q1), 4), "q3": round(float(q3), 4)}
 
 
-def verdict(base: list, head: list) -> str:
+def verdict(base: list, head: list, self_: list) -> str:
     """`faster`, `slower` or `unresolved`: head against base by the win and spread rule of
-    the module docstring, given each side's per-round medians."""
+    the module docstring, given each side's per-round medians (self's may be empty)."""
     q1, mid, q3 = np.percentile(base, [25, 50, 75])
     gap = float(mid - np.median(head))
+    noise = max(q3 - q1, abs(mid - np.median(self_)) if self_ else 0.0)
     for name, wins, sign in (("faster", sum(h < b for b, h in zip(base, head)), 1),
                              ("slower", sum(h > b for b, h in zip(base, head)), -1)):
-        if wins >= 0.9 * len(base) and sign * gap > q3 - q1:
+        if wins >= 0.9 * len(base) and sign * gap > noise:
             return name
     return "unresolved"
 
 
+def against_base(base: list, other: list) -> tuple[int, float | None]:
+    """The rounds whose `other` median is below the base median, and the median over
+    rounds of base / other (None without rounds, or against a reading of 0)."""
+    wins = sum(x < b for b, x in zip(base, other))
+    if not other or not all(other):
+        return wins, None
+    return wins, round(float(np.median(np.divide(base, other))), 4)
+
+
 def summarize(pairs: list[dict]) -> dict:
     """The report's `points` and `outputs_equal` from `pairs`, one
-    {side: measure output} per round and input."""
+    {side: measure output} per round and input; a round may lack the self side."""
     points, digests = {}, {}
     for pair in pairs:
         for name, doc in pair.items():
             for point, (unit, samples) in doc["points"].items():
-                entry = points.setdefault(point, {"unit": unit, "base": {"samples": [], "rounds": []},
-                                                  "head": {"samples": [], "rounds": []}})
-                entry[name]["samples"] += samples
-                entry[name]["rounds"].append(float(np.median(samples)))
+                entry = points.setdefault(point, {"unit": unit})
+                side = entry.setdefault(name, {"samples": [], "rounds": []})
+                side["samples"] += samples
+                side["rounds"].append(float(np.median(samples)))
             for output, digest in doc["digests"].items():
                 digests.setdefault(output, set()).add(digest)
     for entry in points.values():
-        base, head = entry["base"]["rounds"], entry["head"]["rounds"]
-        entry["head_wins"] = sum(h < b for b, h in zip(base, head))
-        entry["median_speedup"] = (round(float(np.median(np.divide(base, head))), 4)
-                                   if all(head) else None)  # no ratio to a reading of 0
-        entry["verdict"] = verdict(base, head)
-        for name in ("base", "head"):
-            entry[name] = {"samples": [round(x, 4) for x in entry[name]["samples"]],
-                           "rounds": [round(x, 4) for x in entry[name]["rounds"]],
-                           **quartiles(entry[name]["samples"])}
+        base, head, self_ = (entry.get(name, {"rounds": []})["rounds"] for name in SIDES)
+        entry["head_wins"], entry["median_speedup"] = against_base(base, head)
+        entry["self_wins"], entry["self_median_speedup"] = against_base(base, self_)
+        entry["verdict"] = verdict(base, head, self_)
+        for name in SIDES:
+            if name in entry:
+                entry[name] = {"samples": [round(x, 4) for x in entry[name]["samples"]],
+                               "rounds": [round(x, 4) for x in entry[name]["rounds"]],
+                               **quartiles(entry[name]["samples"])}
     return {"points": points, "outputs_equal": all(len(d) == 1 for d in digests.values())}
 
 
@@ -394,8 +408,8 @@ def git(*args: str) -> str:
 
 
 def record(base_rev: str, topic: str, out: str) -> int:
-    """Write the pairs of `topic` between `base_rev` and this checkout to `out`;
-    1 if the two sides' outputs differ."""
+    """Write the rounds of `topic` between `base_rev`, this checkout and a copy of
+    `base_rev` to `out`; 1 if the sides' outputs differ."""
     revisions = {"base": git("rev-parse", "--verify", f"{base_rev}^{{commit}}"),
                  "head": git("rev-parse", "HEAD"),
                  "src_changed": git("status", "--porcelain", "--", "src") != ""}
@@ -403,15 +417,15 @@ def record(base_rev: str, topic: str, out: str) -> int:
     WORK.mkdir()  # refuses to run over another recorder's work directory
     try:
         git("worktree", "add", "--quiet", "--detach", str(base), revisions["base"])
-        shutil.copytree(ROOT / "src", WORK / "head" / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        for name, src in (("head", ROOT / "src"), ("self", base / "src")):
+            shutil.copytree(src, WORK / name / "src", ignore=shutil.ignore_patterns("__pycache__"))
         (WORK / "inputs").mkdir()
         description, jobs = TOPICS[topic].inputs(WORK / "inputs")
-        srcs = {"base": str(base / "src"), "head": str(WORK / "head" / "src")}
+        srcs = {name: str(WORK / name / "src") for name in SIDES}  # base: the worktree's
         pairs = []
         for i, job in enumerate(jobs):
             for r in range(ROUNDS):
-                order = ("base", "head") if r % 2 == 0 else ("head", "base")
+                order = SIDES[r % 3:] + SIDES[:r % 3]
                 pairs.append({name: side(topic, srcs[name], job) for name in order})
                 print(f"{topic} input {i} round {r} done", file=sys.stderr)
     finally:
@@ -424,7 +438,9 @@ def record(base_rev: str, topic: str, out: str) -> int:
     for point, entry in report["points"].items():
         print(f"{point}: base {entry['base']['median']} -> head {entry['head']['median']} "
               f"{entry['unit']}; head lower in {entry['head_wins']}/{ROUNDS} rounds, "
-              f"median speedup {entry['median_speedup']}, {entry['verdict']}")
+              f"median speedup {entry['median_speedup']}; self lower in "
+              f"{entry['self_wins']}/{ROUNDS}, self median speedup "
+              f"{entry['self_median_speedup']}; {entry['verdict']}")
     print(f"outputs equal: {report['outputs_equal']}")
     return 0 if report["outputs_equal"] else 1
 

@@ -16,7 +16,24 @@ _TINY = np.finfo(np.float64).tiny
 
 
 class ClusteringError(ValueError):
-    """Raised for a k below 1 or above the number of distinct rows."""
+    """Raised for a k below 1 or above the number of distinct rows, which
+    `distinct_rows` then holds."""
+
+    def __init__(self, message: str, distinct_rows: int | None = None):
+        super().__init__(message)
+        self.distinct_rows = distinct_rows
+
+
+def _check_k(X: np.ndarray, k: int) -> None:
+    """Raise ClusteringError unless 1 <= k <= X's distinct rows. One column's
+    distinct values bound the rows from below; they are counted only when that
+    bound is below k, and the error then carries their count."""
+    if k < 1:
+        raise ClusteringError(f"k must be >= 1, got {k}")
+    if k > np.unique(X[:, 0]).shape[0]:
+        n_distinct = np.unique(X, axis=0).shape[0]
+        if k > n_distinct:
+            raise ClusteringError(f"k={k} exceeds {n_distinct} distinct rows", n_distinct)
 
 
 @dataclass(frozen=True)
@@ -152,8 +169,7 @@ def _plusplus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return X[np.array(centers)].copy()
 
 
-def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
-               _n_distinct: int | None = None) -> KMeansModel:
+def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6) -> KMeansModel:
     """Lloyd's algorithm from k-means++ seeds.
 
     Stops when the max squared centroid displacement drops below tol
@@ -162,19 +178,11 @@ def kmeans_fit(X, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, *,
     reseeded at the point farthest from its assigned centroid, which keeps
     all k ids in use and preserves the non-increasing inertia trace.
 
-    _n_distinct, when given, means "X has at least this many distinct rows";
-    the fit only checks k against it, so a caller may pass a lower bound that
-    reaches k, and must pass the exact count otherwise (the error names it).
-
     Bit for bit the plain loop: rows whose Hamerly (2010) bounds, grown by each
     update's shifts, still clear skip the screen; only changed clusters get new means.
     """
     X = np.asarray(X, dtype=np.float64)
-    if k < 1:
-        raise ClusteringError(f"k must be >= 1, got {k}")
-    n_distinct = np.unique(X, axis=0).shape[0] if _n_distinct is None else _n_distinct
-    if k > n_distinct:
-        raise ClusteringError(f"k={k} exceeds {n_distinct} distinct rows")
+    _check_k(X, k)
 
     (n, d), xx = X.shape, np.einsum("nd,nd->n", X, X)
     tol_fit = _tolerance(xx, xx.max(), d)  # every centroid is a row or a mean of rows

@@ -116,7 +116,7 @@ def average_precision(y_true, scores) -> float:
     start = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])[::-1]  # highest first
     tp = n_pos - np.searchsorted(np.sort(s[y == 1]), s_sorted[start])
     delta_tp = np.diff(np.r_[0, tp])
-    return float(np.sum((delta_tp / n_pos) * (tp / (s.size - start))))
+    return float(np.sum(delta_tp * (tp / (s.size - start))) / n_pos)  # a perfect ranking is 1.0
 
 
 def per_class_ap(y_true, proba) -> tuple[tuple[float | None, ...], float]:

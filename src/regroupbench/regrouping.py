@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import KMeansModel, kmeans_fit
+from .clustering import ClusteringError, KMeansModel, kmeans_fit
 from .dataset import Dataset
 
 
@@ -46,10 +46,6 @@ class RegroupPlan:
     def pseudo_num_classes(self) -> int:
         return int(sum(self.group_counts))
 
-    def pseudo_ids_of(self, original_class: int) -> range:
-        lo = int(sum(self.group_counts[:original_class]))
-        return range(lo, lo + self.group_counts[original_class])
-
 
 def group_counts(class_counts, k_override=None) -> list[int]:
     """Groups per class: compute_k(count_c, min count), which is 1 for the
@@ -78,25 +74,15 @@ def regroup_multiclass(train: Dataset, seed: int,
     pseudo = np.empty(train.n, dtype=np.int64)
     for c, g in enumerate(group_counts(train.class_counts, k_override)):
         idx = np.flatnonzero(train.labels == c)
-        rows = train.features[idx]
-        if g > 1:
-            # the distinct values of one column bound the distinct rows from below;
-            # count the rows only when that bound does not reach g
-            n_distinct = np.unique(rows[:, 0]).shape[0]
-            if g > n_distinct:
-                n_distinct = np.unique(rows, axis=0).shape[0]
-            if g > n_distinct:
-                warnings.append(
-                    f"class {c}: requested {g} groups but only {n_distinct} distinct rows; clamped"
-                )
-                g = n_distinct
-        offset = sum(groups)
-        if g > 1:
-            model = kmeans_fit(rows, g, seed=seed + c, _n_distinct=n_distinct)
-            models[c] = model
-            pseudo[idx] = offset + model.assignments
-        else:
-            pseudo[idx] = offset
+        rows, offset = train.features[idx], sum(groups)
+        while g > 1 and c not in models:  # a g above the distinct rows: clamp it, refit
+            try:
+                models[c] = kmeans_fit(rows, g, seed=seed + c)
+            except ClusteringError as err:
+                warnings.append(f"class {c}: requested {g} groups but only "
+                                f"{err.distinct_rows} distinct rows; clamped")
+                g = err.distinct_rows
+        pseudo[idx] = offset + models[c].assignments if c in models else offset
         groups.append(g)
     plan = RegroupPlan(tuple(groups), models, tuple(warnings))
     return Dataset(train.features, pseudo), plan
@@ -108,15 +94,12 @@ def regroup_binary(train: Dataset, K: int, seed: int) -> tuple[Dataset, RegroupP
 
 
 def collapse_proba_matrix(pseudo_proba: np.ndarray, plan: RegroupPlan):
-    """Vectorized collapse of an (n, pseudo_C) probability matrix.
+    """Vectorized collapse of an (n, pseudo_C) probability matrix: a class's
+    score sums its block of pseudo columns (a one-group class's is its column).
 
     Returns (predicted original labels, (n, original_C) score matrix).
     """
     P = np.asarray(pseudo_proba, dtype=np.float64)
-    C = len(plan.group_counts)
-    pred = np.repeat(np.arange(C), plan.group_counts)[np.argmax(P, axis=1)]
-    # a fancy-index copy: a slice view or np.add.reduceat sums in another order and moves AP bits
-    scores = np.column_stack(
-        [P[:, list(plan.pseudo_ids_of(c))].sum(axis=1) for c in range(C)]
-    )
-    return pred, scores
+    counts = np.asarray(plan.group_counts)
+    pred = np.repeat(np.arange(counts.size), counts)[np.argmax(P, axis=1)]
+    return pred, np.add.reduceat(P, np.cumsum(counts) - counts, axis=1)

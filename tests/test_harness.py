@@ -1450,5 +1450,5 @@ def test_results_csv_bytes_are_pinned(tmp_path, monkeypatch):
                                           "SMOTE+CE", "RG+CE")],
         "seeds": [0, 1], "hidden_dims": [],
         "train": {"epochs": FAST.epochs, "batch_size": FAST.batch_size},
-    }) == ("b388b9d9376c07dd091b294798e0cc93f684b51653a517516cfee63b59499bdd",
+    }) == ("04dc9cadfb69348ba4ef11f22d77d564080390cccfc9b9e7505d2bacecca0836",
            "fbf326697e22bbc08671250970a3df4edbe061ef8d9c419d62830d22ce983408")

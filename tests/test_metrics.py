@@ -256,6 +256,31 @@ def test_per_class_ap_tie_invariance_and_oracle(n, num_classes, levels, data_see
             assert per_class_ap(y[perm], P[perm])[0][c] == aps[c]
 
 
+@settings(max_examples=200, deadline=None)
+@given(n_pos=st.integers(1, 2000), n_neg=st.integers(0, 50), pos_levels=st.integers(1, 3000),
+       tied_negatives=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
+def test_perfect_ranking_is_exactly_one(n_pos, n_neg, pos_levels, tied_negatives, data_seed):
+    # 20 positives above 5 tied negatives once read 1.0000000000000002
+    rng = np.random.default_rng(data_seed)
+    pos = 1.0 + rng.integers(pos_levels, size=n_pos) / pos_levels  # few levels: tied positives
+    neg = np.zeros(n_neg) if tied_negatives else -rng.random(n_neg)
+    y = np.repeat([1, 0], [n_pos, n_neg])
+    perm = rng.permutation(y.size)
+    assert average_precision(y[perm], np.r_[pos, neg][perm]) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 2000), levels=st.integers(1, 1001), prevalence=st.floats(0.0, 1.0),
+       lift=st.floats(0.0, 1.5), data_seed=st.integers(0, 2**32 - 1))
+def test_any_ranking_ap_lies_in_unit_interval(n, levels, prevalence, lift, data_seed):
+    # positives lifted by `lift` over tied noise: random (0) through perfect (>= 1) rankings
+    rng = np.random.default_rng(data_seed)
+    y = (rng.random(n) < prevalence).astype(np.int64)
+    y[0] = 1
+    scores = lift * y + rng.integers(levels, size=n) / levels
+    assert 0.0 <= average_precision(y, scores) <= 1.0
+
+
 def stable_block_tie_ap(indicator, scores):
     """Reference: stable descending sort, precision and recall read after
     each whole block of tied scores."""
@@ -263,7 +288,7 @@ def stable_block_tie_ap(indicator, scores):
     s, y = scores[order], indicator[order]
     block_end = np.flatnonzero(np.r_[s[:-1] != s[1:], True])
     tp = np.cumsum(y)[block_end]
-    return float(np.sum((np.diff(np.r_[0, tp]) / y.sum()) * (tp / (block_end + 1))))
+    return float(np.sum(np.diff(np.r_[0, tp]) * (tp / (block_end + 1))) / y.sum())
 
 
 @settings(max_examples=150, deadline=None)

@@ -64,6 +64,20 @@ def test_verdict_of_hand_made_rounds(shift, first, expected):
     assert pairs.summarize(rounds)["points"]["p"]["verdict"] == expected
 
 
+def test_self_pair_spread_swallows_a_head_win():
+    # head is 5 below base in 10/10 rounds, past the base rounds' IQR of 4.5
+    rounds = [{"base": doc([b]), "head": doc([b - 5.0])} for b in BASE_ROUNDS]
+    assert pairs.summarize(rounds)["points"]["p"]["verdict"] == "faster"
+    # but the base code against itself read 6 lower: the head's gap is machine noise
+    for r, b in zip(rounds, BASE_ROUNDS):
+        r["self"] = doc([b - 6.0])
+    point = pairs.summarize(rounds)["points"]["p"]
+    assert point["verdict"] == "unresolved"
+    assert point["head_wins"] == point["self_wins"] == 10
+    assert point["self_median_speedup"] == round((14 / 8 + 15 / 9) / 2, 4)
+    assert point["self"]["rounds"] == [b - 6.0 for b in BASE_ROUNDS]
+
+
 def test_no_speedup_against_a_reading_of_zero():
     # rss_children_mb reads 0 when an interpreter ran its grid without workers
     point = pairs.summarize([{"base": doc([0.0]), "head": doc([0.0])}])["points"]["p"]
@@ -95,6 +109,25 @@ def test_report_records_its_revisions(tmp_path, monkeypatch):
     changed = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--", "src"],
                              capture_output=True, text=True, check=True).stdout.strip() != ""
     assert report["revisions"] == {"base": head, "head": head, "src_changed": changed}
+
+
+def test_rounds_rotate_three_sides_at_paths_of_one_length(tmp_path, monkeypatch):
+    git_head()
+    work, calls = tmp_path / "work", []
+    monkeypatch.setattr(pairs, "WORK", work)
+    monkeypatch.setattr(pairs, "ROUNDS", 4)
+
+    def empty_side(topic, src, job):
+        assert Path(src, "regroupbench").is_dir()
+        assert not any(Path(src).rglob("__pycache__"))
+        calls.append(Path(src).parent.name)
+        return {"points": {}, "digests": {}}
+
+    monkeypatch.setattr(pairs, "side", empty_side)
+    assert pairs.record("HEAD", "knn", str(tmp_path / "out.json")) == 0
+    assert calls == ["base", "head", "self", "head", "self", "base",
+                     "self", "base", "head", "base", "head", "self"]
+    assert len({len(str(work / name / "src")) for name in pairs.SIDES}) == 1
 
 
 def test_failed_side_leaves_no_worktree_or_work_directory(tmp_path, monkeypatch):

@@ -81,7 +81,8 @@ class TestRegroupBinary:
         for c in (0, 1):
             mask = ds.labels == c
             ids = set(np.unique(pseudo.labels[mask]))
-            assert ids <= set(plan.pseudo_ids_of(c))
+            lo = sum(plan.group_counts[:c])  # class c owns [lo, lo + group_counts[c])
+            assert ids <= set(range(lo, lo + plan.group_counts[c]))
 
 
 class TestRegroupMulticlass:
