@@ -63,7 +63,9 @@ The output file holds `environment`, `revisions`, `input`, `rounds`,
 `points` and `outputs_equal`. `revisions` holds `base`, the commit BASE_REV
 resolves to; `head`, this checkout's HEAD commit; and `src_changed`, whether
 this checkout's `src/` differs from HEAD (the head side measures it as it
-stands). Per point: its `unit`; per side its `samples`, each
+stands). Per point: its `unit`; `first`, the side that ran first in each of
+its rounds, in order (so a point that moves with run order, such as csv-scale's
+bimodal RSS, can be traced to it); per side its `samples`, each
 interpreter's median (`rounds`) and the median and quartiles of the samples;
 `head_wins`, the rounds whose head median is below the base median (ties
 count for neither side); `median_speedup`, the median over rounds of
@@ -377,15 +379,19 @@ def against_base(base: list, other: list) -> tuple[int, float | None]:
 
 def summarize(pairs: list[dict]) -> dict:
     """The report's `points` and `outputs_equal` from `pairs`, one
-    {side: measure output} per round and input; a round may lack the self side."""
+    {side: measure output} per round and input, in run order; a round may lack
+    the self side."""
     points, digests = {}, {}
     for pair in pairs:
+        first = next(iter(pair))  # record fills each round in run order
         for name, doc in pair.items():
             for point, (unit, samples) in doc["points"].items():
-                entry = points.setdefault(point, {"unit": unit})
+                entry = points.setdefault(point, {"unit": unit, "first": []})
                 side = entry.setdefault(name, {"samples": [], "rounds": []})
                 side["samples"] += samples
                 side["rounds"].append(float(np.median(samples)))
+                if name == first:
+                    entry["first"].append(name)
             for output, digest in doc["digests"].items():
                 digests.setdefault(output, set()).add(digest)
     for entry in points.values():

@@ -240,11 +240,11 @@ _NOT_SPACE = re.compile(r"\S")  # \s: what str.isspace() and str.strip() take as
 
 def read_csv_columns(path, label_column: str | int, label_type=str):
     """Read a headered CSV into ((n, D) float64 features, n labels). The
-    label column, named or given by index, is converted with label_type and
-    every other column with float(). Blank lines and a leading BOM are
-    skipped; DatasetError names the physical line and the column of a bad cell.
-    Fast path: np.loadtxt in C on the file, labels as objects (U<n> would
-    truncate them) or, for label_type int, as int64. The row scan takes over
+    label column, named or given by index, is converted with label_type, str
+    or int, and every other column with float(). Blank lines and a leading BOM
+    are skipped; DatasetError names the physical line and the column of a bad
+    cell. Fast path: np.loadtxt in C on the file, labels as its str objects
+    (U<n> would truncate them) or, for int, as int64. The row scan takes over
     on U+001C..U+001F (loadtxt strips them; float() and int() reject them),
     on a non-ASCII file with int labels (loadtxt reads any Unicode digit d as
     ord(d) - 48), and on a ValueError: ragged or whitespace-only rows, bad
@@ -291,30 +291,21 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
             if typed:  # every field is 8 bytes: the rows are one (n, columns) float64 block
                 block = table.view(np.float64).reshape(len(table), -1)
                 return np.delete(block, label_idx, axis=1), labels  # a C-contiguous copy
-            features = np.column_stack([table[f"c{j}"] for j in feat_idx])
-            return features, list(map(label_type, labels))
+            return np.column_stack([table[f"c{j}"] for j in feat_idx]), labels  # str labels
     except ValueError:
         pass  # the row scan names the bad cell, or takes cells only float() or int() accepts
     rows, labels = [], []
-    try:
-        for lineno, line in enumerate(text.split("\n")[first + 1:], first + 2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                if not line.strip():
-                    continue
-                raise ValueError(f"{len(cells)} cells, expected {len(header)}")
-            labels.append(label_type(cells[label_idx]))
-            rows.append([float(cells[j]) for j in feat_idx])
-    except ValueError as exc:
-        where = ""
-        if len(cells) == len(header):  # name the cell that failed to convert
-            for j in [label_idx, *feat_idx]:
-                try:
-                    (label_type if j == label_idx else float)(cells[j])
-                except ValueError:
-                    where = f" in column {header[j]!r}"
-                    break
-        raise DatasetError(f"{path}, line {lineno}: {exc}{where}") from None
+    for lineno, line in enumerate(text.split("\n")[first + 1:], first + 2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            if not line.strip():
+                continue
+            raise DatasetError(f"{path}, line {lineno}: {len(cells)} cells, expected {len(header)}")
+        try:  # the label, then the features left to right: j is the cell being converted
+            labels.append(label_type(cells[(j := label_idx)]))
+            rows.append([float(cells[(j := k)]) for k in feat_idx])
+        except ValueError as exc:
+            raise DatasetError(f"{path}, line {lineno}: {exc} in column {header[j]!r}") from None
     return np.array(rows, dtype=np.float64), labels
 
 

@@ -258,11 +258,11 @@ def _train_stack(datasets, specs, seeds, loss: LossSpec, cfg: TrainConfig) -> li
             stopped.setdefault(row, exc)
         theta[list(stopped)] = vel[list(stopped)] = 0.0
 
+    lrs = tuple(cosine_lr(t, cfg.epochs, cfg.lr_max, cfg.lr_min) for t in range(cfg.epochs))
     with np.errstate(all="ignore"):
-        for epoch in range(cfg.epochs):
+        for epoch, lr in enumerate(lrs):
             if len(stopped) == S:
                 break
-            lr = cosine_lr(epoch, cfg.epochs, cfg.lr_max, cfg.lr_min)
             for row, (rng, ds) in enumerate(zip(rngs, datasets)):
                 order = rng.permutation(n)  # clips no index; "raise" would buffer the out= copy
                 np.take(ds.features, order, axis=0, out=X_all[row], mode="clip")
@@ -301,7 +301,6 @@ def _train_stack(datasets, specs, seeds, loss: LossSpec, cfg: TrainConfig) -> li
             if rows.size:
                 hold(_full_pass(datasets, weights, biases, epoch, rows))
 
-    lrs = tuple(cosine_lr(t, cfg.epochs, cfg.lr_max, cfg.lr_min) for t in range(cfg.epochs))
     return [stopped[row] if row in stopped else (
         TrainedModel(specs[row], tuple(w[row].copy() for w in weights),
                      tuple(b[row, 0].copy() for b in biases)),

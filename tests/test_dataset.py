@@ -160,6 +160,18 @@ class TestCsv:
         assert labels == ["1", "one"]
         np.testing.assert_array_equal(features, [[0.5], [0.5]])
 
+    @pytest.mark.parametrize("text,message,column", [
+        ("y,f0,f1\n1,0.5,0.5\none,0.5,x\n", "invalid literal for int", "y"),  # label and feature
+        ("f0,f1,f2,y\n0.5,0.5,0.5,1\n0.5,x,z,0\n", "could not convert", "f1"),  # the leftmost
+        ("f0,y,f1\n0.5,1,0.5\nx,one,0.5\n", "invalid literal for int", "y"),  # label mid-row
+    ])
+    def test_first_bad_cell_is_the_label_then_the_leftmost_feature(self, tmp_path, text,
+                                                                  message, column):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=rf"line 3: {message}.* in column '{column}'$"):
+            read_csv_columns(p, "y", int)
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,f1\n0,1\n")

@@ -78,6 +78,15 @@ def test_self_pair_spread_swallows_a_head_win():
     assert point["self"]["rounds"] == [b - 6.0 for b in BASE_ROUNDS]
 
 
+def test_each_point_records_which_side_ran_first():
+    rounds = [
+        {"base": doc([1.0]), "head": doc([1.0]), "self": doc([1.0])},
+        {"head": doc([1.0]), "self": doc([1.0]), "base": doc([1.0])},
+        {"self": doc([1.0]), "base": doc([1.0]), "head": doc([1.0])},
+    ]
+    assert pairs.summarize(rounds)["points"]["p"]["first"] == ["base", "head", "self"]
+
+
 def test_no_speedup_against_a_reading_of_zero():
     # rss_children_mb reads 0 when an interpreter ran its grid without workers
     point = pairs.summarize([{"base": doc([0.0]), "head": doc([0.0])}])["points"]["p"]
