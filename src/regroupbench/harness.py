@@ -64,10 +64,10 @@ class HarnessError(ValueError):
 @dataclass(frozen=True)
 class MethodKind:
     name: str
-    gamma: float = 2.0
-    margin_scale: float = 0.5
-    logit_scale: float = 30.0
-    k_neighbors: int = 5
+    gamma: float = LossSpec.gamma
+    margin_scale: float = LossSpec.margin_scale
+    logit_scale: float = LossSpec.logit_scale
+    k_neighbors: int = ResampleSpec.k_neighbors
     k_override: int | None = None  # forced K, binary sources only
 
     def __post_init__(self):
@@ -307,38 +307,33 @@ def _evaluate(method: MethodKind, cell: _Cell, model, chash: str, train_s: float
     )
 
 
-def _run_column(cfg: ExperimentConfig, method: MethodKind, seeds, splits: dict) -> list:
-    """One method over the given seeds, in order: a ResultRow or the
+def _run_column(cfg: ExperimentConfig, method: MethodKind, splits: dict) -> list:
+    """One method over the seeds of `splits`, in their order: a ResultRow or the
     exception each cell failed with. The prepared cells train in one `train`
     call, and each takes an equal share of its time."""
     chash = config_hash(cfg)
-    out: list = [None] * len(seeds)
-    cells = {}
-    for i, seed in enumerate(seeds):
-        if isinstance(splits[seed], Exception):
-            out[i] = splits[seed]
-            continue
-        try:
-            cells[i] = _prepare(cfg, method, seed, *splits[seed])
-        except Exception as exc:  # record and continue
-            out[i] = exc
-    group = list(cells.values())
+    state = dict(splits)  # per seed: its split, its _Cell, then its row, or an exception
+    for seed, split in state.items():
+        if not isinstance(split, Exception):
+            try:
+                state[seed] = _prepare(cfg, method, seed, *split)
+            except Exception as exc:  # record and continue
+                state[seed] = exc
+    cells = [cell for cell in state.values() if isinstance(cell, _Cell)]
     start = time.perf_counter()
     try:
-        fitted = train([c.fit_ds for c in group], [c.spec for c in group],
-                       [c.loss for c in group], [c.train_cfg for c in group])
+        fitted = train([c.fit_ds for c in cells], [c.spec for c in cells],
+                       [c.loss for c in cells], [c.train_cfg for c in cells])
     except Exception as exc:
-        fitted = [exc] * len(group)
-    train_s = (time.perf_counter() - start) / max(len(group), 1)
-    for (i, cell), result in zip(cells.items(), fitted):
-        if isinstance(result, Exception):
-            out[i] = result
-            continue
+        fitted = [exc] * len(cells)
+    train_s = (time.perf_counter() - start) / max(len(cells), 1)
+    for cell, result in zip(cells, fitted):
         try:
-            out[i] = _evaluate(method, cell, result[0], chash, train_s)
+            state[cell.seed] = result if isinstance(result, Exception) else _evaluate(
+                method, cell, result[0], chash, train_s)
         except Exception as exc:
-            out[i] = exc
-    return out
+            state[cell.seed] = exc
+    return list(state.values())
 
 
 def _column_weight(cfg: ExperimentConfig, method: MethodKind, train_ds: Dataset) -> float:
@@ -366,7 +361,7 @@ def _init_worker(splits: dict) -> None:
 
 
 def _worker_column(cfg: ExperimentConfig, method: MethodKind) -> list:
-    return _run_column(cfg, method, cfg.seeds, _worker_splits)
+    return _run_column(cfg, method, _worker_splits)
 
 
 def _first_split(splits: dict) -> tuple[Dataset, Dataset] | None:
@@ -383,7 +378,7 @@ def _run_columns(cfg: ExperimentConfig, splits: dict) -> list[list]:
     weight = {m: _column_weight(cfg, m, split[0]) for m in cfg.methods} if split else {}
     if (pin is None or workers < 2 or not weight
             or len(cfg.seeds) * sum(weight.values()) < _POOL_MIN_WORK):
-        return [_run_column(cfg, m, cfg.seeds, splits) for m in cfg.methods]
+        return [_run_column(cfg, m, splits) for m in cfg.methods]
     import concurrent.futures
     import multiprocessing
 
@@ -405,7 +400,7 @@ def _run_columns(cfg: ExperimentConfig, splits: dict) -> list[list]:
 def run_experiment(cfg: ExperimentConfig, method: MethodKind, seed: int) -> ResultRow:
     """One grid cell; deterministic in (cfg, method, seed) except wall time.
     Raises what the cell fails with."""
-    (result,) = _run_column(cfg, method, (seed,), _split_sources(cfg, (seed,)))
+    (result,) = _run_column(cfg, method, _split_sources(cfg, (seed,)))
     if isinstance(result, Exception):
         raise result
     return result

@@ -431,6 +431,31 @@ class TestParallelColumns:
         else:
             assert any(e.startswith(("DatasetError: ", "ResampleError: ")) for e in errors)
 
+    def test_a_seed_that_fails_mid_column_keeps_its_place(self, monkeypatch):
+        real_prepare = harness._prepare
+
+        def fail_seed_1(cfg, method, seed, train_ds, test_ds):
+            if seed == 1:
+                raise RuntimeError("seed 1 failed")
+            return real_prepare(cfg, method, seed, train_ds, test_ds)
+
+        def bits(rows):  # config_hash covers the seeds, so a (0, 2) grid hashes apart
+            return [replace(r, wall_time_s=0.0, config_hash="") for r in rows]
+
+        monkeypatch.setattr(harness, "_prepare", fail_seed_1)
+        force_pool(monkeypatch)
+        methods = ("CE", "LDAM", "RG+CE")
+        cfg = tiny_cfg(methods, seeds=(0, 1, 2))
+        pooled, pooled_aggs = run_grid(cfg)
+        monkeypatch.setattr(harness, "_BLAS_PIN", "no_such_symbol")
+        serial, serial_aggs = run_grid(cfg)
+        assert bits(pooled) == bits(serial) and pooled_aggs == serial_aggs
+        assert [(r.method, r.seed, r.error) for r in pooled] == [
+            (m, s, "RuntimeError: seed 1 failed" if s == 1 else "") for m in methods
+            for s in (0, 1, 2)]
+        neighbours, _ = run_grid(replace(cfg, seeds=(0, 2)))
+        assert [r for r in bits(pooled) if r.seed != 1] == bits(neighbours)
+
     @MULTI_CPU
     def test_columns_run_in_worker_processes(self, monkeypatch):
         force_pool(monkeypatch)
