@@ -59,25 +59,25 @@ and prints its samples and output digests as JSON. The topics:
   biases, learning rates and step losses (a stopped model's: its message),
   and the loss values and gradients.
 
-The output file holds `environment`, `revisions`, `input`, `rounds`, `points`
-and `outputs_equal`. `revisions` holds `base`, the commit BASE_REV resolves
-to; `head`, this checkout's HEAD commit; and `src_changed`, whether this
-checkout's `src/` differs from HEAD (the head side measures it as it stands).
-Per point: its `unit`; `first`, the side that ran first in each round that
-measured it (so a point that moves with run order, such as csv-scale's bimodal
-RSS, can be traced to it); per side its `samples`, its median in each such
-round (`rounds`, null where it missed the point) and the median and quartiles
-of the samples. The rest reads only the rounds that measured the point on both
-sides compared: `head_wins`, the rounds whose head median is below the base
-median (ties count for neither); `median_speedup`, the median of base / head;
-`self_wins` and `self_median_speedup`, the same for self against base; and
-`verdict`, whether the difference counts by the rule a claimed gain must meet:
-`faster` when head is lower in at least nine tenths of the rounds and the
-median of the base round medians exceeds head's by more than both their
-interquartile range (q3 - q1) and the self-pair's gap (base median less self
-median, either way), `slower` when the same holds with base and head swapped,
-and `unresolved` otherwise. `outputs_equal` says whether every interpreter of
-every side gave the same outputs; the run exits 1 if not.
+The output file holds `environment`, `revisions`, `input`, `rounds`,
+`points` and `outputs_equal`. `revisions` holds `base`, the commit BASE_REV
+resolves to; `head`, this checkout's HEAD commit; and `src_changed`, whether
+this checkout's `src/` differs from HEAD (the head side measures it as it
+stands). Per point: its `unit`; `first`, the side that ran first in each of
+its rounds, in order (so a point that moves with run order, such as csv-scale's
+bimodal RSS, can be traced to it); per side its `samples`, each
+interpreter's median (`rounds`) and the median and quartiles of the samples;
+`head_wins`, the rounds whose head median is below the base median (ties
+count for neither side); `median_speedup`, the median over rounds of
+base / head; `self_wins` and `self_median_speedup`, the same for the self
+side against the base; and `verdict`, whether the difference counts by the
+rule a claimed gain must meet: `faster` when head is lower in at least nine
+tenths of the rounds and the median of the base round medians exceeds that
+of head's by more than both their interquartile range (q3 - q1 of the base
+round medians) and the self-pair's gap (the base median less the self
+median, either way), `slower` when the same holds with base and head
+swapped, and `unresolved` otherwise. `outputs_equal` says whether every
+interpreter of every side gave the same outputs; the run exits 1 if not.
 """
 from __future__ import annotations
 
@@ -353,17 +353,12 @@ def quartiles(values: list) -> dict:
     return {"median": round(float(med), 4), "q1": round(float(q1), 4), "q3": round(float(q3), 4)}
 
 
-def aligned(base: dict, other: dict) -> tuple[list, list]:
-    """The base and `other` medians of the rounds that measured the point on both sides."""
-    return [base[r] for r in base if r in other], [other[r] for r in base if r in other]
-
-
-def verdict(base: list, head: list, self_base: list, self_: list) -> str:
+def verdict(base: list, head: list, self_: list) -> str:
     """`faster`, `slower` or `unresolved`: head against base by the win and spread rule of
-    the module docstring, given head's and self's round medians, each aligned with base's."""
+    the module docstring, given each side's per-round medians (self's may be empty)."""
     q1, mid, q3 = np.percentile(base, [25, 50, 75])
     gap = float(mid - np.median(head))
-    noise = max(q3 - q1, abs(np.median(self_base) - np.median(self_)) if self_ else 0.0)
+    noise = max(q3 - q1, abs(mid - np.median(self_)) if self_ else 0.0)
     for name, wins, sign in (("faster", sum(h < b for b, h in zip(base, head)), 1),
                              ("slower", sum(h > b for b, h in zip(base, head)), -1)):
         if wins >= 0.9 * len(base) and sign * gap > noise:
@@ -372,8 +367,8 @@ def verdict(base: list, head: list, self_base: list, self_: list) -> str:
 
 
 def against_base(base: list, other: list) -> tuple[int, float | None]:
-    """Of aligned round medians, the rounds whose `other` median is below the base median,
-    and the median over rounds of base / other (None without rounds, or against a 0)."""
+    """The rounds whose `other` median is below the base median, and the median over
+    rounds of base / other (None without rounds, or against a reading of 0)."""
     wins = sum(x < b for b, x in zip(base, other))
     if not other or not all(other):
         return wins, None
@@ -381,35 +376,38 @@ def against_base(base: list, other: list) -> tuple[int, float | None]:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """The report's `points` and `outputs_equal` from `pairs`, one {side: measure output}
-    per round and input, in run order. A side may miss a point in any round: each
-    comparison reads only the rounds that measured the point on both of its sides."""
+    """The report's `points` and `outputs_equal` from `pairs`, one
+    {side: measure output} per round and input, in run order. As `record` runs
+    them, every round holds the same sides (base and head, with self in every
+    round or in none), and each side of a round the same points, so each
+    point's rounds line up by position; any other shape raises ValueError."""
     points, digests = {}, {}
-    for r, pair in enumerate(pairs):
+    for pair in pairs:
+        if (set(pair) != set(pairs[0]) or not {"base", "head"} <= set(pair)
+                or len({frozenset(doc["points"]) for doc in pair.values()}) > 1):
+            raise ValueError(f"a round of sides {sorted(pair)} against {sorted(pairs[0])}: "
+                             "every round needs base, head and one set of points")
         first = next(iter(pair))  # record fills each round in run order
         for name, doc in pair.items():
             for point, (unit, samples) in doc["points"].items():
-                entry = points.setdefault(point, {"unit": unit, "first": {}})
-                entry["first"][r] = first
-                side = entry.setdefault(name, {"samples": [], "rounds": {}})
+                entry = points.setdefault(point, {"unit": unit, "first": []})
+                side = entry.setdefault(name, {"samples": [], "rounds": []})
                 side["samples"] += samples
-                side["rounds"][r] = float(np.median(samples))
+                side["rounds"].append(float(np.median(samples)))
+                if name == first:
+                    entry["first"].append(name)
             for output, digest in doc["digests"].items():
                 digests.setdefault(output, set()).add(digest)
     for entry in points.values():
-        base, head, self_ = (entry.get(name, {"rounds": {}})["rounds"] for name in SIDES)
-        head, self_ = aligned(base, head), aligned(base, self_)
-        entry["head_wins"], entry["median_speedup"] = against_base(*head)
-        entry["self_wins"], entry["self_median_speedup"] = against_base(*self_)
-        entry["verdict"] = verdict(*head, *self_) if head[0] else "unresolved"
+        base, head, self_ = (entry.get(name, {"rounds": []})["rounds"] for name in SIDES)
+        entry["head_wins"], entry["median_speedup"] = against_base(base, head)
+        entry["self_wins"], entry["self_median_speedup"] = against_base(base, self_)
+        entry["verdict"] = verdict(base, head, self_)
         for name in SIDES:
             if name in entry:
-                rounds = entry[name]["rounds"]  # null where this side missed the point
                 entry[name] = {"samples": [round(x, 4) for x in entry[name]["samples"]],
-                               "rounds": [round(rounds[r], 4) if r in rounds else None
-                                          for r in entry["first"]],
+                               "rounds": [round(x, 4) for x in entry[name]["rounds"]],
                                **quartiles(entry[name]["samples"])}
-        entry["first"] = list(entry["first"].values())
     return {"points": points, "outputs_equal": all(len(d) == 1 for d in digests.values())}
 
 
@@ -448,11 +446,11 @@ def record(base_rev: str, topic: str, out: str) -> int:
               "rounds": ROUNDS, **summarize(pairs)}
     Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for point, entry in report["points"].items():
-        base_median, head_median = (entry.get(name, {}).get("median") for name in SIDES[:2])
-        print(f"{point}: base {base_median} -> head {head_median} {entry['unit']}; head lower "
-              f"in {entry['head_wins']}/{ROUNDS} rounds, median speedup "
-              f"{entry['median_speedup']}; self lower in {entry['self_wins']}/{ROUNDS}, self "
-              f"median speedup {entry['self_median_speedup']}; {entry['verdict']}")
+        print(f"{point}: base {entry['base']['median']} -> head {entry['head']['median']} "
+              f"{entry['unit']}; head lower in {entry['head_wins']}/{ROUNDS} rounds, "
+              f"median speedup {entry['median_speedup']}; self lower in "
+              f"{entry['self_wins']}/{ROUNDS}, self median speedup "
+              f"{entry['self_median_speedup']}; {entry['verdict']}")
     print(f"outputs equal: {report['outputs_equal']}")
     return 0 if report["outputs_equal"] else 1
 
