@@ -27,9 +27,11 @@ and prints its samples and output digests as JSON. The topics:
   for score-csv the `regroupbench metrics` calls after its smoke grid. Each
   interpreter runs GRID_PASSES passes. Points per workload: `wall_s`, the
   mean wall time of the passes; `rss_self_mb`, the interpreter's own peak
-  resident memory (`RUSAGE_SELF`, what the benchmark's `peak_rss_mb`
-  counts); `rss_children_mb`, the largest peak of the processes it waited
-  for, that is of the pool workers that ran the columns. The outputs are each
+  resident memory (`VmHWM` in `/proc/self/status`, which starts afresh at
+  exec; `RUSAGE_SELF`'s `ru_maxrss`, which the benchmark's `peak_rss_mb`
+  reads, a child inherits from the process that started it);
+  `rss_children_mb`, the largest peak of the processes it waited for, that
+  is of the pool workers that ran the columns. The outputs are each
   run op's `results.csv` without `wall_time_s` and its `summary.txt`, and
   each metrics op's stdout.
 - `grid-serial`: the same with every interpreter pinned to one CPU (as
@@ -144,6 +146,13 @@ def grid_inputs(work: Path) -> tuple[str, list[dict]]:
             "interpreter"), jobs
 
 
+def own_peak_rss_mb() -> float:
+    """This process's peak resident memory in MB, `VmHWM` (in kB), which
+    starts afresh at exec."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
+
+
 def measure_grid(job: dict) -> dict:
     from regroupbench.cli import main
 
@@ -169,8 +178,7 @@ def measure_grid(job: dict) -> dict:
     return {
         "points": {
             f"{name} wall_s": ("s", [sum(walls) / len(walls)]),
-            f"{name} rss_self_mb":
-                ("MB", [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]),
+            f"{name} rss_self_mb": ("MB", [own_peak_rss_mb()]),
             f"{name} rss_children_mb":
                 ("MB", [resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0]),
         },

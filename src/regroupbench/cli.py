@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -67,7 +66,6 @@ def _cmd_metrics(args) -> int:
     except DatasetError as exc:
         print(f"prediction CSV {exc}", file=sys.stderr)
         return 2
-    pred = np.argmax(scores, axis=1)
     try:
         if scores.shape[1] < 2:
             raise MetricError(f"need at least 2 score columns, got {scores.shape[1]}")
@@ -75,15 +73,15 @@ def _cmd_metrics(args) -> int:
             y = np.array(y, dtype=np.int64)
         except OverflowError:  # a label past int64 is outside the score columns too
             raise MetricError(f"labels outside 0..{scores.shape[1] - 1}") from None
+        pred = np.argmax(scores, axis=1)
         report = summary_metrics(confusion_table(y, pred, num_classes=scores.shape[1]))
-        with warnings.catch_warnings(record=True) as absent:
-            warnings.simplefilter("always")
-            aps, macro = per_class_ap(y, scores)
+        aps, macro = per_class_ap(y, scores)
     except MetricError as exc:
         print(f"prediction CSV {args.pred}: {exc}", file=sys.stderr)
         return 2
-    for note in absent:  # a class with no truth rows: AP null and one stderr line
-        print(f"prediction CSV {args.pred}: {note.message}", file=sys.stderr)
+    for c in (c for c, ap in enumerate(aps) if ap is None):  # no truth rows: AP null
+        print(f"prediction CSV {args.pred}: class {c} absent from y_true; AP undefined, "
+              "excluded from macro", file=sys.stderr)
     report = replace(report, ap_per_class=aps, macro_ap=macro)
     print(report.to_json())
     return 0

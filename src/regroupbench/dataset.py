@@ -255,7 +255,7 @@ def read_csv_columns(path, label_column: str | int, label_type=str):
     """
     path = Path(path)
     if not path.is_file():
-        raise DatasetError(f"{path}: no such file")
+        raise DatasetError(f"{path}: {'not a regular file' if path.exists() else 'no such file'}")
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -10,7 +10,6 @@ an explicit 0/1 indicator where 1 marks a positive.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,10 +110,15 @@ def average_precision(y_true, scores) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("no positive samples")
+    return _block_tie_ap(y == 1, s, n_pos)
 
+
+def _block_tie_ap(positive: np.ndarray, s: np.ndarray, n_pos: int) -> float:
+    """The AP kernel on checked inputs: finite scores s, the boolean mask of
+    its positives and their count n_pos >= 1."""
     s_sorted = np.sort(s)  # each block's tp and pp count the scores >= its score
     start = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])[::-1]  # highest first
-    tp = n_pos - np.searchsorted(np.sort(s[y == 1]), s_sorted[start])
+    tp = n_pos - np.searchsorted(np.sort(s[positive]), s_sorted[start])
     delta_tp = np.diff(np.r_[0, tp])
     return float(np.sum(delta_tp * (tp / (s.size - start))) / n_pos)  # a perfect ranking is 1.0
 
@@ -122,21 +126,18 @@ def average_precision(y_true, scores) -> float:
 def per_class_ap(y_true, proba) -> tuple[tuple[float | None, ...], float]:
     """One-vs-rest AP per class from an (n, C) score matrix, plus the
     unweighted macro mean. A class absent from y_true gets AP None and is
-    excluded from the macro with a warning; MetricError if every class is absent."""
+    excluded from the macro. MetricError if every class is absent or any
+    score, in any column, is non-finite."""
     y = np.asarray(y_true, dtype=np.int64)
     P = np.asarray(proba, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != y.shape[0]:
-        raise MetricError(f"probability matrix shape {P.shape} mismatches {y.shape[0]} labels")
-    if not np.any((y >= 0) & (y < P.shape[1])):
+    if y.ndim != 1 or P.ndim != 2 or P.shape[0] != y.size:
+        raise MetricError(f"probability matrix shape {P.shape} mismatches {y.size} labels")
+    counts = np.bincount(y[(y >= 0) & (y < P.shape[1])], minlength=P.shape[1])
+    if not counts.any():
         raise MetricError(f"none of the {P.shape[1]} score columns' classes occurs in y_true")
-    aps: list[float | None] = []
-    for c, scores in enumerate(np.ascontiguousarray(P.T)):
-        indicator = (y == c).astype(np.int64)
-        if indicator.sum() == 0:
-            warnings.warn(f"class {c} absent from y_true; AP undefined, excluded from macro")
-            aps.append(None)
-        else:
-            aps.append(average_precision(indicator, scores))
-    defined = [a for a in aps if a is not None]
-    macro = float(np.mean(defined))
-    return tuple(aps), macro
+    if not np.isfinite(P).all():
+        raise MetricError("non-finite scores")
+    aps = tuple(_block_tie_ap(y == c, scores, int(n_pos)) if n_pos else None
+                for c, (n_pos, scores) in enumerate(zip(counts, np.ascontiguousarray(P.T))))
+    macro = float(np.mean([a for a in aps if a is not None]))
+    return aps, macro

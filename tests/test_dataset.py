@@ -85,6 +85,11 @@ class TestCsv:
         with pytest.raises(DatasetError, match="no such file"):
             load_csv_dataset(tmp_path / "nope.csv")
 
+    def test_directory_is_not_a_regular_file(self, tmp_path):
+        with pytest.raises(DatasetError) as err:
+            load_csv_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path}: not a regular file"
+
     def test_non_utf8_or_unreadable_file(self, tmp_path, monkeypatch):
         p = tmp_path / "d.csv"
         p.write_bytes(b"f0,label\n0.5,0\n\n0.7,caf\xe9\n")  # Latin-1 on physical line 4

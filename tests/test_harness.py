@@ -980,6 +980,8 @@ class TestCli:
             (b"s0,s1,truth\n0.9,0.1,0\n0.2,caf\xe9,1\n", "line 3: not UTF-8"),  # Latin-1
             ("s0,truth\n0.9,0\n0.2,1\n", "need at least 2 score columns, got 1"),
             ("s0,truth\n0.9,0\n0.2,0\n", "need at least 2 score columns, got 1"),  # every label 0
+            ("s0,s1,truth\n0.9,inf,0\n0.2,0.8,1\n", "non-finite scores"),
+            ("s0,s1,s2,truth\n0.9,0.1,nan,0\n0.2,0.8,0,1\n", "non-finite scores"),  # class 2 absent
         ],
     )
     def test_metrics_bad_prediction_csv_is_named_error(self, tmp_path, capsys, text, problem):
@@ -1371,6 +1373,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == f"prediction CSV {pred}: no such file"
+
+    def test_metrics_directory_is_named_error(self, tmp_path, capsys):
+        from regroupbench.cli import main
+
+        assert main(["metrics", "--pred", str(tmp_path), "--truth-col", "truth"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"prediction CSV {tmp_path}: not a regular file"
 
     def test_metrics_skips_blank_lines(self, tmp_path, capsys):
         from regroupbench.cli import main

@@ -181,20 +181,27 @@ class TestPerClassAp:
         assert all(a == 1.0 for a in aps)
         assert macro == 1.0
 
-    def test_absent_class_excluded_with_warning(self):
+    def test_absent_class_is_none_without_a_warning(self):
         y = np.array([0, 0, 1, 1])
         P = np.random.default_rng(0).random((4, 3))
-        with pytest.warns(UserWarning, match="class 2 absent"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the absent class shows only as its None
             aps, macro = per_class_ap(y, P)
         assert aps[2] is None
-        assert macro == pytest.approx(np.mean([aps[0], aps[1]]))
+        assert macro == float(np.mean([aps[0], aps[1]]))
 
     def test_no_class_present_is_an_error(self):
         P = np.random.default_rng(0).random((4, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # raised before any per-class warning
-            with pytest.raises(MetricError, match="occurs in y_true"):
-                per_class_ap(np.array([2, 3, 2, 5]), P)
+        with pytest.raises(MetricError, match="occurs in y_true"):
+            per_class_ap(np.array([2, 3, 2, 5]), P)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2])  # a present class's, an absent class's
+    def test_non_finite_score_in_any_column_is_an_error(self, column, value):
+        P = np.random.default_rng(0).random((4, 3))
+        P[1, column] = value
+        with pytest.raises(MetricError, match="^non-finite scores$"):
+            per_class_ap(np.array([0, 0, 1, 1]), P)
 
     def test_random_scores_concentrate_at_prevalence(self):
         rng = np.random.default_rng(42)
@@ -239,21 +246,19 @@ def test_per_class_ap_tie_invariance_and_oracle(n, num_classes, levels, data_see
     y = rng.integers(num_classes, size=n)
     y[0] = 0  # at least one class present
     P = rng.integers(levels, size=(n, num_classes)) / levels
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # absent classes
-        aps, _ = per_class_ap(y, P)
-        for c in range(num_classes):
-            present = bool(np.any(y == c))
-            assert (aps[c] is not None) == present
-            if present:
-                assert aps[c] == pytest.approx(brute_force_ap(y == c, P[:, c]), abs=1e-12)
-            # move rows only within blocks of tied class-c scores
-            ranked = np.argsort(-P[:, c], kind="stable")
-            shuffled = np.lexsort((rng.random(n), -P[:, c]))
-            perm = np.empty(n, dtype=np.int64)
-            perm[ranked] = shuffled
-            assert np.array_equal(P[perm, c], P[:, c])
-            assert per_class_ap(y[perm], P[perm])[0][c] == aps[c]
+    aps, _ = per_class_ap(y, P)
+    for c in range(num_classes):
+        present = bool(np.any(y == c))
+        assert (aps[c] is not None) == present
+        if present:
+            assert aps[c] == pytest.approx(brute_force_ap(y == c, P[:, c]), abs=1e-12)
+        # move rows only within blocks of tied class-c scores
+        ranked = np.argsort(-P[:, c], kind="stable")
+        shuffled = np.lexsort((rng.random(n), -P[:, c]))
+        perm = np.empty(n, dtype=np.int64)
+        perm[ranked] = shuffled
+        assert np.array_equal(P[perm, c], P[:, c])
+        assert per_class_ap(y[perm], P[perm])[0][c] == aps[c]
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,15 +309,15 @@ def test_per_class_ap_matches_stable_reference_and_ignores_row_order(n, num_clas
     y = rng.integers(num_classes, size=n)
     P = rng.integers(levels, size=(n, num_classes)) / 1000.0  # a 1/1000 grid: many ties
     P[rng.random((n, num_classes)) < 0.5] *= -1.0  # -0.0 ties with 0.0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an absent class shows only as its None
         aps, macro = per_class_ap(y, P)
         perm = rng.permutation(n)
         assert per_class_ap(y[perm], P[perm]) == (aps, macro)
     absent = [c for c in range(num_classes) if not np.any(y == c)]
     assert [c for c in range(num_classes) if aps[c] is None] == absent
-    assert len(caught) == 2 * len(absent)
-    assert all(f"class {c} absent" in str(w.message) for w, c in zip(caught, absent * 2))
     for c in range(num_classes):
         if c not in absent:
-            assert aps[c] == stable_block_tie_ap((y == c).astype(np.int64), P[:, c])
+            indicator = (y == c).astype(np.int64)
+            assert aps[c] == stable_block_tie_ap(indicator, P[:, c])
+            assert aps[c] == average_precision(indicator, P[:, c])  # one kernel, same bits

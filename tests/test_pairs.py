@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,6 +111,17 @@ def test_outputs_differ_between_sides_or_rounds(round_, side):
     rounds = [{"base": doc([1.0]), "head": doc([1.0])} for _ in range(2)]
     rounds[round_][side] = doc([1.0], digest="other")
     assert pairs.summarize(rounds)["outputs_equal"] is False
+
+
+def test_own_peak_rss_is_the_interpreters_alone():
+    # a child inherits its parent's ru_maxrss, so a grid's rss_self_mb once read the recorder's
+    held = np.ones(200 * 2**20 // 8)  # 200 MB, every page touched
+    assert pairs.own_peak_rss_mb() >= 200
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import pairs; "
+            "print(pairs.own_peak_rss_mb())")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    del held
+    assert float(child.stdout) < 100
 
 
 def git_head() -> str:
